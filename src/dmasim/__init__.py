@@ -28,7 +28,6 @@ from .element import (
     ResonanceConfiguration,
     TuningRange,
     dma_weight_matrix,
-    dma_weight_vector,
     linear_phase_approx,
     lorentzian_weight,
     normalized_polarizability,
@@ -60,7 +59,6 @@ from .beamform import (
 from .approx import (
     ApproxBreakdown,
     angular_fill,
-    approx_gain,
     export_breakdown_csv,
     fill_penalty,
     fill_penalty_mc,
@@ -71,24 +69,19 @@ from .approx import (
     phase_fill_ratio,
     power_normalized_gain,
     propagation_lobe,
-    squint_gain,
     squint_gain_from_phase,
-    squint_phase,
     squint_phase_profile,
 )
 from .metrics import (
     GainSpectrum,
-    beamforming_gain,
     data_rate,
     gain_profile,
     gain_spectrum,
     max_data_rate,
     normalization,
     phased_array_spectrum,
-    radiated_power,
     resonance_spectrum,
     run_beamformer,
-    snr,
     snr_profile,
     spectral_efficiency,
 )

@@ -37,18 +37,13 @@ class ApproxBreakdown:
             object.__setattr__(self, name, arr)
 
 
-def squint_phase(k: int, cfg: ScenarioConfig, design: DmaDesign) -> float:
-    """Per-element phase offset between subcarrier k and the center subcarrier.
+def squint_phase_profile(cfg: ScenarioConfig, design: DmaDesign) -> np.ndarray:
+    """Per-element phase offset between each subcarrier and the center one; shape (k,).
 
     -d_x * [ (2*pi*delta/c)*sin(phi_t)
              + (2*pi*eps_r/c)*(sqrt((f_c+delta)^2 - f_c10^2) - sqrt(f_c^2 - f_c10^2)) ]
     with delta = f_k - f_center. Zero at the center subcarrier.
     """
-    return float(squint_phase_profile(cfg, design)[k])
-
-
-def squint_phase_profile(cfg: ScenarioConfig, design: DmaDesign) -> np.ndarray:
-    """squint_phase for every subcarrier; shape (k,)."""
     grid = subcarrier_grid(cfg)
     f_c = grid.f_center
     delta = grid.frequencies - f_c
@@ -67,11 +62,6 @@ def squint_gain_from_phase(chi, n_slot: int):
     gain = (ratio / (2.0 * math.sqrt(n_slot))) ** 2
     out = np.where(coherent, n_slot / 4.0, gain)
     return float(out) if out.ndim == 0 else out
-
-
-def squint_gain(k: int, cfg: ScenarioConfig, design: DmaDesign) -> float:
-    """Frequency-selective gain factor at subcarrier k."""
-    return float(squint_gain_from_phase(squint_phase(k, cfg, design), design.n_slot))
 
 
 def phase_fill_ratio(design: DmaDesign) -> float:
@@ -131,17 +121,6 @@ def gain_breakdown(cfg: ScenarioConfig, design: DmaDesign) -> ApproxBreakdown:
     return ApproxBreakdown(squint_gain=f_k, fill_penalty=w, leakage_penalty=a, product=f_k * w * a)
 
 
-def approx_gain(k: int, cfg: ScenarioConfig, design: DmaDesign) -> ApproxBreakdown:
-    """Single-subcarrier breakdown; arrays of length 1 hold the k-th values."""
-    full = gain_breakdown(cfg, design)
-    return ApproxBreakdown(
-        squint_gain=full.squint_gain[k : k + 1],
-        fill_penalty=full.fill_penalty,
-        leakage_penalty=full.leakage_penalty,
-        product=full.product[k : k + 1],
-    )
-
-
 def power_normalized_gain(breakdown: ApproxBreakdown, design: DmaDesign) -> np.ndarray:
     """Approximate gain in power-normalized units: 2 * radiated_fraction * product.
 
@@ -197,6 +176,11 @@ def fill_penalty_mc(xi: float, samples: int, seed: int) -> float:
     when reachable, otherwise the outermost feasible weight on the matching
     half-plane. Returns the squared modulus of the mean aligned response.
     """
+    return fill_penalty_mc_stderr(xi, samples, seed)[0]
+
+
+def fill_penalty_mc_stderr(xi: float, samples: int, seed: int) -> tuple[float, float]:
+    """fill_penalty_mc together with its delta-method standard error."""
     if not 0.0 <= xi <= math.pi:
         raise ValueError("angular fill must lie in [0, pi]")
     rng = np.random.default_rng(seed)
@@ -207,21 +191,6 @@ def fill_penalty_mc(xi: float, samples: int, seed: int) -> float:
     reachable = np.abs(offset) <= xi
     clip_hi = np.exp(1j * (-math.pi / 2.0 + xi))  # real part of h >= 0
     clip_lo = np.exp(1j * (-math.pi / 2.0 - xi))  # real part of h < 0
-    product = np.where(reachable, 1.0 + 0j, h * np.where(h.real >= 0.0, clip_hi, clip_lo))
-    return float(np.abs(np.mean(product)) ** 2)
-
-
-def fill_penalty_mc_stderr(xi: float, samples: int, seed: int) -> tuple[float, float]:
-    """fill_penalty_mc together with its delta-method standard error."""
-    if not 0.0 <= xi <= math.pi:
-        raise ValueError("angular fill must lie in [0, pi]")
-    rng = np.random.default_rng(seed)
-    theta = rng.uniform(0.0, 2.0 * math.pi, samples)
-    h = np.exp(1j * theta)
-    offset = np.mod(theta - math.pi / 2.0 + math.pi, 2.0 * math.pi) - math.pi
-    reachable = np.abs(offset) <= xi
-    clip_hi = np.exp(1j * (-math.pi / 2.0 + xi))
-    clip_lo = np.exp(1j * (-math.pi / 2.0 - xi))
     product = np.where(reachable, 1.0 + 0j, h * np.where(h.real >= 0.0, clip_hi, clip_lo))
     mx, my = float(np.mean(product.real)), float(np.mean(product.imag))
     cov = np.cov(np.stack([product.real, product.imag]), ddof=1) / samples

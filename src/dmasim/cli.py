@@ -1,8 +1,9 @@
 """Batch CLI: one subcommand per experiment kind, CSV output.
 
 Scenario and design come from an optional flat key=value config file; every
-field has an override flag. Exit code 0 on success, 1 with a one-line
-diagnostic otherwise.
+config key has an override flag, named "--" + the key in lowercase with "_"
+as "-". Exit code 0 on success, 1 with a one-line diagnostic otherwise; a run
+that fails writes no CSV.
 """
 
 from __future__ import annotations
@@ -12,28 +13,7 @@ import sys
 from pathlib import Path
 
 from .experiments import KINDS, ExperimentPlan, run_plan
-from .params import DmaDesign, ScenarioConfig, load_config, override_fields
-
-_SCENARIO_FLAGS = [
-    ("--f-t", "f_t", float, "carrier frequency [Hz]"),
-    ("--b", "b", float, "signal bandwidth [Hz]"),
-    ("--k", "k", int, "subcarrier count (even)"),
-    ("--phi-t", "phi_t", float, "steering angle [rad]"),
-    ("--r", "r", float, "link distance [m]"),
-    ("--p-in-tot", "p_in_tot", float, "total input power [W]"),
-    ("--t-temp", "t_temp", float, "noise temperature [K]"),
-    ("--g-dma", "g_dma", float, "DMA efficiency loss, linear"),
-]
-_DESIGN_FLAGS = [
-    ("--n-slot", "n_slot", int, "DMA element count"),
-    ("--d-x", "d_x", float, "element spacing [m]"),
-    ("--q", "q", float, "quality factor at the carrier"),
-    ("--b-tune", "b_tune", float, "tuning bandwidth [Hz]"),
-    ("--lambda", "lambda_frac", float, "fractional radiated power in (0, 1)"),
-    ("--eps-r", "eps_r", float, "substrate permittivity factor"),
-    ("--f-c10", "f_c10", float, "waveguide cutoff frequency [Hz]"),
-    ("--f-coupl", "f_coupl", float, "coupling factor"),
-]
+from .params import _DESIGN_KEYS, _INT_FIELDS, _SCENARIO_KEYS, DmaDesign, ScenarioConfig, load_config, override_fields
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,8 +28,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=200, help="Monte-Carlo trial count")
         p.add_argument("--r-res", type=int, default=1001, help="resonance grid resolution")
         p.add_argument("--pin-los", action="store_true", help="pin the first multipath ray to the LOS angle")
-        for flag, dest, typ, help_text in _SCENARIO_FLAGS + _DESIGN_FLAGS:
-            p.add_argument(flag, dest=dest, type=typ, default=None, help=f"override {help_text}")
+        for key, (field, help_text) in {**_SCENARIO_KEYS, **_DESIGN_KEYS}.items():
+            flag = "--" + key.lower().replace("_", "-")
+            typ = int if field in _INT_FIELDS else float
+            p.add_argument(flag, dest=field, type=typ, default=None, help=f"override {help_text}")
     return parser
 
 
@@ -58,11 +40,8 @@ def _configs_from_args(args) -> tuple[ScenarioConfig, DmaDesign]:
         cfg, design = load_config(args.config)
     else:
         cfg, design = ScenarioConfig(), DmaDesign()
-    cfg = override_fields(cfg, **{dest: getattr(args, dest) for _, dest, _, _ in _SCENARIO_FLAGS})
-    design_over = {dest: getattr(args, dest) for _, dest, _, _ in _DESIGN_FLAGS}
-    if args.f_t is not None:
-        design_over["f_t"] = args.f_t  # design carrier follows the scenario carrier
-    design = override_fields(design, **design_over)
+    cfg = override_fields(cfg, **{field: getattr(args, field) for field, _ in _SCENARIO_KEYS.values()})
+    design = override_fields(design, **{field: getattr(args, field) for field, _ in _DESIGN_KEYS.values()})
     return cfg, design
 
 

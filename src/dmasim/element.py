@@ -116,19 +116,11 @@ def lorentzian_weight(zeta):
     return complex(out) if out.ndim == 0 else out
 
 
-def dma_weight_vector(res: ResonanceConfiguration, f_k: float, design: DmaDesign):
-    """Per-element weights at one subcarrier for a resonance configuration.
+def dma_weight_matrix(res: ResonanceConfiguration, frequencies, design: DmaDesign):
+    """Weights for every (subcarrier, element) pair; shape (k, n_slot).
 
     Rejects resonances outside the design tuning range.
     """
-    rng = tuning_range(design)
-    if not rng.contains(res.f_r):
-        raise ValueError("resonance configuration leaves the tuning range")
-    return normalized_polarizability(f_k, res.f_r, design)
-
-
-def dma_weight_matrix(res: ResonanceConfiguration, frequencies, design: DmaDesign):
-    """Weights for every (subcarrier, element) pair; shape (k, n_slot)."""
     rng = tuning_range(design)
     if not rng.contains(res.f_r):
         raise ValueError("resonance configuration leaves the tuning range")

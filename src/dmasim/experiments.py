@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -21,18 +22,6 @@ from .beamform import default_grid
 from .channel import MultipathSpec, effective_channel, multipath_channel
 from .metrics import GainSpectrum, max_data_rate, run_beamformer
 from .params import DmaDesign, ScenarioConfig, override_fields, subcarrier_grid, wavelength
-
-KINDS = (
-    "validate-approx",
-    "sweep-bandwidth",
-    "sweep-tuning",
-    "sweep-lambda",
-    "sweep-angle",
-    "sweep-spacing",
-    "sweep-damping",
-    "max-rate",
-    "multipath-mc",
-)
 
 ALGORITHMS = ("center-frequency", "successive")
 
@@ -46,6 +35,7 @@ VALIDATE_SUBCARRIER_B = 5e7
 VALIDATE_SUBCARRIER_K = 64
 DEFAULT_LAMBDA_AXIS = (0.1, 0.3, 0.5, 0.7, 0.9)
 DEFAULT_RATE_B_AXIS = (2.5e8, 5e8, 1e9, 1.5e9, 2e9)
+DEFAULT_ANGLE_AXIS = tuple(math.radians(a) for a in range(-60, 61, 20))
 
 
 @dataclass(frozen=True)
@@ -108,8 +98,7 @@ def parse_spectrum_csv(path) -> tuple[list[dict], dict]:
     summary: dict = {}
     with open(path, "r", encoding="utf-8") as handle:
         lines = [line for line in handle if not line.startswith("#")]
-    reader = csv.DictReader(lines)
-    for row in reader:
+    for row in csv.DictReader(lines):
         if row["k"] == "summary":
             summary = {
                 "scenario_id": row["scenario_id"],
@@ -119,17 +108,7 @@ def parse_spectrum_csv(path) -> tuple[list[dict], dict]:
                 "rate": float(row["se_k"]),
             }
         else:
-            per_k.append(
-                {
-                    "scenario_id": row["scenario_id"],
-                    "algorithm": row["algorithm"],
-                    "k": int(row["k"]),
-                    "f_k": float(row["f_k"]),
-                    "gain": float(row["gain"]),
-                    "rho": float(row["rho"]),
-                    "se_k": float(row["se_k"]),
-                }
-            )
+            per_k.append({**row, "k": int(row["k"]), **{c: float(row[c]) for c in ("f_k", "gain", "rho", "se_k")}})
     return per_k, summary
 
 
@@ -139,34 +118,42 @@ def _both_algorithms(cfg: ScenarioConfig, design: DmaDesign, r_res: int) -> dict
     return {alg: run_beamformer(alg, channels, cfg, design, grid)[1] for alg in ALGORITHMS}
 
 
-def validation_tuning_sweep(cfg: ScenarioConfig, design: DmaDesign, axis, r_res: int) -> list[list]:
-    """Sum-gain comparison, simulated vs approximate, across the tuning bandwidth."""
+def _overrides(obj, field: str, axis, **fixed) -> list:
+    """One copy of a config per axis value with `field` set to it.
+
+    Building every copy up front validates the whole axis before any solve.
+    """
+    return [override_fields(obj, **fixed, **{field: float(v)}) for v in axis]
+
+
+def _gamma_axis(design: DmaDesign) -> tuple:
+    """Default tuning-bandwidth axis: multiples of the damping factor."""
+    return tuple(design.gamma * s for s in (0.25, 0.5, 1.0, 2.0, 4.0))
+
+
+def _validation_sweep(cfg: ScenarioConfig, designs: list, field: str, penalty: str, r_res: int) -> list[list]:
+    """Rows [design.<field>, simulated g_sum, approximate g_sum, breakdown.<penalty>, rel_err]."""
     narrow = override_fields(cfg, b=VALIDATE_NARROW_B, k=VALIDATE_NARROW_K)
     rows = []
-    for b_tune in axis:
-        d = override_fields(design, b_tune=float(b_tune))
+    for d in designs:
         channels = effective_channel(narrow, d)
         _, spectrum = run_beamformer("center-frequency", channels, narrow, d, default_grid(d, r_res))
         breakdown = gain_breakdown(narrow, d)
         approx_sum = float(np.sum(power_normalized_gain(breakdown, d)))
         rel_err = abs(approx_sum - spectrum.g_sum) / spectrum.g_sum
-        rows.append([float(b_tune), spectrum.g_sum, approx_sum, breakdown.fill_penalty, rel_err])
+        rows.append([getattr(d, field), spectrum.g_sum, approx_sum, getattr(breakdown, penalty), rel_err])
     return rows
+
+
+def validation_tuning_sweep(cfg: ScenarioConfig, design: DmaDesign, axis, r_res: int) -> list[list]:
+    """Sum-gain comparison, simulated vs approximate, across the tuning bandwidth."""
+    return _validation_sweep(cfg, _overrides(design, "b_tune", axis), "b_tune", "fill_penalty", r_res)
 
 
 def validation_lambda_sweep(cfg: ScenarioConfig, design: DmaDesign, axis, r_res: int) -> list[list]:
     """Sum-gain comparison across the fractional radiated power, wide tuning."""
-    narrow = override_fields(cfg, b=VALIDATE_NARROW_B, k=VALIDATE_NARROW_K)
-    rows = []
-    for lam in axis:
-        d = override_fields(design, lambda_frac=float(lam), b_tune=VALIDATE_WIDE_TUNING)
-        channels = effective_channel(narrow, d)
-        _, spectrum = run_beamformer("center-frequency", channels, narrow, d, default_grid(d, r_res))
-        breakdown = gain_breakdown(narrow, d)
-        approx_sum = float(np.sum(power_normalized_gain(breakdown, d)))
-        rel_err = abs(approx_sum - spectrum.g_sum) / spectrum.g_sum
-        rows.append([float(lam), spectrum.g_sum, approx_sum, breakdown.leakage_penalty, rel_err])
-    return rows
+    designs = _overrides(design, "lambda_frac", axis, b_tune=VALIDATE_WIDE_TUNING)
+    return _validation_sweep(cfg, designs, "lambda_frac", "leakage_penalty", r_res)
 
 
 def validation_per_subcarrier(cfg: ScenarioConfig, design: DmaDesign, r_res: int) -> list[list]:
@@ -177,188 +164,138 @@ def validation_per_subcarrier(cfg: ScenarioConfig, design: DmaDesign, r_res: int
     _, spectrum = run_beamformer("center-frequency", channels, sub_cfg, d, default_grid(d, r_res))
     breakdown = gain_breakdown(sub_cfg, d)
     approx = power_normalized_gain(breakdown, d)
+    flat = [breakdown.fill_penalty, breakdown.leakage_penalty, d.b_tune]
+    freqs = subcarrier_grid(sub_cfg).frequencies
+    squint = breakdown.squint_gain
+    return [[k, float(f_k), spectrum.gain[k], approx[k], squint[k], *flat] for k, f_k in enumerate(freqs)]
+
+
+# A runner takes (plan, scenario, design) and returns {file name: (header, rows)}.
+_Tables = dict[str, tuple[list[str], list[list]]]
+
+_ALG_SUFFIX = {"center-frequency": "cf", "successive": "succ"}
+_SPECTRUM_COLUMN = {"capacity": "se", "rate": "rate", "g_sum": "g_sum"}
+
+
+def _validate_approx(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign) -> _Tables:
+    tuning = _overrides(design, "b_tune", plan.axis or _gamma_axis(design))
+    lam = _overrides(design, "lambda_frac", DEFAULT_LAMBDA_AXIS, b_tune=VALIDATE_WIDE_TUNING)
+    return {
+        "tuning_sweep.csv": (
+            ["b_tune", "g_cf_sum", "g_approx_sum", "fill_penalty", "rel_err"],
+            _validation_sweep(cfg, tuning, "b_tune", "fill_penalty", plan.r_res),
+        ),
+        "lambda_sweep.csv": (
+            ["lambda", "g_cf_sum", "g_approx_sum", "leakage_penalty", "rel_err"],
+            _validation_sweep(cfg, lam, "lambda_frac", "leakage_penalty", plan.r_res),
+        ),
+        "per_subcarrier.csv": (
+            ["k", "f_k", "sim_gain", "approx_gain", "squint_gain", "fill_penalty", "leakage_penalty", "b_tune"],
+            validation_per_subcarrier(cfg, design, plan.r_res),
+        ),
+    }
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """Override one scenario or design field over an axis and run both algorithms at each point."""
+
+    file: str
+    column: str  # axis column of the CSV
+    field: str  # the overridden field
+    on_design: bool  # field of DmaDesign (else of ScenarioConfig)
+    default_axis: Callable[[DmaDesign], tuple]
+    reported: tuple[str, ...]  # GainSpectrum fields, one column per algorithm each
+    spectra: bool = False  # also write the unswept configuration's per-subcarrier spectra
+
+    def __call__(self, plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign) -> _Tables:
+        axis = plan.axis or self.default_axis(design)
+        rows = []
+        for point in _overrides(design if self.on_design else cfg, self.field, axis):
+            point_cfg, point_design = (cfg, point) if self.on_design else (point, design)
+            spectra = _both_algorithms(point_cfg, point_design, plan.r_res)
+            rows.append(
+                [getattr(point, self.field)]
+                + [getattr(spectra[alg], name) for name in self.reported for alg in ALGORITHMS]
+            )
+        header = [self.column] + [
+            f"{_SPECTRUM_COLUMN[name]}_{_ALG_SUFFIX[alg]}" for name in self.reported for alg in ALGORITHMS
+        ]
+        tables = {self.file: (header, rows)}
+        if self.spectra:
+            grid_freqs = subcarrier_grid(cfg).frequencies
+            for alg, spectrum in _both_algorithms(cfg, design, plan.r_res).items():
+                tables[f"spectrum_{alg}.csv"] = (SPECTRUM_HEADER, spectrum_rows("template", alg, grid_freqs, spectrum))
+        return tables
+
+
+def _sweep_spacing(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign) -> _Tables:
+    """Fixed aperture length: each spacing gets round(aperture / d_x) elements."""
+    lam = wavelength(design.f_t)
+    aperture = design.n_slot * design.d_x
+    points = [
+        override_fields(design, d_x=float(d_x), n_slot=max(1, round(aperture / d_x)))
+        for d_x in plan.axis or (lam / 4.0, lam / 3.0, lam / 2.0)
+    ]
     rows = []
-    for k, f_k in enumerate(subcarrier_grid(sub_cfg).frequencies):
-        rows.append(
-            [
-                k,
-                float(f_k),
-                spectrum.gain[k],
-                approx[k],
-                breakdown.squint_gain[k],
-                breakdown.fill_penalty,
-                breakdown.leakage_penalty,
-                d.b_tune,
-            ]
-        )
-    return rows
+    for d in points:
+        spectra = _both_algorithms(cfg, d, plan.r_res)
+        rows.append([d.d_x, d.n_slot] + [spectra[alg].capacity for alg in ALGORITHMS])
+    return {"sweep_spacing.csv": (["d_x", "n_slot", "se_cf", "se_succ"], rows)}
+
+
+def _max_rate(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign) -> _Tables:
+    rows = []
+    for d in _overrides(design, "b_tune", plan.axis or _gamma_axis(design)):
+        rows.append([d.b_tune] + [max_data_rate(cfg, d, DEFAULT_RATE_B_AXIS, alg, plan.r_res)[0] for alg in ALGORITHMS])
+    return {"max_rate.csv": (["b_tune", "d_max_cf", "d_max_succ"], rows)}
+
+
+def _multipath_mc(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign) -> _Tables:
+    axis = plan.axis or (1.0, 2.0, 4.0)
+    if any(l_path != int(l_path) or l_path < 1 for l_path in axis):
+        raise ValueError("path counts must be positive integers")
+    grid = default_grid(design, plan.r_res)
+    rows = []
+    for l_idx, l_path in enumerate(axis):
+        per_alg = {alg: [] for alg in ALGORITHMS}
+        for trial in range(plan.trials):
+            child = int(np.random.SeedSequence((plan.seed, l_idx, trial)).generate_state(1)[0])
+            spec = MultipathSpec(l_path=int(l_path), seed=child, pin_first_to_los=plan.pin_los)
+            channels = multipath_channel(spec, cfg, design)
+            for alg in ALGORITHMS:
+                _, spectrum = run_beamformer(alg, channels, cfg, design, grid)
+                per_alg[alg].append(spectrum.capacity)
+        for alg in ALGORITHMS:
+            values = np.asarray(per_alg[alg])
+            stderr = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
+            rows.append([float(l_path), alg, float(values.mean()), stderr, values.size])
+    return {"multipath_mc.csv": (["l_path", "algorithm", "mean_se", "stderr_se", "trials"], rows)}
+
+
+_RUNNERS: dict[str, Callable[[ExperimentPlan, ScenarioConfig, DmaDesign], _Tables]] = {
+    "validate-approx": _validate_approx,
+    "sweep-bandwidth": _Sweep(
+        "sweep_bandwidth.csv", "b", "b", False, lambda _: DEFAULT_RATE_B_AXIS, ("capacity", "rate"), spectra=True
+    ),
+    "sweep-tuning": _Sweep("sweep_tuning.csv", "b_tune", "b_tune", True, _gamma_axis, ("capacity", "g_sum")),
+    "sweep-lambda": _Sweep(
+        "sweep_lambda.csv", "lambda", "lambda_frac", True, lambda _: DEFAULT_LAMBDA_AXIS, ("capacity", "g_sum")
+    ),
+    "sweep-angle": _Sweep("sweep_angle.csv", "phi_t", "phi_t", False, lambda _: DEFAULT_ANGLE_AXIS, ("capacity",)),
+    "sweep-spacing": _sweep_spacing,
+    "sweep-damping": _Sweep("sweep_damping.csv", "q", "q", True, lambda _: (50.0, 100.0, 200.0), ("capacity", "rate")),
+    "max-rate": _max_rate,
+    "multipath-mc": _multipath_mc,
+}
+KINDS = tuple(_RUNNERS)
 
 
 def run_plan(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign) -> list[Path]:
-    """Execute one experiment plan; returns the written file paths."""
-    out = plan.out_dir
-    written: list[Path] = []
+    """Execute one experiment plan; returns the written file paths.
 
-    if plan.kind == "validate-approx":
-        axis = plan.axis or tuple(design.gamma * s for s in (0.25, 0.5, 1.0, 2.0, 4.0))
-        written.append(
-            _write_csv(
-                out / "tuning_sweep.csv",
-                ["b_tune", "g_cf_sum", "g_approx_sum", "fill_penalty", "rel_err"],
-                validation_tuning_sweep(cfg, design, axis, plan.r_res),
-            )
-        )
-        written.append(
-            _write_csv(
-                out / "lambda_sweep.csv",
-                ["lambda", "g_cf_sum", "g_approx_sum", "leakage_penalty", "rel_err"],
-                validation_lambda_sweep(cfg, design, DEFAULT_LAMBDA_AXIS, plan.r_res),
-            )
-        )
-        written.append(
-            _write_csv(
-                out / "per_subcarrier.csv",
-                ["k", "f_k", "sim_gain", "approx_gain", "squint_gain", "fill_penalty", "leakage_penalty", "b_tune"],
-                validation_per_subcarrier(cfg, design, plan.r_res),
-            )
-        )
-
-    elif plan.kind == "sweep-bandwidth":
-        axis = plan.axis or DEFAULT_RATE_B_AXIS
-        rows = []
-        for b in axis:
-            spectra = _both_algorithms(override_fields(cfg, b=float(b)), design, plan.r_res)
-            rows.append(
-                [
-                    float(b),
-                    spectra["center-frequency"].capacity,
-                    spectra["successive"].capacity,
-                    spectra["center-frequency"].rate,
-                    spectra["successive"].rate,
-                ]
-            )
-        written.append(_write_csv(out / "sweep_bandwidth.csv", ["b", "se_cf", "se_succ", "rate_cf", "rate_succ"], rows))
-        grid_freqs = subcarrier_grid(cfg).frequencies
-        for alg, spectrum in _both_algorithms(cfg, design, plan.r_res).items():
-            written.append(
-                _write_csv(
-                    out / f"spectrum_{alg}.csv",
-                    SPECTRUM_HEADER,
-                    spectrum_rows("template", alg, grid_freqs, spectrum),
-                )
-            )
-
-    elif plan.kind == "sweep-tuning":
-        axis = plan.axis or tuple(design.gamma * s for s in (0.25, 0.5, 1.0, 2.0, 4.0))
-        rows = []
-        for b_tune in axis:
-            d = override_fields(design, b_tune=float(b_tune))
-            spectra = _both_algorithms(cfg, d, plan.r_res)
-            rows.append(
-                [
-                    float(b_tune),
-                    spectra["center-frequency"].capacity,
-                    spectra["successive"].capacity,
-                    spectra["center-frequency"].g_sum,
-                    spectra["successive"].g_sum,
-                ]
-            )
-        written.append(
-            _write_csv(out / "sweep_tuning.csv", ["b_tune", "se_cf", "se_succ", "g_sum_cf", "g_sum_succ"], rows)
-        )
-
-    elif plan.kind == "sweep-lambda":
-        axis = plan.axis or DEFAULT_LAMBDA_AXIS
-        rows = []
-        for lam in axis:
-            d = override_fields(design, lambda_frac=float(lam))
-            spectra = _both_algorithms(cfg, d, plan.r_res)
-            rows.append(
-                [
-                    float(lam),
-                    spectra["center-frequency"].capacity,
-                    spectra["successive"].capacity,
-                    spectra["center-frequency"].g_sum,
-                    spectra["successive"].g_sum,
-                ]
-            )
-        written.append(
-            _write_csv(out / "sweep_lambda.csv", ["lambda", "se_cf", "se_succ", "g_sum_cf", "g_sum_succ"], rows)
-        )
-
-    elif plan.kind == "sweep-angle":
-        axis = plan.axis or tuple(math.radians(a) for a in range(-60, 61, 20))
-        rows = []
-        for phi in axis:
-            spectra = _both_algorithms(override_fields(cfg, phi_t=float(phi)), design, plan.r_res)
-            rows.append([float(phi), spectra["center-frequency"].capacity, spectra["successive"].capacity])
-        written.append(_write_csv(out / "sweep_angle.csv", ["phi_t", "se_cf", "se_succ"], rows))
-
-    elif plan.kind == "sweep-spacing":
-        lam = wavelength(design.f_t)
-        axis = plan.axis or (lam / 4.0, lam / 3.0, lam / 2.0)
-        aperture = design.n_slot * design.d_x
-        rows = []
-        for d_x in axis:
-            n_slot = max(1, round(aperture / d_x))
-            d = override_fields(design, d_x=float(d_x), n_slot=n_slot)
-            spectra = _both_algorithms(cfg, d, plan.r_res)
-            rows.append(
-                [float(d_x), n_slot, spectra["center-frequency"].capacity, spectra["successive"].capacity]
-            )
-        written.append(_write_csv(out / "sweep_spacing.csv", ["d_x", "n_slot", "se_cf", "se_succ"], rows))
-
-    elif plan.kind == "sweep-damping":
-        axis = plan.axis or (50.0, 100.0, 200.0)
-        rows = []
-        for q in axis:
-            d = override_fields(design, q=float(q))
-            spectra = _both_algorithms(cfg, d, plan.r_res)
-            rows.append(
-                [
-                    float(q),
-                    spectra["center-frequency"].capacity,
-                    spectra["successive"].capacity,
-                    spectra["center-frequency"].rate,
-                    spectra["successive"].rate,
-                ]
-            )
-        written.append(_write_csv(out / "sweep_damping.csv", ["q", "se_cf", "se_succ", "rate_cf", "rate_succ"], rows))
-
-    elif plan.kind == "max-rate":
-        axis = plan.axis or tuple(design.gamma * s for s in (0.25, 0.5, 1.0, 2.0, 4.0))
-        rows = []
-        for b_tune in axis:
-            d = override_fields(design, b_tune=float(b_tune))
-            d_max_cf, _ = max_data_rate(cfg, d, DEFAULT_RATE_B_AXIS, "center-frequency", plan.r_res)
-            d_max_succ, _ = max_data_rate(cfg, d, DEFAULT_RATE_B_AXIS, "successive", plan.r_res)
-            rows.append([float(b_tune), d_max_cf, d_max_succ])
-        written.append(_write_csv(out / "max_rate.csv", ["b_tune", "d_max_cf", "d_max_succ"], rows))
-
-    elif plan.kind == "multipath-mc":
-        axis = plan.axis or (1.0, 2.0, 4.0)
-        rows = []
-        for l_idx, l_path in enumerate(axis):
-            if l_path != int(l_path) or l_path < 1:
-                raise ValueError("path counts must be positive integers")
-            per_alg = {alg: [] for alg in ALGORITHMS}
-            grid = default_grid(design, plan.r_res)
-            for trial in range(plan.trials):
-                child = int(np.random.SeedSequence((plan.seed, l_idx, trial)).generate_state(1)[0])
-                spec = MultipathSpec(l_path=int(l_path), seed=child, pin_first_to_los=plan.pin_los)
-                channels = multipath_channel(spec, cfg, design)
-                for alg in ALGORITHMS:
-                    _, spectrum = run_beamformer(alg, channels, cfg, design, grid)
-                    per_alg[alg].append(spectrum.capacity)
-            for alg in ALGORITHMS:
-                values = np.asarray(per_alg[alg])
-                stderr = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
-                rows.append([float(l_path), alg, float(values.mean()), stderr, values.size])
-        written.append(
-            _write_csv(out / "multipath_mc.csv", ["l_path", "algorithm", "mean_se", "stderr_se", "trials"], rows)
-        )
-
-    else:  # pragma: no cover - guarded by ExperimentPlan validation
-        raise ValueError(f"unknown experiment kind {plan.kind!r}")
-
-    return written
+    Every file is computed before the first is written, so a run that fails
+    leaves no output behind.
+    """
+    tables = _RUNNERS[plan.kind](plan, cfg, design)
+    return [_write_csv(plan.out_dir / name, header, rows) for name, (header, rows) in tables.items()]

@@ -35,22 +35,10 @@ class GainSpectrum:
             object.__setattr__(self, name, arr)
 
 
-def snr(k: int, cfg: ScenarioConfig) -> float:
-    """Per-subcarrier SNR path_loss * g_dma * p_in / noise_power, linear."""
-    return float(snr_profile(cfg)[k])
-
-
 def snr_profile(cfg: ScenarioConfig) -> np.ndarray:
-    """snr for every subcarrier; shape (k,)."""
+    """Per-subcarrier SNR path_loss * g_dma * p_in / noise_power, linear; shape (k,)."""
     grid = subcarrier_grid(cfg)
     return path_loss(grid.frequencies, cfg.r) * cfg.g_dma * cfg.p_in / noise_power(cfg)
-
-
-def radiated_power(k: int, cfg: ScenarioConfig, design: DmaDesign) -> float:
-    """Power radiated by the aperture for one subcarrier [W]; zero for a single element."""
-    if design.n_slot == 1:
-        return 0.0
-    return cfg.p_in * radiated_fraction(design)
 
 
 def normalization(weights_k: np.ndarray, h_att_k: np.ndarray, design: DmaDesign) -> float:
@@ -65,13 +53,8 @@ def normalization(weights_k: np.ndarray, h_att_k: np.ndarray, design: DmaDesign)
     return radiated_fraction(design) / norm_sq
 
 
-def beamforming_gain(k: int, channels: ChannelSet, weights: np.ndarray, design: DmaDesign) -> float:
-    """Normalized gain M_k * |h[k]^T (weights[k] (.) h_att[k])|^2 at one subcarrier."""
-    return float(gain_profile(channels, weights, design)[k])
-
-
 def gain_profile(channels: ChannelSet, weights: np.ndarray, design: DmaDesign) -> np.ndarray:
-    """beamforming_gain for every subcarrier; shape (k,).
+    """Normalized gain M_k * |h[k]^T (weights[k] (.) h_att[k])|^2 for every subcarrier; shape (k,).
 
     A subcarrier whose weight vector is identically zero transmits nothing
     and scores gain 0 (its normalization constant is undefined).
@@ -89,13 +72,14 @@ def gain_profile(channels: ChannelSet, weights: np.ndarray, design: DmaDesign) -
 
 def gain_spectrum(channels: ChannelSet, weights: np.ndarray, cfg: ScenarioConfig, design: DmaDesign) -> GainSpectrum:
     """Assemble per-subcarrier gain/SNR/SE records and their aggregates."""
-    gain = gain_profile(channels, weights, design)
-    rho = snr_profile(cfg)
+    return _assemble(gain_profile(channels, weights, design), snr_profile(cfg), cfg.b)
+
+
+def _assemble(gain: np.ndarray, rho: np.ndarray, b: float) -> GainSpectrum:
+    """GainSpectrum from per-subcarrier gains and SNRs at signal bandwidth b."""
     se = np.log2(1.0 + rho * gain)
     capacity = float(np.mean(se))
-    return GainSpectrum(
-        gain=gain, rho=rho, se=se, g_sum=float(np.sum(gain)), capacity=capacity, rate=cfg.b * capacity
-    )
+    return GainSpectrum(gain=gain, rho=rho, se=se, g_sum=float(np.sum(gain)), capacity=capacity, rate=b * capacity)
 
 
 def spectral_efficiency(channels: ChannelSet, weights: np.ndarray, cfg: ScenarioConfig, design: DmaDesign) -> float:
@@ -173,9 +157,4 @@ def phased_array_spectrum(
     if weights.shape != channels.h.shape:
         raise ValueError("weights must be shaped (k, n_slot) like the channel")
     gain = np.abs(np.sum(channels.h * weights, axis=1)) ** 2 / channels.n_slot
-    rho = snr_profile(cfg) * 10.0 ** (-loss_db / 10.0)
-    se = np.log2(1.0 + rho * gain)
-    capacity = float(np.mean(se))
-    return GainSpectrum(
-        gain=gain, rho=rho, se=se, g_sum=float(np.sum(gain)), capacity=capacity, rate=cfg.b * capacity
-    )
+    return _assemble(gain, snr_profile(cfg) * 10.0 ** (-loss_db / 10.0), cfg.b)

@@ -16,6 +16,13 @@ C_LIGHT = 3e8  # speed of light [m/s]
 K_BOLTZ = 1.380649e-23  # Boltzmann constant [J/K]
 
 
+def _require_finite(config) -> None:
+    """Reject NaN and infinite fields, which the range checks below would let through."""
+    bad = [f.name for f in fields(config) if not math.isfinite(getattr(config, f.name))]
+    if bad:
+        raise ValueError(f"{', '.join(bad)} must be finite")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Link-level experiment description."""
@@ -30,6 +37,7 @@ class ScenarioConfig:
     g_dma: float = 1.0  # DMA efficiency loss, linear in (0, 1]
 
     def __post_init__(self):
+        _require_finite(self)
         if self.f_t <= 0:
             raise ValueError("carrier frequency must be positive")
         if self.b <= 0:
@@ -73,6 +81,7 @@ class DmaDesign:
     f_coupl: float = 1.0  # coupling factor (cancels in normalized weights)
 
     def __post_init__(self):
+        _require_finite(self)
         if self.n_slot < 1:
             raise ValueError("element count must be >= 1")
         if self.d_x <= 0:
@@ -193,29 +202,41 @@ def wavelength(f: float) -> float:
     return C_LIGHT / f
 
 
-# Flat key=value config file schema: one key per field, SI units.
+# Flat key=value config file schema, SI units: key -> (field, description).
+# Each key is also a CLI override flag: "--" + key.lower() with "_" -> "-".
+# f_t is in both tables, so the design carrier follows the scenario carrier.
 _SCENARIO_KEYS = {
-    "f_t": "f_t",
-    "B": "b",
-    "K": "k",
-    "phi_t": "phi_t",
-    "r": "r",
-    "P_in_tot": "p_in_tot",
-    "T_temp": "t_temp",
-    "G_dma": "g_dma",
+    "f_t": ("f_t", "carrier frequency [Hz]"),
+    "B": ("b", "signal bandwidth [Hz]"),
+    "K": ("k", "subcarrier count (even)"),
+    "phi_t": ("phi_t", "steering angle [rad]"),
+    "r": ("r", "link distance [m]"),
+    "P_in_tot": ("p_in_tot", "total input power [W]"),
+    "T_temp": ("t_temp", "noise temperature [K]"),
+    "G_dma": ("g_dma", "DMA efficiency loss, linear"),
 }
 _DESIGN_KEYS = {
-    "N_slot": "n_slot",
-    "d_x": "d_x",
-    "Q": "q",
-    "f_t": "f_t",
-    "B_tune": "b_tune",
-    "Lambda": "lambda_frac",
-    "eps_r": "eps_r",
-    "f_c10": "f_c10",
-    "F_coupl": "f_coupl",
+    "N_slot": ("n_slot", "DMA element count"),
+    "d_x": ("d_x", "element spacing [m]"),
+    "Q": ("q", "quality factor at the carrier"),
+    "f_t": _SCENARIO_KEYS["f_t"],
+    "B_tune": ("b_tune", "tuning bandwidth [Hz]"),
+    "Lambda": ("lambda_frac", "fractional radiated power in (0, 1)"),
+    "eps_r": ("eps_r", "substrate permittivity factor"),
+    "f_c10": ("f_c10", "waveguide cutoff frequency [Hz]"),
+    "F_coupl": ("f_coupl", "coupling factor"),
 }
 _INT_FIELDS = {"k", "n_slot"}
+
+
+def _config_value(key: str, field: str, text: str):
+    """Parse one config value; the integer fields must hold a finite integral number."""
+    value = float(text)
+    if field not in _INT_FIELDS:
+        return value
+    if not value.is_integer():
+        raise ValueError(f"{key} must be an integer, got {text!r}")
+    return int(value)
 
 
 def load_config(path) -> tuple[ScenarioConfig, DmaDesign]:
@@ -226,6 +247,7 @@ def load_config(path) -> tuple[ScenarioConfig, DmaDesign]:
     """
     scenario_kwargs: dict = {}
     design_kwargs: dict = {}
+    tables = ((scenario_kwargs, _SCENARIO_KEYS), (design_kwargs, _DESIGN_KEYS))
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.split("#", 1)[0].strip()
@@ -233,18 +255,15 @@ def load_config(path) -> tuple[ScenarioConfig, DmaDesign]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            known = False
-            if key in _SCENARIO_KEYS:
-                field = _SCENARIO_KEYS[key]
-                scenario_kwargs[field] = int(float(value)) if field in _INT_FIELDS else float(value)
-                known = True
-            if key in _DESIGN_KEYS:
-                field = _DESIGN_KEYS[key]
-                design_kwargs[field] = int(float(value)) if field in _INT_FIELDS else float(value)
-                known = True
-            if not known:
+            key, text = (part.strip() for part in line.split("=", 1))
+            targets = [(kwargs, table[key][0]) for kwargs, table in tables if key in table]
+            if not targets:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                for kwargs, field in targets:
+                    kwargs[field] = _config_value(key, field, text)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     cfg = ScenarioConfig(**scenario_kwargs)
     design_kwargs.setdefault("f_t", cfg.f_t)
     return cfg, DmaDesign(**design_kwargs)
@@ -253,9 +272,9 @@ def load_config(path) -> tuple[ScenarioConfig, DmaDesign]:
 def save_config(path, cfg: ScenarioConfig, design: DmaDesign) -> None:
     """Write a config in the same flat key=value schema that load_config reads."""
     lines = []
-    for key, field in _SCENARIO_KEYS.items():
+    for key, (field, _) in _SCENARIO_KEYS.items():
         lines.append(f"{key} = {getattr(cfg, field)!r}")
-    for key, field in _DESIGN_KEYS.items():
+    for key, (field, _) in _DESIGN_KEYS.items():
         if key == "f_t":
             continue  # shared with the scenario
         lines.append(f"{key} = {getattr(design, field)!r}")

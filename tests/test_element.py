@@ -9,7 +9,6 @@ from dmasim import (
     DmaDesign,
     ResonanceConfiguration,
     dma_weight_matrix,
-    dma_weight_vector,
     linear_phase_approx,
     lorentzian_weight,
     normalized_polarizability,
@@ -153,26 +152,25 @@ class TestTuningRangeAndWeights:
 
     def test_all_resonant_elements_give_minus_j(self, design):
         res = ResonanceConfiguration(f_r=np.full(design.n_slot, design.f_t))
-        np.testing.assert_array_equal(dma_weight_vector(res, design.f_t, design), np.full(design.n_slot, -1j))
+        weights = dma_weight_matrix(res, [design.f_t], design)[0]
+        np.testing.assert_array_equal(weights, np.full(design.n_slot, -1j))
 
     def test_single_element_reduces_to_scalar_weight(self, design):
         d1 = override_fields(design, n_slot=1)
         res = ResonanceConfiguration(f_r=np.array([15.05e9]))
-        got = dma_weight_vector(res, 15e9, d1)
+        got = dma_weight_matrix(res, [15e9], d1)[0]
         assert got.shape == (1,)
         assert got[0] == normalized_polarizability(15e9, 15.05e9, d1)
 
     def test_mixed_resonances_concatenate_elementwise(self, design):
         f_r = np.array([14.9e9, 15.0e9, 15.3e9])
         res = ResonanceConfiguration(f_r=f_r)
-        got = dma_weight_vector(res, 15e9, design)
+        got = dma_weight_matrix(res, [15e9], design)[0]
         expected = [normalized_polarizability(15e9, fr, design) for fr in f_r]
         np.testing.assert_allclose(got, expected, rtol=0, atol=0)
 
     def test_out_of_range_rejected(self, design):
         res = ResonanceConfiguration(f_r=np.array([design.f_t + design.b_tune]))
-        with pytest.raises(ValueError):
-            dma_weight_vector(res, 15e9, design)
         with pytest.raises(ValueError):
             dma_weight_matrix(res, np.array([15e9]), design)
 
@@ -181,4 +179,4 @@ class TestTuningRangeAndWeights:
         freqs = np.array([14.8e9, 15.0e9, 15.2e9])
         mat = dma_weight_matrix(res, freqs, design)
         for i, f in enumerate(freqs):
-            np.testing.assert_array_equal(mat[i], dma_weight_vector(res, f, design))
+            np.testing.assert_array_equal(mat[i], dma_weight_matrix(res, [f], design)[0])

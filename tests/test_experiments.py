@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dmasim import DmaDesign, ScenarioConfig, override_fields
-from dmasim.cli import main
+from dmasim.cli import _configs_from_args, build_parser, main
 from dmasim.experiments import (
     ExperimentPlan,
     parse_spectrum_csv,
@@ -55,6 +55,33 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             run_plan(plan, small_cfg, small_design)
         assert not (tmp_path / "mc" / "multipath_mc.csv").exists()
+
+
+    @pytest.mark.parametrize(
+        "kind,axis",
+        [
+            ("validate-approx", (1e9, 1e12)),
+            ("sweep-bandwidth", (-1.0, 1e8)),
+            ("sweep-tuning", (1e9, 1e12)),
+            ("sweep-lambda", (0.5, 1.5)),
+            ("sweep-angle", (0.0, 2.0)),
+            ("sweep-spacing", (-0.01, 0.005)),
+            ("sweep-damping", (-1.0, 50.0)),
+            ("max-rate", (1e9, 1e12)),
+            ("multipath-mc", (1.0, 1.5)),
+        ],
+    )
+    def test_axis_checked_before_any_solve(self, tmp_path, monkeypatch, small_cfg, small_design, kind, axis):
+        def no_solve(*args):
+            raise AssertionError("channel built before the axis was checked")
+
+        monkeypatch.setattr("dmasim.experiments.effective_channel", no_solve)
+        monkeypatch.setattr("dmasim.experiments.multipath_channel", no_solve)
+        monkeypatch.setattr("dmasim.metrics.effective_channel", no_solve)
+        plan = ExperimentPlan(kind=kind, out_dir=tmp_path / "out", axis=axis, trials=2, r_res=51)
+        with pytest.raises(ValueError):
+            run_plan(plan, small_cfg, small_design)
+        assert not (tmp_path / "out").exists()
 
 
 class TestDeterminism:
@@ -253,6 +280,31 @@ class TestCli:
         code = main(["sweep-angle", "--out", str(tmp_path), "--lambda", "1.5", "--axis", "0.0"])
         assert code == 1
         assert "dmasim: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,config",
+        [
+            # the tuning sweep is valid, the wide-tuning lambda sweep is not
+            (["validate-approx", "--f-t", "3e9", "--f-c10", "1e9", "--b-tune", "1e9"], None),
+            (["sweep-tuning", "--b", "nan", "--axis", "1e9"], None),
+            (["sweep-tuning"], "K = inf\n"),
+            (["sweep-tuning"], "K = 64.9\n"),
+        ],
+    )
+    def test_failed_run_writes_nothing(self, tmp_path, capsys, argv, config):
+        args = [*argv, "--out", str(tmp_path / "out"), "--n-slot", "8", "--r-res", "51"]
+        if config is not None:
+            (tmp_path / "bad.cfg").write_text(config)
+            args += ["--config", str(tmp_path / "bad.cfg")]
+        assert main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("dmasim: error:")
+        assert not (tmp_path / "out").exists()
+
+    def test_carrier_flag_moves_the_design_carrier(self, tmp_path):
+        args = ["sweep-angle", "--out", str(tmp_path), "--f-t", "12e9", "--f-c10", "8e9"]
+        cfg, design = _configs_from_args(build_parser().parse_args(args))
+        assert cfg.f_t == design.f_t == 12e9
 
 
 def test_readme_library_example_runs():

@@ -7,7 +7,6 @@ from dmasim import (
     DmaDesign,
     ScenarioConfig,
     SubcarrierGrid,
-    beamforming_gain,
     center_frequency_beamformer,
     data_rate,
     default_grid,
@@ -25,10 +24,8 @@ from dmasim import (
     phased_array_weights,
     power_normalized_gain,
     radiated_fraction,
-    radiated_power,
     resonance_spectrum,
     run_beamformer,
-    snr,
     snr_profile,
     spectral_efficiency,
     subcarrier_grid,
@@ -41,25 +38,16 @@ class TestSnr:
         grid = subcarrier_grid(cfg)
         k = 5
         expected = path_loss(grid.frequencies[k], cfg.r) * cfg.g_dma * cfg.p_in / noise_power(cfg)
-        assert snr(k, cfg) == expected
+        assert snr_profile(cfg)[k] == expected
 
     def test_subcarrier_count_cancels(self, cfg):
         kc = cfg.k // 2
         doubled = override_fields(cfg, k=2 * cfg.k)
-        assert snr(kc, cfg) == pytest.approx(snr(2 * kc, doubled), rel=1e-12)
+        assert snr_profile(cfg)[kc] == pytest.approx(snr_profile(doubled)[2 * kc], rel=1e-12)
 
     def test_distance_inverse_square(self, cfg):
         far = override_fields(cfg, r=2 * cfg.r)
         np.testing.assert_allclose(snr_profile(far), snr_profile(cfg) / 4, rtol=1e-12)
-
-
-class TestRadiatedPower:
-    def test_equals_design_fraction(self, design):
-        cfg = ScenarioConfig(k=2, p_in_tot=2.0)  # p_in = 1 W
-        assert radiated_power(0, cfg, design) == pytest.approx(0.9, rel=1e-12)
-
-    def test_single_element_radiates_nothing(self, cfg):
-        assert radiated_power(0, cfg, DmaDesign(n_slot=1)) == 0.0
 
 
 class TestNormalization:
@@ -97,7 +85,7 @@ class TestBeamformingGain:
         grid = SubcarrierGrid(frequencies=np.array([14.5e9, 15e9]), center_index=1)
         channels = ChannelSet(h=np.ones((2, 1), dtype=complex), h_att=np.ones((2, 1)), grid=grid)
         weights = np.full((2, 1), -1j)
-        assert beamforming_gain(1, channels, weights, design) == pytest.approx(design.lambda_frac, rel=1e-12)
+        assert gain_profile(channels, weights, design)[1] == pytest.approx(design.lambda_frac, rel=1e-12)
 
     def test_matched_filter_reaches_coherent_ceiling(self, cfg):
         # with a vanishing taper the normalized gain approaches Lambda * n_slot

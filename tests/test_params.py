@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -160,6 +161,19 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             load_config(path)
 
+    @pytest.mark.parametrize("key,value", [("K", "64.9"), ("K", "inf"), ("N_slot", "nan"), ("N_slot", "31.5")])
+    def test_integer_keys_must_be_integral(self, tmp_path, key, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"# counts\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=rf"bad\.cfg:2: {key} must be an integer"):
+            load_config(path)
+
+    def test_integral_float_spelling_accepted(self, tmp_path):
+        path = tmp_path / "ok.cfg"
+        path.write_text("K = 32.0\nN_slot = 1.6e1\n")
+        cfg, design = load_config(path)
+        assert (cfg.k, design.n_slot) == (32, 16)
+
 
 def test_readme_config_block_parses(tmp_path):
     import re
@@ -207,3 +221,10 @@ class TestValidation:
     def test_design_invariants(self, kwargs):
         with pytest.raises(ValueError):
             DmaDesign(**kwargs)
+
+    @pytest.mark.parametrize("cls", [ScenarioConfig, DmaDesign])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected(self, cls, bad):
+        for field in fields(cls):
+            with pytest.raises(ValueError, match=f"{field.name} must be finite"):
+                cls(**{field.name: bad})
