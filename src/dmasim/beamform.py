@@ -102,7 +102,7 @@ def successive_beamformer(
     running = np.zeros(freq.size, dtype=complex)
     chosen = np.empty(design.n_slot)
     for n in range(design.n_slot):
-        contrib = weights * (channels.h_att[:, n] * channels.h[:, n])[None, :]
+        contrib = weights * (channels.h_att[n] * channels.h[:, n])[None, :]
         objective = np.mean(np.log2(1.0 + snr[None, :] * np.abs(contrib + running[None, :]) ** 2), axis=1)
         best = int(np.argmax(objective))  # first maximum = lower resonant frequency
         chosen[n] = grid.values[best]

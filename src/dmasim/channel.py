@@ -26,7 +26,7 @@ class ChannelSet:
     """
 
     h: np.ndarray  # (k, n_slot) complex
-    h_att: np.ndarray  # (k, n_slot) real taper in (0, 1], first column 1
+    h_att: np.ndarray  # (n_slot,) real taper in (0, 1], first entry 1, flat across subcarriers
     grid: SubcarrierGrid
     phases: np.ndarray | None = None  # (k, n_slot) unwrapped phase [rad]
 
@@ -37,8 +37,8 @@ class ChannelSet:
                 arr = np.asarray(arr)
                 arr.flags.writeable = False
                 object.__setattr__(self, name, arr)
-        if self.h.shape != self.h_att.shape:
-            raise ValueError("channel and leakage arrays must share a shape")
+        if self.h_att.shape != self.h.shape[1:]:
+            raise ValueError("leakage taper must hold one entry per channel element")
 
     @property
     def n_slot(self) -> int:
@@ -66,23 +66,24 @@ class MultipathSpec:
             raise ValueError("path count must be >= 1")
 
 
-def array_response(phi_t: float, f_k: float, design: DmaDesign) -> np.ndarray:
-    """Transmit array response exp(j*n*(2*pi*f_k/c)*d_x*sin(phi_t)), n = 0..n_slot-1."""
+def array_response(phi_t: float, f, design: DmaDesign) -> np.ndarray:
+    """Array response exp(j*n*(2*pi*f/c)*d_x*sin(phi_t)): (n_slot,) for a scalar f, (k, n_slot) for k frequencies."""
     if abs(phi_t) >= math.pi / 2:
         raise ValueError("steering angle must satisfy |phi_t| < pi/2")
     n = np.arange(design.n_slot)
-    step = (2 * math.pi * f_k / C_LIGHT) * design.d_x * math.sin(phi_t)
-    return np.exp(1j * n * step)
+    step = (2 * math.pi * np.asarray(f, dtype=float) / C_LIGHT) * design.d_x * math.sin(phi_t)
+    return np.exp(1j * n * step[..., None])
 
 
-def waveguide_phase_vector(f_k: float, design: DmaDesign) -> np.ndarray:
-    """Waveguide phase advance exp(-j*n*d_x*beta_g(f_k)); zero phase at the feed."""
+def waveguide_phase_vector(f, design: DmaDesign) -> np.ndarray:
+    """Waveguide advance exp(-j*n*d_x*beta_g(f)), zero at the feed; shaped like array_response."""
     n = np.arange(design.n_slot)
-    return np.exp(-1j * n * design.d_x * waveguide_beta(f_k, design))
+    beta = np.asarray(waveguide_beta(f, design))
+    return np.exp(-1j * n * design.d_x * beta[..., None])
 
 
-def leakage_vector(f_k: float, design: DmaDesign) -> np.ndarray:
-    """Leakage taper exp(-n*d_x*alpha_g); flat across subcarriers by design."""
+def leakage_vector(design: DmaDesign) -> np.ndarray:
+    """Leakage taper exp(-n*d_x*alpha_g); one (n_slot,) vector, flat across subcarriers."""
     if design.n_slot == 1:
         return np.ones(1)
     n = np.arange(design.n_slot)
@@ -105,14 +106,11 @@ def effective_channel(cfg: ScenarioConfig, design: DmaDesign, grid: SubcarrierGr
     """Line-of-sight channel: elementwise array response times waveguide advance, per subcarrier."""
     if grid is None:
         grid = subcarrier_grid(cfg)
-    n = np.arange(design.n_slot)
-    h = np.empty((grid.k, design.n_slot), dtype=complex)
-    for i, f_k in enumerate(grid.frequencies):
-        h[i] = array_response(cfg.phi_t, f_k, design) * waveguide_phase_vector(f_k, design)
-    steps = channel_phase_step(grid.frequencies, cfg, design)
-    phases = np.asarray(steps)[:, None] * n[None, :]
-    h_att = np.tile(leakage_vector(grid.f_center, design), (grid.k, 1))
-    return ChannelSet(h=h, h_att=h_att, grid=grid, phases=phases)
+    # named factors: numpy may swap the operands of a large temporary, which moves the last bit
+    wireless = array_response(cfg.phi_t, grid.frequencies, design)
+    guide = waveguide_phase_vector(grid.frequencies, design)
+    phases = channel_phase_step(grid.frequencies, cfg, design)[:, None] * np.arange(design.n_slot)
+    return ChannelSet(h=wireless * guide, h_att=leakage_vector(design), grid=grid, phases=phases)
 
 
 def multipath_channel(
@@ -136,14 +134,14 @@ def multipath_channel(
         angles[0] = cfg.phi_t
         delays[0] = 0.0
 
-    h = np.zeros((grid.k, design.n_slot), dtype=complex)
-    for i, f_k in enumerate(grid.frequencies):
-        rays = np.zeros(design.n_slot, dtype=complex)
-        for g, phi, tau in zip(gains, angles, delays):
-            rays += g * array_response(phi, f_k, design) * np.exp(-2j * math.pi * f_k * tau)
-        h[i] = rays * waveguide_phase_vector(f_k, design)
-    h_att = np.tile(leakage_vector(grid.f_center, design), (grid.k, 1))
-    return ChannelSet(h=h, h_att=h_att, grid=grid, phases=None)
+    freq = grid.frequencies
+    rays = np.zeros((grid.k, design.n_slot), dtype=complex)
+    # named factors: numpy may swap the operands of a large temporary, which moves the last bit
+    for g, phi, tau in zip(gains, angles, delays):
+        wireless = array_response(phi, freq, design)
+        rays += g * wireless * np.exp(-2j * math.pi * freq * tau)[:, None]
+    guide = waveguide_phase_vector(freq, design)
+    return ChannelSet(h=rays * guide, h_att=leakage_vector(design), grid=grid, phases=None)
 
 
 def dump_channel_csv(channels: ChannelSet, path) -> None:
@@ -151,9 +149,6 @@ def dump_channel_csv(channels: ChannelSet, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["k", "f_k", "n", "re_h", "im_h", "h_att"])
-        for i, f_k in enumerate(channels.grid.frequencies):
-            for n in range(channels.n_slot):
-                val = complex(channels.h[i, n])
-                writer.writerow(
-                    [i, repr(float(f_k)), n, repr(val.real), repr(val.imag), repr(float(channels.h_att[i, n]))]
-                )
+        freq, taper = channels.grid.frequencies.tolist(), channels.h_att.tolist()
+        for (i, n), val in np.ndenumerate(channels.h):
+            writer.writerow([i, repr(freq[i]), n, repr(float(val.real)), repr(float(val.imag)), repr(taper[n])])

@@ -54,7 +54,7 @@ def normalization(weights_k: np.ndarray, h_att_k: np.ndarray, design: DmaDesign)
 
 
 def gain_profile(channels: ChannelSet, weights: np.ndarray, design: DmaDesign) -> np.ndarray:
-    """Normalized gain M_k * |h[k]^T (weights[k] (.) h_att[k])|^2 for every subcarrier; shape (k,).
+    """Normalized gain M_k * |h[k]^T (weights[k] (.) h_att)|^2 for every subcarrier; shape (k,).
 
     A subcarrier whose weight vector is identically zero transmits nothing
     and scores gain 0 (its normalization constant is undefined).

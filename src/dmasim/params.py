@@ -270,7 +270,9 @@ def load_config(path) -> tuple[ScenarioConfig, DmaDesign]:
 
 
 def save_config(path, cfg: ScenarioConfig, design: DmaDesign) -> None:
-    """Write a config in the same flat key=value schema that load_config reads."""
+    """Write a config in the flat key=value schema that load_config reads; its one f_t is both carriers."""
+    if design.f_t != cfg.f_t:
+        raise ValueError(f"design carrier {design.f_t!r} differs from scenario carrier {cfg.f_t!r}; a config holds one f_t")
     lines = []
     for key, (field, _) in _SCENARIO_KEYS.items():
         lines.append(f"{key} = {getattr(cfg, field)!r}")

@@ -26,7 +26,7 @@ from dmasim import (
 def make_channelset(h, grid, h_att=None, phases=None):
     h = np.asarray(h, dtype=complex)
     if h_att is None:
-        h_att = np.ones_like(h, dtype=float)
+        h_att = np.ones(h.shape[1])
     return ChannelSet(h=h, h_att=np.asarray(h_att, dtype=float), grid=grid, phases=phases)
 
 
@@ -162,7 +162,7 @@ class TestSuccessiveBeamformer:
             for i, f_r in enumerate(grid.values):
                 u = np.array(
                     [
-                        normalized_polarizability(f, f_r, d2) * channels.h_att[k, n] * channels.h[k, n]
+                        normalized_polarizability(f, f_r, d2) * channels.h_att[n] * channels.h[k, n]
                         for k, f in enumerate(freqs)
                     ]
                 )
@@ -173,7 +173,7 @@ class TestSuccessiveBeamformer:
             f_star = grid.values[best_idx]
             running += np.array(
                 [
-                    normalized_polarizability(f, f_star, d2) * channels.h_att[k, n] * channels.h[k, n]
+                    normalized_polarizability(f, f_star, d2) * channels.h_att[n] * channels.h[k, n]
                     for k, f in enumerate(freqs)
                 ]
             )
@@ -196,12 +196,12 @@ class TestSuccessiveBeamformer:
         running = np.zeros(4, dtype=complex)
         for n in range(4):
             def objective(f_r):
-                u = normalized_polarizability(freqs, f_r, d4) * channels.h_att[:, n] * channels.h[:, n]
+                u = normalized_polarizability(freqs, f_r, d4) * channels.h_att[n] * channels.h[:, n]
                 return float(np.mean(np.log2(1 + rho * np.abs(u + running) ** 2)))
 
             best = objective(res.f_r[n])
             assert all(best >= objective(f_r) - 1e-12 for f_r in grid.values)
-            running += normalized_polarizability(freqs, res.f_r[n], d4) * channels.h_att[:, n] * channels.h[:, n]
+            running += normalized_polarizability(freqs, res.f_r[n], d4) * channels.h_att[n] * channels.h[:, n]
 
     def test_deterministic_and_in_range(self, cfg, design):
         channels = effective_channel(cfg, design)

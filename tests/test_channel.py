@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dmasim import (
+    ChannelSet,
     DmaDesign,
     MultipathSpec,
     ScenarioConfig,
@@ -17,6 +18,72 @@ from dmasim import (
     subcarrier_grid,
     waveguide_phase_vector,
 )
+
+
+def reference_effective_h(cfg, design, grid):
+    """Slow oracle: the LOS channel built one subcarrier at a time."""
+    h = np.empty((grid.k, design.n_slot), dtype=complex)
+    for i, f_k in enumerate(grid.frequencies):
+        h[i] = array_response(cfg.phi_t, f_k, design) * waveguide_phase_vector(f_k, design)
+    return h
+
+
+def reference_multipath_h(spec, cfg, design, grid):
+    """Slow oracle: the ray-sum channel built per subcarrier and per ray, same RNG draw order."""
+    rng = np.random.default_rng(spec.seed)
+    l_path = spec.l_path
+    scale = math.sqrt(1.0 / (2.0 * l_path))
+    gains = scale * (rng.standard_normal(l_path) + 1j * rng.standard_normal(l_path))
+    angles = rng.uniform(-spec.angle_max, spec.angle_max, l_path)
+    delays = rng.uniform(0.0, spec.delay_max, l_path)
+    if spec.pin_first_to_los:
+        gains[0] = 1.0 / math.sqrt(l_path)
+        angles[0] = cfg.phi_t
+        delays[0] = 0.0
+    h = np.zeros((grid.k, design.n_slot), dtype=complex)
+    for i, f_k in enumerate(grid.frequencies):
+        rays = np.zeros(design.n_slot, dtype=complex)
+        for g, phi, tau in zip(gains, angles, delays):
+            rays += g * array_response(phi, f_k, design) * np.exp(-2j * math.pi * f_k * tau)
+        h[i] = rays * waveguide_phase_vector(f_k, design)
+    return h
+
+
+def assert_bitwise_equal(got, expected):
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+# (k, n_slot); 128 x 256 complex is 512 KiB, past numpy's 256 KiB temporary-elision threshold
+ORACLE_SIZES = [(8, 8), (64, 32), (128, 256)]
+
+
+class TestBroadcastOracle:
+    @pytest.mark.parametrize("k, n_slot", ORACLE_SIZES)
+    def test_vector_helpers_match_scalar_rows(self, cfg, design, k, n_slot):
+        d = override_fields(design, n_slot=n_slot)
+        freq = subcarrier_grid(override_fields(cfg, k=k, b=2e9)).frequencies
+        wireless = array_response(0.3, freq, d)
+        guide = waveguide_phase_vector(freq, d)
+        assert wireless.shape == guide.shape == (k, n_slot)
+        assert_bitwise_equal(wireless, np.array([array_response(0.3, f_k, d) for f_k in freq]))
+        assert_bitwise_equal(guide, np.array([waveguide_phase_vector(f_k, d) for f_k in freq]))
+
+    @pytest.mark.parametrize("k, n_slot", ORACLE_SIZES)
+    def test_effective_channel_matches_loop(self, cfg, design, k, n_slot):
+        c = override_fields(cfg, k=k, b=2e9)
+        d = override_fields(design, n_slot=n_slot)
+        assert_bitwise_equal(effective_channel(c, d).h, reference_effective_h(c, d, subcarrier_grid(c)))
+
+    @pytest.mark.parametrize("pin", [False, True])
+    @pytest.mark.parametrize("l_path", [1, 2, 4])
+    @pytest.mark.parametrize("k, n_slot", ORACLE_SIZES)
+    def test_multipath_channel_matches_loop(self, cfg, design, k, n_slot, l_path, pin):
+        c = override_fields(cfg, k=k, b=2e9)
+        d = override_fields(design, n_slot=n_slot)
+        spec = MultipathSpec(l_path=l_path, seed=7 * k + n_slot + l_path, pin_first_to_los=pin)
+        got = multipath_channel(spec, c, d)
+        assert_bitwise_equal(got.h, reference_multipath_h(spec, c, d, subcarrier_grid(c)))
 
 
 class TestArrayResponse:
@@ -66,26 +133,23 @@ class TestWaveguidePhaseVector:
 
 class TestLeakageVector:
     def test_feed_element_unattenuated(self, design):
-        assert leakage_vector(15e9, design)[0] == 1.0
+        assert leakage_vector(design)[0] == 1.0
 
     def test_last_element_square_root_identity(self):
         # exp(-alpha*d_x*(n-1)) == sqrt(1 - Lambda) by the leakage design
         for lam, expected in ((0.9, 0.31622776601683794), (0.5, 0.70710678118654752)):
             design = DmaDesign(n_slot=32, lambda_frac=lam)
-            assert leakage_vector(15e9, design)[-1] == pytest.approx(expected, rel=1e-12)
+            assert leakage_vector(design)[-1] == pytest.approx(expected, rel=1e-12)
 
     def test_geometric_taper(self, design):
-        vec = leakage_vector(15e9, design)
+        vec = leakage_vector(design)
         ratios = vec[:-1] / vec[1:]
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
         assert np.all(np.diff(vec) < 0) and np.all((0 < vec) & (vec <= 1))
 
-    def test_flat_across_subcarriers(self, design):
-        np.testing.assert_array_equal(leakage_vector(14.5e9, design), leakage_vector(15.5e9, design))
-
     def test_single_element(self):
         design = DmaDesign(n_slot=1)
-        np.testing.assert_array_equal(leakage_vector(15e9, design), [1.0])
+        np.testing.assert_array_equal(leakage_vector(design), [1.0])
 
 
 class TestEffectiveChannel:
@@ -100,9 +164,8 @@ class TestEffectiveChannel:
     def test_product_of_factors(self, cfg, design):
         d2 = override_fields(design, n_slot=2)
         channels = effective_channel(cfg, d2)
-        for i, f_k in enumerate(subcarrier_grid(cfg).frequencies):
-            expected = array_response(cfg.phi_t, f_k, d2) * waveguide_phase_vector(f_k, d2)
-            np.testing.assert_allclose(channels.h[i], expected, rtol=0, atol=1e-12)
+        expected = reference_effective_h(cfg, d2, subcarrier_grid(cfg))
+        assert_bitwise_equal(channels.h, expected)
 
     def test_wrapped_angle_matches_closed_form_phase(self, cfg, design):
         channels = effective_channel(cfg, design)
@@ -114,9 +177,15 @@ class TestEffectiveChannel:
     def test_closed_form_phase_step_frozen(self, cfg, design):
         assert channel_phase_step(15e9, cfg, design) == pytest.approx(-2.9959291406900788, rel=1e-12)
 
-    def test_taper_rows_identical(self, cfg, design):
+    def test_taper_stored_once(self, cfg, design):
         channels = effective_channel(cfg, design)
-        np.testing.assert_array_equal(channels.h_att, np.tile(channels.h_att[0], (cfg.k, 1)))
+        assert channels.h_att.shape == (design.n_slot,)
+        np.testing.assert_array_equal(channels.h_att, leakage_vector(design))
+
+    def test_rejects_per_subcarrier_taper(self, cfg, design):
+        channels = effective_channel(cfg, design)
+        with pytest.raises(ValueError):
+            ChannelSet(h=channels.h, h_att=np.ones(channels.h.shape), grid=channels.grid)
 
     def test_immutable(self, cfg, design):
         channels = effective_channel(cfg, design)
@@ -169,3 +238,5 @@ def test_channel_csv_dump(tmp_path, cfg, design):
     fields = lines[1].split(",")
     assert int(fields[0]) == 0 and int(fields[2]) == 0
     assert float(fields[3]) == 1.0 and float(fields[4]) == 0.0
+    taper = [float(line.split(",")[5]) for line in lines[1:]]
+    assert taper == [channels.h_att[0], channels.h_att[1]] * 2

@@ -74,8 +74,8 @@ class TestNormalization:
         weights = dma_weight_matrix(res, channels.grid.frequencies, design)
         target = radiated_fraction(design)
         for k in range(cfg.k):
-            m = normalization(weights[k], channels.h_att[k], design)
-            residual = abs(m * np.sum(np.abs(weights[k] * channels.h_att[k]) ** 2) - target)
+            m = normalization(weights[k], channels.h_att, design)
+            residual = abs(m * np.sum(np.abs(weights[k] * channels.h_att) ** 2) - target)
             assert residual <= 1e-12
 
 
@@ -83,7 +83,7 @@ class TestBeamformingGain:
     def test_single_element_gain_is_radiated_fraction(self):
         design = DmaDesign(n_slot=1)
         grid = SubcarrierGrid(frequencies=np.array([14.5e9, 15e9]), center_index=1)
-        channels = ChannelSet(h=np.ones((2, 1), dtype=complex), h_att=np.ones((2, 1)), grid=grid)
+        channels = ChannelSet(h=np.ones((2, 1), dtype=complex), h_att=np.ones(1), grid=grid)
         weights = np.full((2, 1), -1j)
         assert gain_profile(channels, weights, design)[1] == pytest.approx(design.lambda_frac, rel=1e-12)
 
@@ -216,7 +216,7 @@ class TestPhasedArray:
         grid = SubcarrierGrid(frequencies=np.array([14.5e9, 15e9]), center_index=1)
         n = design.n_slot
         h = np.exp(1j * np.linspace(0, 3, n))[None, :] * np.ones((2, 1))
-        channels = ChannelSet(h=h, h_att=np.ones((2, n)), grid=grid)
+        channels = ChannelSet(h=h, h_att=np.ones(n), grid=grid)
         spectrum = phased_array_spectrum(channels, phased_array_weights(channels), ScenarioConfig(k=2))
         assert spectrum.gain[1] == pytest.approx(n, rel=1e-12)
 

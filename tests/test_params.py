@@ -141,6 +141,18 @@ class TestConfigFile:
         assert loaded_cfg == cfg2
         assert loaded_design == design2
 
+    def test_round_trip_shared_carrier(self, tmp_path):
+        path = tmp_path / "scenario.cfg"
+        cfg2, design2 = ScenarioConfig(f_t=16e9), DmaDesign(f_t=16e9)
+        save_config(path, cfg2, design2)
+        assert load_config(path) == (cfg2, design2)
+
+    def test_split_carrier_rejected(self, tmp_path):
+        path = tmp_path / "scenario.cfg"
+        with pytest.raises(ValueError, match=r"16000000000\.0.*15000000000\.0"):
+            save_config(path, ScenarioConfig(), DmaDesign(f_t=16e9))
+        assert not path.exists()
+
     def test_comments_and_defaults(self, tmp_path):
         path = tmp_path / "partial.cfg"
         path.write_text("# carrier\nf_t = 12e9\nK = 16  # subcarriers\n")
