@@ -74,11 +74,8 @@ from .approx import (
 )
 from .metrics import (
     GainSpectrum,
-    data_rate,
     gain_profile,
     gain_spectrum,
-    max_data_rate,
-    normalization,
     phased_array_spectrum,
     resonance_spectrum,
     run_beamformer,

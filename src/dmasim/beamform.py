@@ -23,14 +23,18 @@ class ResonanceGrid:
     """Equally spaced resonant frequencies spanning the tuning range."""
 
     values: np.ndarray  # ascending [Hz]
-    r_res: int
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        if self.values.size != self.r_res or self.r_res < 1:
-            raise ValueError("grid size must equal r_res and be >= 1")
+        if values.size < 1:
+            raise ValueError("resonance grid needs at least one point")
+
+    @property
+    def r_res(self) -> int:
+        """Grid resolution: the number of resonant frequencies."""
+        return self.values.size
 
 
 def resonance_grid(rng: TuningRange, r_res: int) -> ResonanceGrid:
@@ -41,7 +45,7 @@ def resonance_grid(rng: TuningRange, r_res: int) -> ResonanceGrid:
         values = np.array([(rng.f_r_min + rng.f_r_max) / 2.0])
     else:
         values = np.linspace(rng.f_r_min, rng.f_r_max, r_res)
-    return ResonanceGrid(values=values, r_res=r_res)
+    return ResonanceGrid(values=values)
 
 
 def default_grid(design: DmaDesign, r_res: int = 1001) -> ResonanceGrid:
@@ -56,8 +60,6 @@ def center_frequency_beamformer(
     Each element independently minimizes the distance between its achievable
     weight and the constrained-circle point at the conjugate channel angle.
     """
-    if grid.values.size == 0:
-        raise ValueError("empty resonance grid")
     kc = channels.grid.center_index
     f_c = channels.grid.f_center
     targets = lorentzian_weight(np.angle(np.conj(channels.h[kc])))  # (n_slot,)
@@ -91,8 +93,6 @@ def successive_beamformer(
     mean_k log2(1 + snr_k * |U_n(f_k, f_r) + sum_{m<n} U_m(f_k, f_r_m)|^2)
     with U_n = weight * taper * channel; earlier selections stay frozen.
     """
-    if grid.values.size == 0:
-        raise ValueError("empty resonance grid")
     snr = np.asarray(snr, dtype=float)
     freq = channels.grid.frequencies
     if snr.shape != freq.shape:
@@ -122,7 +122,11 @@ def export_resonances_csv(res: ResonanceConfiguration, path) -> None:
 def phased_array_weights(channels: ChannelSet) -> np.ndarray:
     """Unit-modulus conjugate weights at the center subcarrier, reused for all
     subcarriers; shape (k, n_slot). The comparison baseline for a lossy
-    phase-shifter array."""
+    phase-shifter array.
+
+    Returns a read-only broadcast view of the one (n_slot,) weight row, so
+    every subcarrier shares that row's memory; copy it before writing.
+    """
     kc = channels.grid.center_index
     w = np.exp(-1j * np.angle(channels.h[kc]))
-    return np.tile(w, (channels.k, 1))
+    return np.broadcast_to(w, channels.h.shape)

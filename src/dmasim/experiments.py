@@ -20,10 +20,8 @@ import numpy as np
 from .approx import gain_breakdown, power_normalized_gain
 from .beamform import default_grid
 from .channel import MultipathSpec, effective_channel, multipath_channel
-from .metrics import GainSpectrum, max_data_rate, run_beamformer
+from .metrics import ALGORITHMS, GainSpectrum, run_beamformer
 from .params import DmaDesign, ScenarioConfig, override_fields, subcarrier_grid, wavelength
-
-ALGORITHMS = ("center-frequency", "successive")
 
 # Validation-study scenario knobs: small signal bandwidth isolates the fill
 # and leakage factors; the per-subcarrier study uses a moderate bandwidth
@@ -245,9 +243,13 @@ def _sweep_spacing(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign)
 
 
 def _max_rate(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign) -> _Tables:
+    """Per tuning bandwidth, each algorithm's best data rate over the signal-bandwidth axis."""
+    designs = _overrides(design, "b_tune", plan.axis or _gamma_axis(design))
+    points = _overrides(cfg, "b", DEFAULT_RATE_B_AXIS)
     rows = []
-    for d in _overrides(design, "b_tune", plan.axis or _gamma_axis(design)):
-        rows.append([d.b_tune] + [max_data_rate(cfg, d, DEFAULT_RATE_B_AXIS, alg, plan.r_res)[0] for alg in ALGORITHMS])
+    for d in designs:
+        spectra = [_both_algorithms(point, d, plan.r_res) for point in points]
+        rows.append([d.b_tune] + [max(s[alg].rate for s in spectra) for alg in ALGORITHMS])
     return {"max_rate.csv": (["b_tune", "d_max_cf", "d_max_succ"], rows)}
 
 

@@ -1,4 +1,4 @@
-"""SNR, power normalization, beamforming gain, spectral efficiency, and data rate.
+"""SNR, power-normalized beamforming gain, spectral efficiency, and data rate.
 
 Works for any per-subcarrier weight source: grid beamformers, the closed-form
 tuning, or the phased-array baseline. Gains are linear throughout; convert to
@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamform import ResonanceGrid, center_frequency_beamformer, default_grid, successive_beamformer
-from .channel import ChannelSet, effective_channel
+from .channel import ChannelSet
 from .element import ResonanceConfiguration, dma_weight_matrix
-from .params import DmaDesign, ScenarioConfig, noise_power, override_fields, path_loss, radiated_fraction, subcarrier_grid
+from .params import DmaDesign, ScenarioConfig, noise_power, path_loss, radiated_fraction, subcarrier_grid
 
 
 @dataclass(frozen=True)
@@ -39,18 +39,6 @@ def snr_profile(cfg: ScenarioConfig) -> np.ndarray:
     """Per-subcarrier SNR path_loss * g_dma * p_in / noise_power, linear; shape (k,)."""
     grid = subcarrier_grid(cfg)
     return path_loss(grid.frequencies, cfg.r) * cfg.g_dma * cfg.p_in / noise_power(cfg)
-
-
-def normalization(weights_k: np.ndarray, h_att_k: np.ndarray, design: DmaDesign) -> float:
-    """Power normalization M = radiated_fraction / ||weights (.) taper||^2.
-
-    Scales the tapered beamformer so its radiated power matches the aperture
-    design; rejects an all-zero weight vector.
-    """
-    norm_sq = float(np.sum(np.abs(weights_k * h_att_k) ** 2))
-    if norm_sq == 0.0:
-        raise ValueError("weight vector has zero norm")
-    return radiated_fraction(design) / norm_sq
 
 
 def gain_profile(channels: ChannelSet, weights: np.ndarray, design: DmaDesign) -> np.ndarray:
@@ -87,19 +75,15 @@ def spectral_efficiency(channels: ChannelSet, weights: np.ndarray, cfg: Scenario
     return gain_spectrum(channels, weights, cfg, design).capacity
 
 
-def data_rate(cfg: ScenarioConfig, se: float) -> float:
-    """Data rate b * se [bit/s]."""
-    if se < 0:
-        raise ValueError("spectral efficiency must be non-negative")
-    return cfg.b * se
-
-
 def resonance_spectrum(
     channels: ChannelSet, res: ResonanceConfiguration, cfg: ScenarioConfig, design: DmaDesign
 ) -> GainSpectrum:
     """gain_spectrum for the weights induced by a resonance configuration."""
     weights = dma_weight_matrix(res, channels.grid.frequencies, design)
     return gain_spectrum(channels, weights, cfg, design)
+
+
+ALGORITHMS = ("center-frequency", "successive")  # the names run_beamformer accepts
 
 
 def run_beamformer(
@@ -119,30 +103,6 @@ def run_beamformer(
     else:
         raise ValueError(f"unknown beamforming algorithm {algorithm!r}")
     return res, resonance_spectrum(channels, res, cfg, design)
-
-
-def max_data_rate(
-    cfg_template: ScenarioConfig,
-    design: DmaDesign,
-    b_values,
-    algorithm: str = "successive",
-    r_res: int = 1001,
-) -> tuple[float, list[tuple[float, float]]]:
-    """Best data rate over a signal-bandwidth sweep, re-running the beamformer per point.
-
-    Returns (max rate, [(b, rate), ...] in sweep order).
-    """
-    b_values = list(b_values)
-    if not b_values:
-        raise ValueError("bandwidth sweep must be non-empty")
-    grid = default_grid(design, r_res)
-    rates = []
-    for b in b_values:
-        cfg = override_fields(cfg_template, b=float(b))
-        channels = effective_channel(cfg, design)
-        _, spectrum = run_beamformer(algorithm, channels, cfg, design, grid)
-        rates.append((float(b), spectrum.rate))
-    return max(rate for _, rate in rates), rates
 
 
 def phased_array_spectrum(

@@ -8,7 +8,7 @@ inputs and safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -132,8 +132,6 @@ def subcarrier_grid(cfg: ScenarioConfig) -> SubcarrierGrid:
     The center subcarrier (index k//2) equals the carrier to full floating
     precision by construction.
     """
-    if cfg.k < 2 or cfg.k % 2 != 0:
-        raise ValueError("subcarrier count must be even and >= 2")
     spacing = cfg.b / cfg.k
     offsets = np.arange(cfg.k) - cfg.k // 2
     return SubcarrierGrid(frequencies=cfg.f_t + spacing * offsets, center_index=cfg.k // 2)
@@ -285,7 +283,5 @@ def save_config(path, cfg: ScenarioConfig, design: DmaDesign) -> None:
 
 
 def override_fields(obj, **overrides):
-    """Return a copy of a frozen config dataclass with selected fields replaced."""
-    kwargs = {f.name: getattr(obj, f.name) for f in fields(obj)}
-    kwargs.update({k: v for k, v in overrides.items() if v is not None})
-    return type(obj)(**kwargs)
+    """Return a copy of a frozen config dataclass with the non-None overrides replaced (and validated)."""
+    return replace(obj, **{k: v for k, v in overrides.items() if v is not None})

@@ -8,6 +8,7 @@ from dmasim import (
     C_LIGHT,
     DmaDesign,
     angular_fill,
+    channel_phase_step,
     fill_penalty,
     fill_penalty_mc,
     fill_penalty_mc_stderr,
@@ -49,6 +50,19 @@ class TestSquintPhase:
             )
             expected = -(advance(f_k) - advance(f_c))
             assert profile[k] == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the profile's wireless term has the opposite sign to the channel's: it matches the channel at -phi",
+    )
+    @pytest.mark.parametrize("phi_deg", [-20.0, 20.0])
+    def test_matches_simulated_channel_phase_offset(self, cfg, design, phi_deg):
+        tilted = override_fields(cfg, phi_t=math.radians(phi_deg), b=2e9, k=16)
+        freqs = subcarrier_grid(tilted).frequencies
+        offset = channel_phase_step(freqs, tilted, design) - channel_phase_step(freqs[tilted.k // 2], tilted, design)
+        profile = squint_phase_profile(tilted, design)
+        assert any(np.allclose(profile, sign * offset, rtol=0, atol=1e-9) for sign in (1.0, -1.0))
 
 
 class TestSquintGain:

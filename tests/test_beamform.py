@@ -85,7 +85,7 @@ class TestCenterFrequencyBeamformer:
 
     def test_tie_breaks_toward_lower_resonance(self, design):
         # duplicated grid values produce an exact tie; the first (lower) wins
-        grid = ResonanceGrid(values=np.array([14.9e9, 14.9e9, 15.1e9]), r_res=3)
+        grid = ResonanceGrid(values=np.array([14.9e9, 14.9e9, 15.1e9]))
         channels = make_channelset(np.ones((2, 3)), two_point_grid())
         res = center_frequency_beamformer(channels, grid, design)
         assert set(res.f_r) <= {14.9e9, 15.1e9}
@@ -96,7 +96,7 @@ class TestCenterFrequencyBeamformer:
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
-            ResonanceGrid(values=np.array([]), r_res=0)
+            ResonanceGrid(values=np.array([]))
 
     def test_deterministic(self, cfg, design):
         channels = effective_channel(cfg, design)

@@ -1,0 +1,43 @@
+"""The benchmark's traced call counts agree with what each job's inputs imply.
+
+benchmark/run.py traces a layer by replacing the function in every dmasim
+module that binds it. A layer reached through a reference bound at import
+time (say, a dict of beamformer functions) escapes that replacement, and the
+benchmark's traced run then reports a call-count mismatch. This runs one tiny
+job per workload under the benchmark's own tracer and checks the counts.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import dmasim.cli
+
+RUN_PY = Path(__file__).resolve().parents[1] / "benchmark" / "run.py"
+_spec = importlib.util.spec_from_file_location("dmasim_benchmark_run", RUN_PY)
+bench = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = bench  # its dataclasses resolve their module by name
+_spec.loader.exec_module(bench)
+
+
+@pytest.mark.parametrize("workload", sorted(bench.WORKLOADS))
+def test_traced_calls_match_job_inputs(workload, tmp_path, capsys):
+    job = bench.make_job(workload, 3, 0, bench.WORKLOADS[workload]["tiny"])
+    tracer = bench.Tracer()
+    with bench.traced_layers(tracer):
+        code = dmasim.cli.main([*job.argv, "--out", str(tmp_path)])  # looked up now, so the traced wrapper runs
+    assert code == 0, capsys.readouterr().err
+    calls = {}
+    for name, *_ in tracer.spans:
+        calls[name] = calls.get(name, 0) + 1
+    expected = {
+        "cli.main": 1,
+        "metrics.run_beamformer": job.solves,
+        "beamform.successive_beamformer": job.succ_calls,
+        "beamform.center_frequency_beamformer": job.cf_calls,
+    }
+    assert {name: calls.get(name, 0) for name in expected} == expected

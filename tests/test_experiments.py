@@ -77,7 +77,6 @@ class TestPlanValidation:
 
         monkeypatch.setattr("dmasim.experiments.effective_channel", no_solve)
         monkeypatch.setattr("dmasim.experiments.multipath_channel", no_solve)
-        monkeypatch.setattr("dmasim.metrics.effective_channel", no_solve)
         plan = ExperimentPlan(kind=kind, out_dir=tmp_path / "out", axis=axis, trials=2, r_res=51)
         with pytest.raises(ValueError):
             run_plan(plan, small_cfg, small_design)
@@ -180,6 +179,24 @@ class TestSweepKinds:
         assert len(rows) == 2
         for r in rows:
             assert float(r[2]) >= float(r[1]) * 0.99  # successive at least matches
+
+
+class TestMaxRate:
+    @staticmethod
+    def rates(tmp_path, cfg, design):
+        """(d_max_cf, d_max_succ) per tuning bandwidth 0.5, 1 and 2 x Gamma."""
+        axis = tuple(design.gamma * scale for scale in (0.5, 1.0, 2.0))
+        written = run_plan(ExperimentPlan(kind="max-rate", out_dir=tmp_path, axis=axis, r_res=201), cfg, design)
+        rows = [line.split(",") for line in body(written[0]).splitlines()[1:]]
+        return [(float(r[1]), float(r[2])) for r in rows]
+
+    def test_successive_max_rate_non_decreasing_in_tuning(self, tmp_path, cfg, design):
+        succ = [s for _, s in self.rates(tmp_path, cfg, design)]
+        assert all(b >= a * 0.99 for a, b in zip(succ, succ[1:]))
+
+    def test_successive_max_rate_dominates_center_frequency(self, tmp_path, cfg, design):
+        for cf, succ in self.rates(tmp_path, cfg, design):
+            assert succ >= cf * 0.999
 
 
 class TestMultipathMc:
