@@ -1,8 +1,12 @@
 """Beamforming algorithms that produce per-element resonance configurations.
 
-Both grid algorithms evaluate a discretized resonant-frequency set and cost
-O(n_slot * r_res) grid visits; ties break toward the lower resonant
-frequency, so identical inputs always give identical configurations.
+Both grid algorithms search a discretized resonant-frequency set; ties break
+toward the lower resonant frequency, so identical inputs always give
+identical configurations. The center-frequency beamformer visits every grid
+point once per element. The successive beamformer bounds each element's
+objective over grid intervals and scores only the rows no interval bound
+rules out: it picks exactly what the exhaustive scan of every grid point
+picks, with an O(n_slot * r_res * k) worst case when nothing can be pruned.
 """
 
 from __future__ import annotations
@@ -16,6 +20,12 @@ import numpy as np
 from .channel import ChannelSet
 from .element import ResonanceConfiguration, TuningRange, lorentzian_weight, normalized_polarizability, tuning_range
 from .params import DmaDesign
+
+# Interval lengths of the successive scan's bound levels, coarse to fine.
+PRUNE_STEPS = (64, 8)
+# Relative margin below the best real objective before an interval bound
+# drops it: far above the rounding of the bound, so no maximum is ever lost.
+PRUNE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -84,6 +94,32 @@ def center_frequency_tuning(channels: ChannelSet, design: DmaDesign) -> Resonanc
     return ResonanceConfiguration(f_r=f_r)
 
 
+def _score(amp: np.ndarray, snr: np.ndarray) -> np.ndarray:
+    """Successive objective mean_k log2(1 + snr_k * amp_k^2) of each row of amp."""
+    return np.mean(np.log2(1.0 + snr[None, :] * amp**2), axis=1)
+
+
+def _bound_levels(weights: np.ndarray) -> list[tuple]:
+    """Per PRUNE_STEPS level: interval starts, each row's interval, anchors, reach.
+
+    An interval's anchor is its middle row; reach[j, k] is the largest
+    |weights[r, k] - weights[anchor_j, k]| over the rows r of interval j.
+    """
+    r_res = weights.shape[0]
+    rows = np.arange(r_res)
+    levels = []
+    for step in PRUNE_STEPS:
+        starts = rows[::step]
+        last = np.minimum(starts + step, r_res) - 1
+        anchors = (starts + last) // 2
+        anchor_w = weights[anchors]
+        reach = np.zeros(anchor_w.shape)
+        for offset in range(step):  # a short last interval repeats its last row
+            np.maximum(reach, np.abs(weights[np.minimum(starts + offset, last)] - anchor_w), out=reach)
+        levels.append((starts, rows // step, anchors, reach))
+    return levels
+
+
 def successive_beamformer(
     channels: ChannelSet, snr, grid: ResonanceGrid, design: DmaDesign
 ) -> ResonanceConfiguration:
@@ -92,6 +128,13 @@ def successive_beamformer(
     Element n picks the grid resonance maximizing
     mean_k log2(1 + snr_k * |U_n(f_k, f_r) + sum_{m<n} U_m(f_k, f_r_m)|^2)
     with U_n = weight * taper * channel; earlier selections stay frozen.
+
+    Interval bounds prune the scan without changing its result. By the
+    triangle inequality no row of interval j scores above the objective at
+    amplitude |anchor contribution + running| + |a_k| * reach_jk, so an
+    interval whose bound falls below the best anchor objective holds no
+    maximum. The rows that survive are scored with the exhaustive scan's
+    expression, so the first maximum is the exhaustive scan's first maximum.
     """
     snr = np.asarray(snr, dtype=float)
     freq = channels.grid.frequencies
@@ -99,13 +142,25 @@ def successive_beamformer(
         raise ValueError("snr list must have one entry per subcarrier")
     # (r_res, k) weight table shared by every element
     weights = normalized_polarizability(freq[None, :], grid.values[:, None], design)
+    levels = _bound_levels(weights)
     running = np.zeros(freq.size, dtype=complex)
     chosen = np.empty(design.n_slot)
     for n in range(design.n_slot):
-        contrib = weights * (channels.h_att[n] * channels.h[:, n])[None, :]
-        objective = np.mean(np.log2(1.0 + snr[None, :] * np.abs(contrib + running[None, :]) ** 2), axis=1)
-        best = int(np.argmax(objective))  # first maximum = lower resonant frequency
-        chosen[n] = grid.values[best]
+        a = channels.h_att[n] * channels.h[:, n]
+        spread = np.abs(a)[None, :]
+        live = np.ones(grid.r_res, dtype=bool)
+        floor = -np.inf  # objective of a real row, so the grid maximum is at least this
+        for starts, interval_of_row, anchors, reach in levels:
+            j = np.flatnonzero(np.logical_or.reduceat(live, starts))
+            amp = np.abs(weights[anchors[j]] * a[None, :] + running[None, :])
+            floor = np.maximum(floor, np.max(_score(amp, snr)))  # NaN disables pruning
+            keep = np.zeros(starts.size, dtype=bool)
+            keep[j] = ~(_score(amp + spread * reach[j], snr) < floor - PRUNE_RTOL * (1.0 + np.abs(floor)))
+            live &= keep[interval_of_row]
+        rows = np.flatnonzero(live)
+        contrib = weights[rows] * a[None, :]
+        best = int(np.argmax(_score(np.abs(contrib + running[None, :]), snr)))  # first maximum = lowest row
+        chosen[n] = grid.values[rows[best]]
         running = running + contrib[best]
     return ResonanceConfiguration(f_r=chosen)
 

@@ -58,6 +58,8 @@ class ExperimentPlan:
             raise ValueError("sweep axis values must be sorted ascending")
         if self.trials < 1:
             raise ValueError("trial count must be >= 1")
+        if self.r_res < 1:
+            raise ValueError("resonance grid resolution must be >= 1")
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "out_dir", Path(self.out_dir))
 

@@ -2,16 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dmasim import (
     ChannelSet,
+    DmaDesign,
+    MultipathSpec,
     ResonanceGrid,
+    ScenarioConfig,
     SubcarrierGrid,
     center_frequency_beamformer,
     center_frequency_tuning,
     default_grid,
     effective_channel,
     lorentzian_weight,
+    multipath_channel,
     normalized_polarizability,
     override_fields,
     phased_array_weights,
@@ -28,6 +33,22 @@ def make_channelset(h, grid, h_att=None, phases=None):
     if h_att is None:
         h_att = np.ones(h.shape[1])
     return ChannelSet(h=h, h_att=np.asarray(h_att, dtype=float), grid=grid, phases=phases)
+
+
+def exhaustive_successive(channels, snr, grid, design):
+    """The successive scan over every grid row: the oracle of the pruned scan."""
+    snr = np.asarray(snr, dtype=float)
+    freq = channels.grid.frequencies
+    weights = normalized_polarizability(freq[None, :], grid.values[:, None], design)
+    running = np.zeros(freq.size, dtype=complex)
+    chosen = np.empty(design.n_slot)
+    for n in range(design.n_slot):
+        contrib = weights * (channels.h_att[n] * channels.h[:, n])[None, :]
+        objective = np.mean(np.log2(1.0 + snr[None, :] * np.abs(contrib + running[None, :]) ** 2), axis=1)
+        best = int(np.argmax(objective))  # first maximum = lower resonant frequency
+        chosen[n] = grid.values[best]
+        running = running + contrib[best]
+    return chosen
 
 
 def two_point_grid(f_t=15e9, b=1e9):
@@ -211,6 +232,43 @@ class TestSuccessiveBeamformer:
         b = successive_beamformer(channels, rho, grid, design)
         np.testing.assert_array_equal(a.f_r, b.f_r)
         assert tuning_range(design).contains(a.f_r)
+
+    @settings(deadline=None)
+    @given(
+        r_res=st.sampled_from((1, 2, 7, 8, 9, 63, 64, 65, 1001)),
+        n_slot=st.integers(1, 24),
+        half_k=st.integers(1, 16),
+        snr_exp=st.floats(-3.0, 3.0),
+        tune_exp=st.floats(8.0, 9.9),
+        l_path=st.integers(0, 6),  # 0: line of sight
+        pin=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_exhaustive_scan(self, r_res, n_slot, half_k, snr_exp, tune_exp, l_path, pin, seed):
+        cfg = ScenarioConfig(k=2 * half_k)
+        design = DmaDesign(n_slot=n_slot, b_tune=10.0**tune_exp)
+        if l_path == 0:
+            channels = effective_channel(cfg, design)
+        else:
+            channels = multipath_channel(MultipathSpec(l_path=l_path, seed=seed, pin_first_to_los=pin), cfg, design)
+        snr = snr_profile(cfg) * 10.0**snr_exp
+        grid = default_grid(design, r_res)
+        res = successive_beamformer(channels, snr, grid, design)
+        assert np.array_equal(res.f_r, exhaustive_successive(channels, snr, grid, design))
+
+    @pytest.mark.parametrize("r_res", [5, 201])  # 5: shorter than one interval of any bound level
+    def test_silent_element_takes_lowest_resonance(self, cfg, design, rng, r_res):
+        # a zero channel column scores every grid row alike, so no interval can be dropped
+        d4 = override_fields(design, n_slot=4)
+        cfg4 = override_fields(cfg, k=8)
+        h = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+        h[:, 2] = 0.0
+        channels = make_channelset(h, subcarrier_grid(cfg4))
+        rho = snr_profile(cfg4)
+        grid = default_grid(d4, r_res)
+        res = successive_beamformer(channels, rho, grid, d4)
+        assert res.f_r[2] == grid.values[0]
+        np.testing.assert_array_equal(res.f_r, exhaustive_successive(channels, rho, grid, d4))
 
     def test_rejects_mismatched_snr(self, cfg, design):
         channels = effective_channel(cfg, design)

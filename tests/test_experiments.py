@@ -82,6 +82,18 @@ class TestPlanValidation:
             run_plan(plan, small_cfg, small_design)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", ["sweep-tuning", "multipath-mc"])
+    def test_resolution_checked_before_any_solve(self, tmp_path, monkeypatch, small_cfg, small_design, kind):
+        def no_solve(*args):
+            raise AssertionError("channel built before the resolution was checked")
+
+        monkeypatch.setattr("dmasim.experiments.effective_channel", no_solve)
+        monkeypatch.setattr("dmasim.experiments.multipath_channel", no_solve)
+        with pytest.raises(ValueError, match="resolution"):
+            plan = ExperimentPlan(kind=kind, out_dir=tmp_path / "out", axis=(1.0,), trials=2, r_res=0)
+            run_plan(plan, small_cfg, small_design)
+        assert not (tmp_path / "out").exists()
+
 
 class TestDeterminism:
     def test_rerun_is_byte_identical_after_timestamp(self, tmp_path, small_cfg, small_design):
