@@ -7,13 +7,15 @@ point once per element. The successive beamformer bounds each element's
 objective over grid intervals and scores only the rows no interval bound
 rules out: it picks exactly what the exhaustive scan of every grid point
 picks, with an O(n_slot * r_res * k) worst case when nothing can be pruned.
+Its weight table and interval bounds are built once per grid and reused by
+every solve on that grid with the same subcarriers and damping.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +23,9 @@ from .channel import ChannelSet
 from .element import ResonanceConfiguration, TuningRange, lorentzian_weight, normalized_polarizability, tuning_range
 from .params import DmaDesign
 
-# Interval lengths of the successive scan's bound levels, coarse to fine.
+# Interval lengths of the successive scan's bound levels, coarse to fine. Each
+# step divides the one before it, so an interval splits into whole intervals
+# of the next level.
 PRUNE_STEPS = (64, 8)
 # Relative margin below the best real objective before an interval bound
 # drops it: far above the rounding of the bound, so no maximum is ever lost.
@@ -33,6 +37,8 @@ class ResonanceGrid:
     """Equally spaced resonant frequencies spanning the tuning range."""
 
     values: np.ndarray  # ascending [Hz]
+    # [gamma, subcarrier frequencies, successive scan table] of the last solve
+    _scan: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -99,25 +105,29 @@ def _score(amp: np.ndarray, snr: np.ndarray) -> np.ndarray:
     return np.mean(np.log2(1.0 + snr[None, :] * amp**2), axis=1)
 
 
-def _bound_levels(weights: np.ndarray) -> list[tuple]:
-    """Per PRUNE_STEPS level: interval starts, each row's interval, anchors, reach.
+def _scan_table(grid: ResonanceGrid, freq: np.ndarray, design: DmaDesign) -> tuple:
+    """The (r_res, k) weight table and, per PRUNE_STEPS level, (anchor weights, reach).
 
     An interval's anchor is its middle row; reach[j, k] is the largest
     |weights[r, k] - weights[anchor_j, k]| over the rows r of interval j.
+    The table depends only on the grid, the subcarriers and Gamma, so the
+    grid keeps the last one built.
     """
-    r_res = weights.shape[0]
-    rows = np.arange(r_res)
+    memo = grid._scan
+    if memo and memo[0] == design.gamma and np.array_equal(memo[1], freq):
+        return memo[2]
+    weights = normalized_polarizability(freq[None, :], grid.values[:, None], design)
     levels = []
     for step in PRUNE_STEPS:
-        starts = rows[::step]
-        last = np.minimum(starts + step, r_res) - 1
-        anchors = (starts + last) // 2
-        anchor_w = weights[anchors]
+        starts = np.arange(0, grid.r_res, step)
+        last = np.minimum(starts + step, grid.r_res) - 1
+        anchor_w = weights[(starts + last) // 2]
         reach = np.zeros(anchor_w.shape)
         for offset in range(step):  # a short last interval repeats its last row
             np.maximum(reach, np.abs(weights[np.minimum(starts + offset, last)] - anchor_w), out=reach)
-        levels.append((starts, rows // step, anchors, reach))
-    return levels
+        levels.append((anchor_w, reach))
+    memo[:] = [design.gamma, freq.copy(), (weights, levels)]
+    return weights, levels
 
 
 def successive_beamformer(
@@ -140,24 +150,23 @@ def successive_beamformer(
     freq = channels.grid.frequencies
     if snr.shape != freq.shape:
         raise ValueError("snr list must have one entry per subcarrier")
-    # (r_res, k) weight table shared by every element
-    weights = normalized_polarizability(freq[None, :], grid.values[:, None], design)
-    levels = _bound_levels(weights)
+    weights, levels = _scan_table(grid, freq, design)
+    steps = PRUNE_STEPS + (1,)
     running = np.zeros(freq.size, dtype=complex)
     chosen = np.empty(design.n_slot)
     for n in range(design.n_slot):
         a = channels.h_att[n] * channels.h[:, n]
         spread = np.abs(a)[None, :]
-        live = np.ones(grid.r_res, dtype=bool)
+        live = np.arange(len(levels[0][0]))  # every interval of the coarsest level
         floor = -np.inf  # objective of a real row, so the grid maximum is at least this
-        for starts, interval_of_row, anchors, reach in levels:
-            j = np.flatnonzero(np.logical_or.reduceat(live, starts))
-            amp = np.abs(weights[anchors[j]] * a[None, :] + running[None, :])
+        for (anchor_w, reach), step, finer in zip(levels, steps, steps[1:]):
+            amp = np.abs(anchor_w[live] * a[None, :] + running[None, :])
             floor = np.maximum(floor, np.max(_score(amp, snr)))  # NaN disables pruning
-            keep = np.zeros(starts.size, dtype=bool)
-            keep[j] = ~(_score(amp + spread * reach[j], snr) < floor - PRUNE_RTOL * (1.0 + np.abs(floor)))
-            live &= keep[interval_of_row]
-        rows = np.flatnonzero(live)
+            live = live[~(_score(amp + spread * reach[live], snr) < floor - PRUNE_RTOL * (1.0 + np.abs(floor)))]
+            # the next level's intervals inside the survivors (after the last level, their rows), ascending
+            children = (live[:, None] * (step // finer) + np.arange(step // finer)).ravel()
+            live = children[children < -(-grid.r_res // finer)]  # ceil(r_res / finer) of them exist
+        rows = live
         contrib = weights[rows] * a[None, :]
         best = int(np.argmax(_score(np.abs(contrib + running[None, :]), snr)))  # first maximum = lowest row
         chosen[n] = grid.values[rows[best]]

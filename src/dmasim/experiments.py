@@ -260,13 +260,14 @@ def _multipath_mc(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign) 
     if any(l_path != int(l_path) or l_path < 1 for l_path in axis):
         raise ValueError("path counts must be positive integers")
     grid = default_grid(design, plan.r_res)
+    subcarriers = subcarrier_grid(cfg)
     rows = []
     for l_idx, l_path in enumerate(axis):
         per_alg = {alg: [] for alg in ALGORITHMS}
         for trial in range(plan.trials):
             child = int(np.random.SeedSequence((plan.seed, l_idx, trial)).generate_state(1)[0])
             spec = MultipathSpec(l_path=int(l_path), seed=child, pin_first_to_los=plan.pin_los)
-            channels = multipath_channel(spec, cfg, design)
+            channels = multipath_channel(spec, cfg, design, subcarriers)
             for alg in ALGORITHMS:
                 _, spectrum = run_beamformer(alg, channels, cfg, design, grid)
                 per_alg[alg].append(spectrum.capacity)

@@ -93,16 +93,21 @@ def run_beamformer(
     design: DmaDesign,
     grid: ResonanceGrid | None = None,
 ) -> tuple[ResonanceConfiguration, GainSpectrum]:
-    """Configure the aperture with the named algorithm and score it."""
+    """Configure the aperture with the named algorithm and score it.
+
+    One SNR profile serves both the successive objective and the score.
+    """
     if grid is None:
         grid = default_grid(design)
+    rho = snr_profile(cfg)
     if algorithm == "center-frequency":
         res = center_frequency_beamformer(channels, grid, design)
     elif algorithm == "successive":
-        res = successive_beamformer(channels, snr_profile(cfg), grid, design)
+        res = successive_beamformer(channels, rho, grid, design)
     else:
         raise ValueError(f"unknown beamforming algorithm {algorithm!r}")
-    return res, resonance_spectrum(channels, res, cfg, design)
+    weights = dma_weight_matrix(res, channels.grid.frequencies, design)
+    return res, _assemble(gain_profile(channels, weights, design), rho, cfg.b)
 
 
 def phased_array_spectrum(

@@ -256,6 +256,46 @@ class TestSuccessiveBeamformer:
         res = successive_beamformer(channels, snr, grid, design)
         assert np.array_equal(res.f_r, exhaustive_successive(channels, snr, grid, design))
 
+    def test_one_grid_serves_every_scan_input(self, monkeypatch):
+        # one grid across channel draws, subcarrier sets and dampings at one tuning range:
+        # a table left over from another solve would make the scan pick other rows than the oracle
+        builds = []
+        build = normalized_polarizability
+        monkeypatch.setattr("dmasim.beamform.normalized_polarizability", lambda *a: builds.append(a) or build(*a))
+        grid = default_grid(DmaDesign(n_slot=16), 1001)
+        solves = [  # (scenario, q, multipath seed; None for line of sight), each key change rebuilds
+            (ScenarioConfig(), 100.0, None),
+            (ScenarioConfig(), 100.0, 1),
+            (ScenarioConfig(k=16), 100.0, 2),
+            (ScenarioConfig(), 100.0, 3),  # back to the first key: one table is kept, not two
+            (ScenarioConfig(b=2e9), 100.0, None),
+            (ScenarioConfig(b=2e9), 100.0, 4),
+            (ScenarioConfig(), 50.0, 5),
+            (ScenarioConfig(), 100.0, None),
+        ]
+        for cfg, q, seed in solves:
+            design = DmaDesign(n_slot=16, q=q)
+            if seed is None:
+                channels = effective_channel(cfg, design)
+            else:
+                channels = multipath_channel(MultipathSpec(l_path=3, seed=seed), cfg, design)
+            snr = snr_profile(cfg)
+            res = successive_beamformer(channels, snr, grid, design)
+            assert np.array_equal(res.f_r, exhaustive_successive(channels, snr, grid, design))
+        assert len(builds) == 6
+
+    def test_result_independent_of_solve_order(self, cfg):
+        # Monte-Carlo trials share one grid; no trial may see what an earlier one left on it
+        design = DmaDesign(n_slot=16)
+        snr = snr_profile(cfg)
+        trials = [multipath_channel(MultipathSpec(l_path=l, seed=s), cfg, design) for l, s in [(1, 7), (2, 8), (4, 9)]]
+        shared = default_grid(design, 1001)
+        forward = [successive_beamformer(c, snr, shared, design).f_r for c in trials]
+        backward = [successive_beamformer(c, snr, shared, design).f_r for c in reversed(trials)][::-1]
+        fresh = [successive_beamformer(c, snr, default_grid(design, 1001), design).f_r for c in trials]
+        for f_r, back, alone in zip(forward, backward, fresh):
+            assert np.array_equal(f_r, back) and np.array_equal(f_r, alone)
+
     @pytest.mark.parametrize("r_res", [5, 201])  # 5: shorter than one interval of any bound level
     def test_silent_element_takes_lowest_resonance(self, cfg, design, rng, r_res):
         # a zero channel column scores every grid row alike, so no interval can be dropped

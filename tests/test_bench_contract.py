@@ -24,16 +24,22 @@ sys.modules[_spec.name] = bench  # its dataclasses resolve their module by name
 _spec.loader.exec_module(bench)
 
 
-@pytest.mark.parametrize("workload", sorted(bench.WORKLOADS))
-def test_traced_calls_match_job_inputs(workload, tmp_path, capsys):
+def traced_calls(workload, out, capsys):
+    """Run one tiny job of the workload under the benchmark's tracer; return it and its call counts."""
     job = bench.make_job(workload, 3, 0, bench.WORKLOADS[workload]["tiny"])
     tracer = bench.Tracer()
     with bench.traced_layers(tracer):
-        code = dmasim.cli.main([*job.argv, "--out", str(tmp_path)])  # looked up now, so the traced wrapper runs
+        code = dmasim.cli.main([*job.argv, "--out", str(out)])  # looked up now, so the traced wrapper runs
     assert code == 0, capsys.readouterr().err
     calls = {}
     for name, *_ in tracer.spans:
         calls[name] = calls.get(name, 0) + 1
+    return job, calls
+
+
+@pytest.mark.parametrize("workload", sorted(bench.WORKLOADS))
+def test_traced_calls_match_job_inputs(workload, tmp_path, capsys):
+    job, calls = traced_calls(workload, tmp_path, capsys)
     expected = {
         "cli.main": 1,
         "metrics.run_beamformer": job.solves,
@@ -41,3 +47,12 @@ def test_traced_calls_match_job_inputs(workload, tmp_path, capsys):
         "beamform.center_frequency_beamformer": job.cf_calls,
     }
     assert {name: calls.get(name, 0) for name in expected} == expected
+
+
+def test_multipath_job_builds_one_scan_table(tmp_path, capsys):
+    # per trial: the center-frequency row, two scored weight matrices and one SNR profile per
+    # solve; per job: one successive weight table and one subcarrier grid for every channel
+    job, calls = traced_calls("mc-multipath", tmp_path, capsys)
+    trials = job.succ_calls
+    assert calls["element.normalized_polarizability"] == 3 * trials + 1
+    assert calls["params.subcarrier_grid"] == 2 * trials + 1
