@@ -2,13 +2,14 @@
 
 Both grid algorithms search a discretized resonant-frequency set; ties break
 toward the lower resonant frequency, so identical inputs always give
-identical configurations. The center-frequency beamformer visits every grid
-point once per element. The successive beamformer bounds each element's
-objective over grid intervals and scores only the rows no interval bound
-rules out: it picks exactly what the exhaustive scan of every grid point
-picks, with an O(n_slot * r_res * k) worst case when nothing can be pruned.
-Its weight table and interval bounds are built once per grid and reused by
-every solve on that grid with the same subcarriers and damping.
+identical configurations. The center-frequency beamformer scores every grid
+point by one dot product per element and ranks near ties by the exact
+distance. The successive beamformer bounds each element's objective over grid
+intervals and scores only the rows no interval bound rules out: it picks
+exactly what the exhaustive scan of every grid point picks, with an
+O(n_slot * r_res * k) worst case when nothing can be pruned. Its weight table
+and interval bounds are built once per grid and reused by every solve on that
+grid with the same subcarriers and damping.
 """
 
 from __future__ import annotations
@@ -30,15 +31,16 @@ PRUNE_STEPS = (64, 8)
 # Relative margin below the best real objective before an interval bound
 # drops it: far above the rounding of the bound, so no maximum is ever lost.
 PRUNE_RTOL = 1e-9
+TIE_MARGIN = 1e-12  # rows this near an element's best center-frequency dot are re-ranked by distance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity: the array field has no truth value
 class ResonanceGrid:
     """Equally spaced resonant frequencies spanning the tuning range."""
 
     values: np.ndarray  # ascending [Hz]
     # [gamma, subcarrier frequencies, successive scan table] of the last solve
-    _scan: list = field(default_factory=list, init=False, compare=False, repr=False)
+    _scan: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -73,15 +75,25 @@ def center_frequency_beamformer(
 ) -> ResonanceConfiguration:
     """Per-element resonance matching the conjugate channel phase at the center subcarrier.
 
-    Each element independently minimizes the distance between its achievable
-    weight and the constrained-circle point at the conjugate channel angle.
+    Each element takes the achievable weight a nearest to the circle point t
+    at the conjugate channel angle. Both lie on |w + j/2| = 1/2, so |t - a|^2
+    = 1/2 - 2 * dot(t + j/2, a + j/2) up to ~1e-16 of rounding. The rows
+    within TIE_MARGIN of an element's best dot thus hold the exhaustive scan's
+    first minimum of |t - a|, and re-ranking them by |t - a| returns it.
     """
     kc = channels.grid.center_index
     f_c = channels.grid.f_center
     targets = lorentzian_weight(np.angle(np.conj(channels.h[kc])))  # (n_slot,)
     achievable = normalized_polarizability(f_c, grid.values, design)  # (r_res,)
-    dist = np.abs(targets[None, :] - achievable[:, None])  # (r_res, n_slot)
-    idx = np.argmin(dist, axis=0)  # first minimum = lower resonant frequency
+    t, a = targets + 0.5j, achievable + 0.5j  # both taken about the circle's center -j/2
+    dots = np.stack([t.real, t.imag], axis=1) @ np.stack([a.real, a.imag])  # (n_slot, r_res)
+    rows, idx = np.arange(targets.size), np.argmax(dots, axis=1)
+    best = dots[rows, idx]
+    dots[rows, idx] = -np.inf  # an element is tied when its runner-up dot lies within TIE_MARGIN of its best
+    tied = np.flatnonzero(dots.max(axis=1) >= best - TIE_MARGIN)
+    dots[rows, idx] = best
+    dist = np.where(dots[tied] >= best[tied, None] - TIE_MARGIN, np.abs(targets[tied, None] - achievable), np.inf)
+    idx[tied] = np.argmin(dist, axis=1)  # first minimum = lower resonant frequency
     return ResonanceConfiguration(f_r=grid.values[idx])
 
 

@@ -105,7 +105,7 @@ class DmaDesign:
         return 2 * math.pi * self.f_t / self.q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity: the array field has no truth value
 class SubcarrierGrid:
     """Passband subcarrier frequencies with an exact center subcarrier."""
 

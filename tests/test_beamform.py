@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from dmasim import (
     ChannelSet,
     DmaDesign,
     MultipathSpec,
+    ResonanceConfiguration,
     ResonanceGrid,
     ScenarioConfig,
     SubcarrierGrid,
@@ -33,6 +35,17 @@ def make_channelset(h, grid, h_att=None, phases=None):
     if h_att is None:
         h_att = np.ones(h.shape[1])
     return ChannelSet(h=h, h_att=np.asarray(h_att, dtype=float), grid=grid, phases=phases)
+
+
+def dense_center_frequency(channels, grid, design):
+    """The distance table over every grid row: the oracle of the dot-product search."""
+    kc = channels.grid.center_index
+    f_c = channels.grid.f_center
+    targets = lorentzian_weight(np.angle(np.conj(channels.h[kc])))  # (n_slot,)
+    achievable = normalized_polarizability(f_c, grid.values, design)  # (r_res,)
+    dist = np.abs(targets[None, :] - achievable[:, None])  # (r_res, n_slot)
+    idx = np.argmin(dist, axis=0)  # first minimum = lower resonant frequency
+    return ResonanceConfiguration(f_r=grid.values[idx])
 
 
 def exhaustive_successive(channels, snr, grid, design):
@@ -70,6 +83,11 @@ class TestResonanceGrid:
     def test_rejects_empty(self, design):
         with pytest.raises(ValueError):
             resonance_grid(tuning_range(design), 0)
+
+    def test_compares_by_identity(self, design):
+        # the value array has no truth value, so grids compare by identity and stay hashable
+        a, b = default_grid(design, 11), default_grid(design, 11)
+        assert a == a and a != b and len({a, a, b}) == 2
 
 
 class TestCenterFrequencyBeamformer:
@@ -118,6 +136,73 @@ class TestCenterFrequencyBeamformer:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             ResonanceGrid(values=np.array([]))
+
+    @settings(deadline=None)
+    @given(
+        kind=st.sampled_from(("los", "multipath", "synthetic")),
+        n_slot=st.integers(1, 64),
+        r_res=st.sampled_from((1, 2, 3, 7, 64, 65, 1001, 4001)),
+        b_tune=st.one_of(
+            st.just(0.0),
+            st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+            st.floats(6.0, 10.4).map(lambda e: 10.0**e),  # 10**10.4 Hz stays below 2 * f_t
+        ),
+        q_exp=st.floats(1.0, 3.0),
+        placed=st.sampled_from(("channel", "on grid", "special")),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_dense_scan(self, kind, n_slot, r_res, b_tune, q_exp, placed, seed):
+        rng = np.random.default_rng(seed)
+        cfg = ScenarioConfig(k=8)
+        design = DmaDesign(n_slot=n_slot, b_tune=b_tune, q=10.0**q_exp)
+        if kind == "los":
+            channels = effective_channel(cfg, design)
+        elif kind == "multipath":
+            channels = multipath_channel(MultipathSpec(l_path=1 + seed % 6, seed=seed), cfg, design)
+        else:
+            channels = make_channelset(np.exp(1j * rng.uniform(-np.pi, np.pi, (cfg.k, n_slot))), subcarrier_grid(cfg))
+        grid = default_grid(design, r_res)
+        h = channels.h.copy()
+        kc = channels.grid.center_index
+        moved = rng.random(n_slot) < 0.5
+        if placed == "on grid":  # the target e^(j zeta)/2 - j/2 lands on a grid weight a: zeta = angle(2a + j)
+            weights = normalized_polarizability(channels.grid.f_center, grid.values, design)
+            zeta = np.angle(2 * weights[rng.integers(0, r_res, n_slot)] + 1j)
+            h[kc, moved] = np.exp(-1j * zeta[moved])
+        elif placed == "special":  # -j (resonance), 0 (the circle's origin point) and the two sides
+            zeta = rng.choice([-math.pi / 2, math.pi / 2, -math.pi, math.pi, 0.0], n_slot)
+            h[kc, moved] = np.exp(-1j * zeta[moved])
+        h[:, rng.random(n_slot) < 0.15] = 0.0  # silent elements
+        channels = make_channelset(h, channels.grid, channels.h_att)
+        res = center_frequency_beamformer(channels, grid, design)
+        assert np.array_equal(res.f_r, dense_center_frequency(channels, grid, design).f_r)
+
+    def test_sub_hz_far_target_tie(self):
+        # every grid weight sits within ~1e-15 of the same distance from a target at the origin
+        # point: the dot product alone picks other rows than the distance table, the re-rank does not
+        n_slot = 64
+        design = DmaDesign(n_slot=n_slot, b_tune=5e-3)
+        grid = default_grid(design, 4001)
+        zeta = math.pi / 2 + np.linspace(-1e-6, 1e-6, n_slot)
+        channels = make_channelset(
+            np.exp(-1j * zeta)[None, :], SubcarrierGrid(frequencies=np.array([design.f_t]), center_index=0)
+        )
+        res = center_frequency_beamformer(channels, grid, design)
+        assert np.array_equal(res.f_r, dense_center_frequency(channels, grid, design).f_r)
+
+    def test_solve_allocates_no_distance_table(self):
+        # a complex (r_res, n_slot) distance table alone takes 16 MB here; the dot table takes 8 MB
+        design = DmaDesign(n_slot=256)
+        channels = effective_channel(ScenarioConfig(k=16), design)
+        grid = default_grid(design, 4001)
+        center_frequency_beamformer(channels, grid, design)  # warm call
+        tracemalloc.start()
+        try:
+            center_frequency_beamformer(channels, grid, design)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6
 
     def test_deterministic(self, cfg, design):
         channels = effective_channel(cfg, design)

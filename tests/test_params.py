@@ -47,6 +47,11 @@ class TestSubcarrierGrid:
         np.testing.assert_allclose(diffs, cfg.b / cfg.k, rtol=1e-12)
         assert np.all(diffs > 0)
 
+    def test_compares_by_identity(self):
+        # the frequency array has no truth value, so grids compare by identity and stay hashable
+        a, b = subcarrier_grid(ScenarioConfig()), subcarrier_grid(ScenarioConfig())
+        assert a == a and a != b and len({a, a, b}) == 2
+
     @pytest.mark.parametrize("k", [1, 3, 7, -2, 0])
     def test_rejects_odd_or_small_counts(self, k):
         with pytest.raises(ValueError):
