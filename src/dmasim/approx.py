@@ -17,7 +17,7 @@ from .element import normalized_polarizability, tuning_range
 from .params import C_LIGHT, DmaDesign, ScenarioConfig, leakage_constant, radiated_fraction, subcarrier_grid, waveguide_beta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity: array fields have no truth value
 class ApproxBreakdown:
     """Per-subcarrier factors of the gain approximation.
 

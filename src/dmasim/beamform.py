@@ -4,12 +4,17 @@ Both grid algorithms search a discretized resonant-frequency set; ties break
 toward the lower resonant frequency, so identical inputs always give
 identical configurations. The center-frequency beamformer scores every grid
 point by one dot product per element and ranks near ties by the exact
-distance. The successive beamformer bounds each element's objective over grid
-intervals and scores only the rows no interval bound rules out: it picks
-exactly what the exhaustive scan of every grid point picks, with an
-O(n_slot * r_res * k) worst case when nothing can be pruned. Its weight table
-and interval bounds are built once per grid and reused by every solve on that
-grid with the same subcarriers and damping.
+distance. The successive beamformer scores only the rows that two exact
+bounds on each element's objective leave: a triangle-inequality bound over
+grid intervals of PRUNE_STEP rows, then, on the surviving intervals, the
+objective's tangent plane (each log2(1 + snr_k z_k) is concave in z_k, and
+z_k is affine in the weight on its circle), one small real product per run
+of intervals. The interval bound stays because the plane alone is loose at
+the first element, whose running sum is zero. It picks exactly what the
+exhaustive scan of every grid point picks, with an O(n_slot * r_res * k)
+worst case when nothing can be pruned. Its weight table and interval bounds
+are built once per grid and reused by every solve on that grid with the
+same subcarriers and damping.
 """
 
 from __future__ import annotations
@@ -24,13 +29,14 @@ from .channel import ChannelSet
 from .element import ResonanceConfiguration, TuningRange, lorentzian_weight, normalized_polarizability, tuning_range
 from .params import DmaDesign
 
-# Interval lengths of the successive scan's bound levels, coarse to fine. Each
-# step divides the one before it, so an interval splits into whole intervals
-# of the next level.
-PRUNE_STEPS = (64, 8)
-# Relative margin below the best real objective before an interval bound
-# drops it: far above the rounding of the bound, so no maximum is ever lost.
+PRUNE_STEP = 64  # rows per interval of the successive scan's triangle bound
+# Relative margin below the best real objective before a bound drops a row:
+# far above the rounding of either bound, so no maximum is ever lost.
 PRUNE_RTOL = 1e-9
+# Most floats one tangent-plane product reads. OpenBLAS splits a matrix-vector
+# product of 460,800 or more floats over its threads, which then can stall for
+# milliseconds per call (8 ms at 4001 x 128 after an idle spell, 2-CPU host).
+PLANE_FLOATS = 2**17
 TIE_MARGIN = 1e-12  # rows this near an element's best center-frequency dot are re-ranked by distance
 
 
@@ -117,8 +123,27 @@ def _score(amp: np.ndarray, snr: np.ndarray) -> np.ndarray:
     return np.mean(np.log2(1.0 + snr[None, :] * amp**2), axis=1)
 
 
+def _tangent_plane(a: np.ndarray, running: np.ndarray, snr: np.ndarray, amp0: np.ndarray) -> tuple:
+    """Slopes of the successive objective's tangent plane at amplitudes amp0, and the plane's scale.
+
+    On the weight circle |w|^2 = -Im w, so z_k = |w a_k + running_k|^2 equals
+    |running_k|^2 + Re(w conj(u_k)) with u_k = 2 running_k conj(a_k) - j |a_k|^2:
+    affine in (Re w, Im w). Each term log2(1 + snr_k z_k) is concave in z_k,
+    so its tangent at amp0_k^2 lies above it, and for every row r
+    objective(r) <= objective(r0) + (flat[r] - flat[r0]) @ v
+    when amp0 holds row r0's amplitudes, flat is the weight table viewed as
+    interleaved (Re, Im) pairs and v the pairs of slope_k * u_k. The scale
+    sum_k slope_k (|a_k| + |running_k|)^2 bounds the size of each term of
+    that sum (|w| <= 1).
+    """
+    spread = np.abs(a)
+    slope = snr / ((1.0 + snr * amp0**2) * (math.log(2.0) * snr.size))
+    v = slope * (2.0 * running * np.conj(a) - 1j * spread**2)  # (Re, Im) slope pairs as one complex number
+    return v.view(np.float64), slope @ (spread + np.abs(running)) ** 2
+
+
 def _scan_table(grid: ResonanceGrid, freq: np.ndarray, design: DmaDesign) -> tuple:
-    """The (r_res, k) weight table and, per PRUNE_STEPS level, (anchor weights, reach).
+    """The (r_res, k) weight table and the anchor weights and reach of its PRUNE_STEP-row intervals.
 
     An interval's anchor is its middle row; reach[j, k] is the largest
     |weights[r, k] - weights[anchor_j, k]| over the rows r of interval j.
@@ -129,17 +154,14 @@ def _scan_table(grid: ResonanceGrid, freq: np.ndarray, design: DmaDesign) -> tup
     if memo and memo[0] == design.gamma and np.array_equal(memo[1], freq):
         return memo[2]
     weights = normalized_polarizability(freq[None, :], grid.values[:, None], design)
-    levels = []
-    for step in PRUNE_STEPS:
-        starts = np.arange(0, grid.r_res, step)
-        last = np.minimum(starts + step, grid.r_res) - 1
-        anchor_w = weights[(starts + last) // 2]
-        reach = np.zeros(anchor_w.shape)
-        for offset in range(step):  # a short last interval repeats its last row
-            np.maximum(reach, np.abs(weights[np.minimum(starts + offset, last)] - anchor_w), out=reach)
-        levels.append((anchor_w, reach))
-    memo[:] = [design.gamma, freq.copy(), (weights, levels)]
-    return weights, levels
+    starts = np.arange(0, grid.r_res, PRUNE_STEP)
+    last = np.minimum(starts + PRUNE_STEP, grid.r_res) - 1
+    anchor_w = weights[(starts + last) // 2]
+    reach = np.zeros(anchor_w.shape)
+    for offset in range(PRUNE_STEP):  # a short last interval repeats its last row
+        np.maximum(reach, np.abs(weights[np.minimum(starts + offset, last)] - anchor_w), out=reach)
+    memo[:] = [design.gamma, freq.copy(), (weights, anchor_w, reach)]
+    return weights, anchor_w, reach
 
 
 def successive_beamformer(
@@ -151,34 +173,56 @@ def successive_beamformer(
     mean_k log2(1 + snr_k * |U_n(f_k, f_r) + sum_{m<n} U_m(f_k, f_r_m)|^2)
     with U_n = weight * taper * channel; earlier selections stay frozen.
 
-    Interval bounds prune the scan without changing its result. By the
-    triangle inequality no row of interval j scores above the objective at
-    amplitude |anchor contribution + running| + |a_k| * reach_jk, so an
-    interval whose bound falls below the best anchor objective holds no
-    maximum. The rows that survive are scored with the exhaustive scan's
-    expression, so the first maximum is the exhaustive scan's first maximum.
+    Two exact bounds prune the scan without changing its result; a row is
+    dropped only when a bound puts it below the objective of a real row, the
+    floor, by a margin. First, by the triangle inequality no row of interval j
+    scores above the objective at amplitude |anchor contribution + running| +
+    |a_k| * reach_jk. Second, the objective is concave in each |.|^2, which is
+    affine in the weight on its circle, so no row scores above the tangent
+    plane taken at the best anchor (_tangent_plane). The plane costs one real
+    product per row and no log2 or |.|, but at the first element, where the
+    running sum is zero, it is loose; so it runs only on the rows of the
+    intervals the triangle bound keeps, one product per contiguous run of
+    them, each of at most PLANE_FLOATS floats so that it stays on one BLAS
+    thread. The plane's best row, scored exactly, raises the floor first.
+    The plane's margin also scales with the size of the terms it sums (the
+    scale of _tangent_plane): their product's rounding, about 2k * 1e-16 of
+    that size, and the circle identity's, |w|^2 + Im w ~ 1e-16, stay far
+    below PRUNE_RTOL of it. The rows that survive are scored with the
+    exhaustive scan's expression, so the first maximum is the exhaustive
+    scan's first maximum.
     """
     snr = np.asarray(snr, dtype=float)
     freq = channels.grid.frequencies
     if snr.shape != freq.shape:
         raise ValueError("snr list must have one entry per subcarrier")
-    weights, levels = _scan_table(grid, freq, design)
-    steps = PRUNE_STEPS + (1,)
+    weights, anchor_w, reach = _scan_table(grid, freq, design)
+    flat = weights.view(np.float64)  # (r_res, 2k): interleaved (Re, Im) of each weight, no copy
+    index = np.arange(grid.r_res)
+    block = max(PRUNE_STEP, PLANE_FLOATS // flat.shape[1])
     running = np.zeros(freq.size, dtype=complex)
     chosen = np.empty(design.n_slot)
     for n in range(design.n_slot):
         a = channels.h_att[n] * channels.h[:, n]
-        spread = np.abs(a)[None, :]
-        live = np.arange(len(levels[0][0]))  # every interval of the coarsest level
-        floor = -np.inf  # objective of a real row, so the grid maximum is at least this
-        for (anchor_w, reach), step, finer in zip(levels, steps, steps[1:]):
-            amp = np.abs(anchor_w[live] * a[None, :] + running[None, :])
-            floor = np.maximum(floor, np.max(_score(amp, snr)))  # NaN disables pruning
-            live = live[~(_score(amp + spread * reach[live], snr) < floor - PRUNE_RTOL * (1.0 + np.abs(floor)))]
-            # the next level's intervals inside the survivors (after the last level, their rows), ascending
-            children = (live[:, None] * (step // finer) + np.arange(step // finer)).ravel()
-            live = children[children < -(-grid.r_res // finer)]  # ceil(r_res / finer) of them exist
-        rows = live
+        amp = np.abs(anchor_w * a[None, :] + running[None, :])
+        anchor_score = _score(amp, snr)
+        j = int(np.argmax(anchor_score))
+        floor = anchor_score[j]  # objective of a real row, so the grid maximum is at least this; NaN disables pruning
+        live = np.flatnonzero(~(_score(amp + np.abs(a) * reach, snr) < floor - PRUNE_RTOL * (1.0 + np.abs(floor))))
+        v, scale = _tangent_plane(a, running, snr, amp[j])
+        offset = floor - anchor_w[j].view(np.float64) @ v  # plane(r) = flat[r] @ v + offset
+        spans = []  # row ranges of the contiguous runs of surviving intervals, at most `block` rows each
+        for i in live.tolist():
+            lo, hi = i * PRUNE_STEP, (i + 1) * PRUNE_STEP
+            if spans and spans[-1][1] == lo and hi - spans[-1][0] <= block:
+                spans[-1][1] = hi
+            else:
+                spans.append([lo, hi])
+        rows = np.concatenate([index[lo:hi] for lo, hi in spans])
+        plane = np.concatenate([flat[lo:hi] @ v for lo, hi in spans])
+        top = rows[np.argmax(plane)]
+        floor = np.maximum(floor, _score(np.abs(weights[top : top + 1] * a[None, :] + running[None, :]), snr)[0])
+        rows = rows[~(plane < floor - offset - PRUNE_RTOL * (1.0 + np.abs(floor) + scale))]
         contrib = weights[rows] * a[None, :]
         best = int(np.argmax(_score(np.abs(contrib + running[None, :]), snr)))  # first maximum = lowest row
         chosen[n] = grid.values[rows[best]]

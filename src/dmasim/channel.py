@@ -16,7 +16,7 @@ import numpy as np
 from .params import C_LIGHT, DmaDesign, ScenarioConfig, SubcarrierGrid, leakage_constant, subcarrier_grid, waveguide_beta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity: array fields have no truth value
 class ChannelSet:
     """Effective channel h, leakage taper h_att, and the subcarrier grid.
 

@@ -9,6 +9,7 @@ that fails writes no CSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from .experiments import KINDS, ExperimentPlan, run_plan
 from .params import _DESIGN_KEYS, _INT_FIELDS, _SCENARIO_KEYS, DmaDesign, ScenarioConfig, load_config, override_fields
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one per process serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dmasim", description=__doc__)
     sub = parser.add_subparsers(dest="kind", required=True)
@@ -48,6 +50,8 @@ def _configs_from_args(args) -> tuple[ScenarioConfig, DmaDesign]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.kind == "validate-approx" and (args.b is not None or args.k is not None):
+        print("dmasim: note: validate-approx sets its own b and k; --b and --k are ignored", file=sys.stderr)
     try:
         cfg, design = _configs_from_args(args)
         axis = tuple(float(v) for v in args.axis.split(",")) if args.axis else ()

@@ -41,7 +41,7 @@ def tuning_range(design: DmaDesign) -> TuningRange:
     return TuningRange(design.f_t - half, design.f_t + half)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity: the array field has no truth value
 class ResonanceConfiguration:
     """One resonant frequency per DMA element, in waveguide-feed order."""
 

@@ -17,7 +17,7 @@ from .element import ResonanceConfiguration, dma_weight_matrix
 from .params import DmaDesign, ScenarioConfig, noise_power, path_loss, radiated_fraction, subcarrier_grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity: array fields have no truth value
 class GainSpectrum:
     """Per-subcarrier records plus their band aggregates."""
 

@@ -217,6 +217,11 @@ class TestBreakdown:
             power_normalized_gain(br, design), 2.0 * radiated_fraction(design) * br.product
         )
 
+    def test_compares_by_identity(self, cfg, design):
+        # the factor arrays have no truth value, so breakdowns compare by identity and stay hashable
+        a, b = gain_breakdown(cfg, design), gain_breakdown(cfg, design)
+        assert a == a and a != b and len({a, a, b}) == 2
+
 
 def test_breakdown_csv_export(tmp_path, cfg, design):
     from dmasim import export_breakdown_csv

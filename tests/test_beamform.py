@@ -28,6 +28,7 @@ from dmasim import (
     successive_beamformer,
     tuning_range,
 )
+from dmasim.beamform import _tangent_plane
 
 
 def make_channelset(h, grid, h_att=None, phases=None):
@@ -320,7 +321,7 @@ class TestSuccessiveBeamformer:
 
     @settings(deadline=None)
     @given(
-        r_res=st.sampled_from((1, 2, 7, 8, 9, 63, 64, 65, 1001)),
+        r_res=st.sampled_from((1, 2, 7, 8, 9, 63, 64, 65, 1001, 2001, 4001)),
         n_slot=st.integers(1, 24),
         half_k=st.integers(1, 16),
         snr_exp=st.floats(-3.0, 3.0),
@@ -340,6 +341,35 @@ class TestSuccessiveBeamformer:
         grid = default_grid(design, r_res)
         res = successive_beamformer(channels, snr, grid, design)
         assert np.array_equal(res.f_r, exhaustive_successive(channels, snr, grid, design))
+
+    @pytest.mark.parametrize("l_path", [0, 1, 4])  # 0: line of sight
+    def test_tangent_plane_bounds_every_row(self, cfg, l_path):
+        # the scan's plane, one real product per row, is the objective's tangent plane: above every row, equal at its own
+        design = DmaDesign(n_slot=16)
+        if l_path == 0:
+            channels = effective_channel(cfg, design)
+        else:
+            channels = multipath_channel(MultipathSpec(l_path=l_path, seed=l_path), cfg, design)
+        snr = snr_profile(cfg)
+        grid = default_grid(design, 1001)
+        freq = channels.grid.frequencies
+        weights = normalized_polarizability(freq[None, :], grid.values[:, None], design)
+        taps = channels.h_att * channels.h
+        picks = np.searchsorted(grid.values, exhaustive_successive(channels, snr, grid, design))
+        running = np.sum(weights[picks[:8]] * taps[:, :8].T, axis=0)  # the first 8 elements' selections
+        a = taps[:, 8]
+        z = np.abs(weights * a + running) ** 2
+        exact = np.mean(np.log2(1.0 + snr * z), axis=1)
+        for r0 in (0, int(np.argmax(exact)), 400, 1000):
+            v, scale = _tangent_plane(a, running, snr, np.sqrt(z[r0]))
+            plane = exact[r0] + (weights.view(np.float64) - weights[r0].view(np.float64)) @ v
+            slope = snr / ((1.0 + snr * z[r0]) * math.log(2.0))
+            tangent = np.mean(np.log2(1.0 + snr * z[r0]) + slope * (z - z[r0]), axis=1)
+            tol = 1e-12 * (1.0 + np.max(exact) + scale)
+            assert tangent[r0] == pytest.approx(exact[r0], rel=1e-15, abs=0)
+            np.testing.assert_allclose(plane, tangent, rtol=0, atol=tol)
+            assert np.all(plane >= exact - tol)
+            assert np.max(plane - exact) > 1e3 * tol  # not equal to the objective everywhere
 
     def test_one_grid_serves_every_scan_input(self, monkeypatch):
         # one grid across channel draws, subcarrier sets and dampings at one tuning range:

@@ -192,6 +192,11 @@ class TestEffectiveChannel:
         with pytest.raises(ValueError):
             channels.h[0, 0] = 0
 
+    def test_compares_by_identity(self, cfg, design):
+        # the channel arrays have no truth value, so channel sets compare by identity and stay hashable
+        a, b = effective_channel(cfg, design), effective_channel(cfg, design)
+        assert a == a and a != b and len({a, a, b}) == 2
+
 
 class TestMultipathChannel:
     def test_pinned_single_path_reduces_to_los(self, cfg, design):

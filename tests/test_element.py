@@ -180,3 +180,8 @@ class TestTuningRangeAndWeights:
         mat = dma_weight_matrix(res, freqs, design)
         for i, f in enumerate(freqs):
             np.testing.assert_array_equal(mat[i], dma_weight_matrix(res, [f], design)[0])
+
+    def test_compares_by_identity(self):
+        # the resonance array has no truth value, so configurations compare by identity and stay hashable
+        a, b = ResonanceConfiguration(f_r=[1.0, 2.0]), ResonanceConfiguration(f_r=[1.0, 2.0])
+        assert a == a and a != b and len({a, a, b}) == 2

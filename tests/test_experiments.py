@@ -335,6 +335,25 @@ class TestCli:
         cfg, design = _configs_from_args(build_parser().parse_args(args))
         assert cfg.f_t == design.f_t == 12e9
 
+    def test_cached_parser_starts_each_parse_from_defaults(self):
+        parser = build_parser()
+        parser.parse_args(["multipath-mc", "--trials", "3", "--k", "8"])
+        args = build_parser().parse_args(["sweep-tuning"])
+        assert build_parser() is parser
+        assert args.trials == 200 and args.k is None
+
+    def test_validate_approx_notes_ignored_b_and_k(self, tmp_path, capsys):
+        # the kind sets its own bandwidths and subcarrier counts: the flags change no body, and a note says so
+        bodies, notes = [], []
+        for i, flags in enumerate([[], ["--k", "32"], ["--b", "1e9"], ["--k", "32", "--b", "1e9"]]):
+            out = tmp_path / str(i)
+            assert main(["validate-approx", "--out", str(out), "--n-slot", "8", "--r-res", "51", *flags]) == 0
+            bodies.append({p.name: body(p) for p in sorted(out.glob("*.csv"))})
+            notes.append(capsys.readouterr().err.splitlines())
+        assert len(bodies[0]) == 3 and all(b == bodies[0] for b in bodies)
+        note = "dmasim: note: validate-approx sets its own b and k; --b and --k are ignored"
+        assert notes == [[], [note], [note], [note]]
+
 
 def test_readme_library_example_runs():
     import dmasim as d

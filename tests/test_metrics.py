@@ -164,6 +164,12 @@ class TestSpectralEfficiency:
         assert spectrum.rate == cfg.b * spectrum.capacity
         assert np.all(spectrum.gain >= 0) and np.all(spectrum.se >= 0)
 
+    def test_compares_by_identity(self, cfg, design):
+        # the per-subcarrier arrays have no truth value, so spectra compare by identity and stay hashable
+        channels = effective_channel(cfg, design)
+        a, b = (gain_spectrum(channels, np.conj(channels.h), cfg, design) for _ in range(2))
+        assert a == a and a != b and len({a, a, b}) == 2
+
     def test_unknown_algorithm_rejected(self, cfg, design):
         channels = effective_channel(cfg, design)
         with pytest.raises(ValueError):
