@@ -6,6 +6,8 @@ two resonance-configuration algorithms, and a closed-form beamforming-gain
 approximation with numerical oracles.
 """
 
+from types import ModuleType as _ModuleType
+
 from .params import (
     C_LIGHT,
     K_BOLTZ,
@@ -17,7 +19,6 @@ from .params import (
     noise_power,
     override_fields,
     path_loss,
-    propagation_lobe_suppressed,
     radiated_fraction,
     save_config,
     subcarrier_grid,
@@ -31,7 +32,6 @@ from .element import (
     linear_phase_approx,
     lorentzian_weight,
     normalized_polarizability,
-    polarizability,
     polarizability_phase,
     tuning_range,
 )
@@ -40,7 +40,6 @@ from .channel import (
     MultipathSpec,
     array_response,
     channel_phase_step,
-    dump_channel_csv,
     effective_channel,
     leakage_vector,
     multipath_channel,
@@ -49,26 +48,20 @@ from .channel import (
 from .beamform import (
     ResonanceGrid,
     center_frequency_beamformer,
-    center_frequency_tuning,
     default_grid,
-    export_resonances_csv,
-    phased_array_weights,
     resonance_grid,
     successive_beamformer,
 )
 from .approx import (
     ApproxBreakdown,
     angular_fill,
-    export_breakdown_csv,
     fill_penalty,
-    fill_penalty_mc,
     fill_penalty_mc_stderr,
     gain_breakdown,
     leakage_penalty,
     leakage_penalty_exact,
     phase_fill_ratio,
     power_normalized_gain,
-    propagation_lobe,
     squint_gain_from_phase,
     squint_phase_profile,
 )
@@ -76,13 +69,12 @@ from .metrics import (
     GainSpectrum,
     gain_profile,
     gain_spectrum,
-    phased_array_spectrum,
     resonance_spectrum,
     run_beamformer,
     snr_profile,
-    spectral_efficiency,
 )
 from .experiments import ExperimentPlan, run_plan
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names only: importing the submodules above also binds them here
+__all__ = sorted(name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType))
 __version__ = "0.1.0"

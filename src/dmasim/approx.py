@@ -7,7 +7,6 @@ oracle in this module or in the test suite.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -132,55 +131,15 @@ def power_normalized_gain(breakdown: ApproxBreakdown, design: DmaDesign) -> np.n
     return 2.0 * radiated_fraction(design) * breakdown.product
 
 
-def export_breakdown_csv(breakdown: ApproxBreakdown, frequencies, path) -> None:
-    """Write per-subcarrier factor rows (k, f_k, squint, fill, leakage, product)."""
-    frequencies = np.asarray(frequencies, dtype=float)
-    if frequencies.shape != breakdown.product.shape:
-        raise ValueError("frequency grid must match the breakdown length")
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["k", "f_k", "squint_gain", "fill_penalty", "leakage_penalty", "product"])
-        for k, f_k in enumerate(frequencies):
-            writer.writerow(
-                [
-                    k,
-                    repr(float(f_k)),
-                    repr(float(breakdown.squint_gain[k])),
-                    repr(breakdown.fill_penalty),
-                    repr(breakdown.leakage_penalty),
-                    repr(float(breakdown.product[k])),
-                ]
-            )
-
-
-def propagation_lobe(phi_t: float, f: float, design: DmaDesign) -> complex:
-    """Normalized secondary-lobe response of the untuned aperture.
-
-    exp(j*(n-1)*po/2) * sin(n*po/2)/(n*sin(po/2)) with per-element phase
-    po = d_x*((2*pi*f/c)*sin(phi_t) + beta_g(f)); magnitude at most 1, with
-    the coherent limit 1 when po == 0 mod 2*pi.
-    """
-    n = design.n_slot
-    po = design.d_x * ((2 * math.pi * f / C_LIGHT) * math.sin(phi_t) + waveguide_beta(f, design))
-    half = math.sin(po / 2.0)
-    if half == 0.0:
-        return complex(np.exp(1j * (n - 1) * po / 2.0))
-    return complex(np.exp(1j * (n - 1) * po / 2.0) * math.sin(n * po / 2.0) / (n * half))
-
-
-def fill_penalty_mc(xi: float, samples: int, seed: int) -> float:
-    """Monte-Carlo oracle for fill_penalty.
+def fill_penalty_mc_stderr(xi: float, samples: int, seed: int) -> tuple[float, float]:
+    """Monte-Carlo oracle for fill_penalty, with its delta-method standard error.
 
     Channel phases are sampled uniformly on the unit circle; each one is
     served by the feasible weight of least phase error: the conjugate weight
     when reachable, otherwise the outermost feasible weight on the matching
-    half-plane. Returns the squared modulus of the mean aligned response.
+    half-plane. Returns the squared modulus of the mean aligned response and
+    its standard error.
     """
-    return fill_penalty_mc_stderr(xi, samples, seed)[0]
-
-
-def fill_penalty_mc_stderr(xi: float, samples: int, seed: int) -> tuple[float, float]:
-    """fill_penalty_mc together with its delta-method standard error."""
     if not 0.0 <= xi <= math.pi:
         raise ValueError("angular fill must lie in [0, pi]")
     rng = np.random.default_rng(seed)

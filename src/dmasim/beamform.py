@@ -19,7 +19,6 @@ same subcarriers and damping.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -101,21 +100,6 @@ def center_frequency_beamformer(
     dist = np.where(dots[tied] >= best[tied, None] - TIE_MARGIN, np.abs(targets[tied, None] - achievable), np.inf)
     idx[tied] = np.argmin(dist, axis=1)  # first minimum = lower resonant frequency
     return ResonanceConfiguration(f_r=grid.values[idx])
-
-
-def center_frequency_tuning(channels: ChannelSet, design: DmaDesign) -> ResonanceConfiguration:
-    """Closed-form center tuning f_r = -(Gamma/(8*pi))*phase + f_center.
-
-    Uses the unwrapped channel phase at the center subcarrier, so the linear
-    weight-phase model cancels it there. Values may leave the tuning range;
-    this form exists for analysis and testing of the gain approximation.
-    """
-    if channels.phases is None:
-        raise ValueError("closed-form tuning needs unwrapped channel phases")
-    kc = channels.grid.center_index
-    phase = channels.phases[kc]
-    f_r = -(design.gamma / (8 * math.pi)) * phase + channels.grid.f_center
-    return ResonanceConfiguration(f_r=f_r)
 
 
 def _score(amp: np.ndarray, snr: np.ndarray) -> np.ndarray:
@@ -229,24 +213,3 @@ def successive_beamformer(
         running = running + contrib[best]
     return ResonanceConfiguration(f_r=chosen)
 
-
-def export_resonances_csv(res: ResonanceConfiguration, path) -> None:
-    """Write one (n, f_r) row per element, in waveguide-feed order."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["n", "f_r"])
-        for n, f_r in enumerate(res.f_r):
-            writer.writerow([n, repr(float(f_r))])
-
-
-def phased_array_weights(channels: ChannelSet) -> np.ndarray:
-    """Unit-modulus conjugate weights at the center subcarrier, reused for all
-    subcarriers; shape (k, n_slot). The comparison baseline for a lossy
-    phase-shifter array.
-
-    Returns a read-only broadcast view of the one (n_slot,) weight row, so
-    every subcarrier shares that row's memory; copy it before writing.
-    """
-    kc = channels.grid.center_index
-    w = np.exp(-1j * np.angle(channels.h[kc]))
-    return np.broadcast_to(w, channels.h.shape)

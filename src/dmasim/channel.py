@@ -7,7 +7,6 @@ and safe to share across workers.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -143,12 +142,3 @@ def multipath_channel(
     guide = waveguide_phase_vector(freq, design)
     return ChannelSet(h=rays * guide, h_att=leakage_vector(design), grid=grid, phases=None)
 
-
-def dump_channel_csv(channels: ChannelSet, path) -> None:
-    """Write (k, f_k, n, Re h, Im h, h_att) rows for every subcarrier/element pair."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["k", "f_k", "n", "re_h", "im_h", "h_att"])
-        freq, taper = channels.grid.frequencies.tolist(), channels.h_att.tolist()
-        for (i, n), val in np.ndenumerate(channels.h):
-            writer.writerow([i, repr(freq[i]), n, repr(float(val.real)), repr(float(val.imag)), repr(taper[n])])

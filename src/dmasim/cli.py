@@ -50,10 +50,11 @@ def _configs_from_args(args) -> tuple[ScenarioConfig, DmaDesign]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.kind == "validate-approx" and (args.b is not None or args.k is not None):
-        print("dmasim: note: validate-approx sets its own b and k; --b and --k are ignored", file=sys.stderr)
     try:
         cfg, design = _configs_from_args(args)
+        default = ScenarioConfig()
+        if args.kind == "validate-approx" and (cfg.b != default.b or cfg.k != default.k):
+            print("dmasim: note: validate-approx sets its own b and k; the given B and K are ignored", file=sys.stderr)
         axis = tuple(float(v) for v in args.axis.split(",")) if args.axis else ()
         plan = ExperimentPlan(
             kind=args.kind,

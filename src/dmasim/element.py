@@ -26,10 +26,6 @@ class TuningRange:
         if self.f_r_min > self.f_r_max:
             raise ValueError("tuning range must satisfy f_r_min <= f_r_max")
 
-    @property
-    def width(self) -> float:
-        return self.f_r_max - self.f_r_min
-
     def contains(self, f_r) -> bool:
         f_r = np.asarray(f_r)
         return bool(np.all(f_r >= self.f_r_min) and np.all(f_r <= self.f_r_max))
@@ -55,20 +51,6 @@ class ResonanceConfiguration:
     @property
     def n_slot(self) -> int:
         return self.f_r.size
-
-
-def polarizability(f, f_r, design: DmaDesign):
-    """Magnetic polarizability 2*pi*f^2*F / (2*pi*f_r^2 - 2*pi*f^2 + j*Gamma*f).
-
-    The damping term j*Gamma*f keeps the denominator away from zero for all
-    real frequencies.
-    """
-    f = np.asarray(f, dtype=float)
-    f_r = np.asarray(f_r, dtype=float)
-    num = 2 * math.pi * f * f * design.f_coupl
-    den = 2 * math.pi * f_r * f_r - 2 * math.pi * f * f + 1j * design.gamma * f
-    out = num / den
-    return complex(out) if out.ndim == 0 else out
 
 
 def _detuning(f, f_r, design: DmaDesign):

@@ -92,26 +92,6 @@ def spectrum_rows(scenario_id: str, algorithm: str, frequencies, spectrum: GainS
     return rows
 
 
-def parse_spectrum_csv(path) -> tuple[list[dict], dict]:
-    """Read a spectrum CSV back: (per-subcarrier dicts, summary dict)."""
-    per_k: list[dict] = []
-    summary: dict = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line for line in handle if not line.startswith("#")]
-    for row in csv.DictReader(lines):
-        if row["k"] == "summary":
-            summary = {
-                "scenario_id": row["scenario_id"],
-                "algorithm": row["algorithm"],
-                "g_sum": float(row["gain"]),
-                "capacity": float(row["rho"]),
-                "rate": float(row["se_k"]),
-            }
-        else:
-            per_k.append({**row, "k": int(row["k"]), **{c: float(row[c]) for c in ("f_k", "gain", "rho", "se_k")}})
-    return per_k, summary
-
-
 def _both_algorithms(cfg: ScenarioConfig, design: DmaDesign, r_res: int) -> dict[str, GainSpectrum]:
     channels = effective_channel(cfg, design)
     grid = default_grid(design, r_res)

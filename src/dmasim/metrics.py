@@ -1,8 +1,8 @@
 """SNR, power-normalized beamforming gain, spectral efficiency, and data rate.
 
-Works for any per-subcarrier weight source: grid beamformers, the closed-form
-tuning, or the phased-array baseline. Gains are linear throughout; convert to
-dB only at the output layer.
+Scores any per-subcarrier weight matrix; run_beamformer configures the
+aperture with either grid beamformer and scores the result. Gains are linear
+throughout; convert to dB only at the output layer.
 """
 
 from __future__ import annotations
@@ -70,11 +70,6 @@ def _assemble(gain: np.ndarray, rho: np.ndarray, b: float) -> GainSpectrum:
     return GainSpectrum(gain=gain, rho=rho, se=se, g_sum=float(np.sum(gain)), capacity=capacity, rate=b * capacity)
 
 
-def spectral_efficiency(channels: ChannelSet, weights: np.ndarray, cfg: ScenarioConfig, design: DmaDesign) -> float:
-    """Mean over subcarriers of log2(1 + snr * gain) [bit/s/Hz]."""
-    return gain_spectrum(channels, weights, cfg, design).capacity
-
-
 def resonance_spectrum(
     channels: ChannelSet, res: ResonanceConfiguration, cfg: ScenarioConfig, design: DmaDesign
 ) -> GainSpectrum:
@@ -109,17 +104,3 @@ def run_beamformer(
     weights = dma_weight_matrix(res, channels.grid.frequencies, design)
     return res, _assemble(gain_profile(channels, weights, design), rho, cfg.b)
 
-
-def phased_array_spectrum(
-    channels: ChannelSet, weights: np.ndarray, cfg: ScenarioConfig, loss_db: float = 0.0
-) -> GainSpectrum:
-    """Score unit-modulus phase-shifter weights under a component loss.
-
-    The gain is |h^T w|^2 / n_slot (power constraint ||w||^2 = n_slot) and the
-    SNR is scaled by 10^(-loss_db/10).
-    """
-    weights = np.asarray(weights)
-    if weights.shape != channels.h.shape:
-        raise ValueError("weights must be shaped (k, n_slot) like the channel")
-    gain = np.abs(np.sum(channels.h * weights, axis=1)) ** 2 / channels.n_slot
-    return _assemble(gain, snr_profile(cfg) * 10.0 ** (-loss_db / 10.0), cfg.b)

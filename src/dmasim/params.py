@@ -186,15 +186,6 @@ def noise_power(cfg: ScenarioConfig) -> float:
     return K_BOLTZ * cfg.t_temp * cfg.b / cfg.k
 
 
-def propagation_lobe_suppressed(design: DmaDesign) -> bool:
-    """True when the guided phase constant exceeds the free-space wavenumber.
-
-    Under this condition the waveguide-induced secondary lobe cannot radiate
-    and the beamforming-gain reduction used throughout the analysis is valid.
-    """
-    return waveguide_beta(design.f_t, design) > 2 * math.pi * design.f_t / C_LIGHT
-
-
 def wavelength(f: float) -> float:
     """Free-space wavelength [m]."""
     return C_LIGHT / f

@@ -1,0 +1,83 @@
+import pkgutil
+import re
+import types
+from pathlib import Path
+
+import dmasim
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# The public API. A name joins this set with a caller in src or an acceptance
+# criterion that needs it, and leaves it with a note in CHANGES.md.
+EXPORTED = {
+    "ApproxBreakdown",
+    "C_LIGHT",
+    "ChannelSet",
+    "DmaDesign",
+    "ExperimentPlan",
+    "GainSpectrum",
+    "K_BOLTZ",
+    "MultipathSpec",
+    "ResonanceConfiguration",
+    "ResonanceGrid",
+    "ScenarioConfig",
+    "SubcarrierGrid",
+    "TuningRange",
+    "angular_fill",
+    "array_response",
+    "center_frequency_beamformer",
+    "channel_phase_step",
+    "default_grid",
+    "dma_weight_matrix",
+    "effective_channel",
+    "fill_penalty",
+    "fill_penalty_mc_stderr",
+    "gain_breakdown",
+    "gain_profile",
+    "gain_spectrum",
+    "leakage_constant",
+    "leakage_penalty",
+    "leakage_penalty_exact",
+    "leakage_vector",
+    "linear_phase_approx",
+    "load_config",
+    "lorentzian_weight",
+    "multipath_channel",
+    "noise_power",
+    "normalized_polarizability",
+    "override_fields",
+    "path_loss",
+    "phase_fill_ratio",
+    "polarizability_phase",
+    "power_normalized_gain",
+    "radiated_fraction",
+    "resonance_grid",
+    "resonance_spectrum",
+    "run_beamformer",
+    "run_plan",
+    "save_config",
+    "snr_profile",
+    "squint_gain_from_phase",
+    "squint_phase_profile",
+    "subcarrier_grid",
+    "successive_beamformer",
+    "tuning_range",
+    "waveguide_beta",
+    "waveguide_phase_vector",
+    "wavelength",
+}
+
+
+def test_exported_names_are_pinned():
+    assert set(dmasim.__all__) == EXPORTED
+    namespace: dict = {}
+    exec("from dmasim import *", namespace)
+    assert not [name for name, value in namespace.items() if isinstance(value, types.ModuleType)]
+
+
+def test_readme_names_resolve():
+    # every dotted dmasim reference in the README names something that exists
+    names = set(re.findall(r"\bdmasim(?:\.[A-Za-z_]\w*)+", README.read_text(encoding="utf-8")))
+    assert "dmasim.save_config" in names
+    for name in sorted(names):
+        pkgutil.resolve_name(name)

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from dmasim import (
     C_LIGHT,
@@ -10,7 +9,6 @@ from dmasim import (
     angular_fill,
     channel_phase_step,
     fill_penalty,
-    fill_penalty_mc,
     fill_penalty_mc_stderr,
     gain_breakdown,
     leakage_penalty,
@@ -18,7 +16,6 @@ from dmasim import (
     override_fields,
     phase_fill_ratio,
     power_normalized_gain,
-    propagation_lobe,
     radiated_fraction,
     squint_gain_from_phase,
     squint_phase_profile,
@@ -223,56 +220,15 @@ class TestBreakdown:
         assert a == a and a != b and len({a, a, b}) == 2
 
 
-def test_breakdown_csv_export(tmp_path, cfg, design):
-    from dmasim import export_breakdown_csv
-
-    br = gain_breakdown(cfg, design)
-    freqs = subcarrier_grid(cfg).frequencies
-    path = tmp_path / "breakdown.csv"
-    export_breakdown_csv(br, freqs, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k,f_k,squint_gain,fill_penalty,leakage_penalty,product"
-    assert len(lines) == 1 + cfg.k
-    row = lines[1 + cfg.k // 2].split(",")
-    assert float(row[1]) == cfg.f_t
-    assert float(row[5]) == pytest.approx(float(row[2]) * float(row[3]) * float(row[4]), rel=1e-15)
-    with pytest.raises(ValueError):
-        export_breakdown_csv(br, freqs[:3], tmp_path / "bad.csv")
-
-
-class TestPropagationLobe:
-    def _design_with_lobe_phase(self, design, phi_t, target):
-        # solve d_x so the per-element lobe phase equals the target
-        rate = (2 * math.pi * 15e9 / C_LIGHT) * math.sin(phi_t) + waveguide_beta(15e9, design)
-        return override_fields(design, d_x=target / rate)
-
-    def test_coherent_limit(self, design):
-        d = self._design_with_lobe_phase(design, 0.1, 2 * math.pi)
-        assert abs(propagation_lobe(0.1, 15e9, d)) == pytest.approx(1.0, abs=1e-9)
-
-    def test_null(self, design):
-        d = self._design_with_lobe_phase(design, 0.1, 2 * math.pi / design.n_slot)
-        assert abs(propagation_lobe(0.1, 15e9, d)) < 1e-10
-
-    def test_default_scenario_is_suppressed(self, cfg, design):
-        value = propagation_lobe(cfg.phi_t, 15e9, design)
-        assert abs(value) == pytest.approx(0.023762649315315569, rel=1e-9)
-        assert abs(value) < 0.1
-
-    @given(phi=st.floats(-1.2, 1.2), f=st.floats(11e9, 30e9))
-    def test_magnitude_bounded_by_one(self, phi, f):
-        assert abs(propagation_lobe(phi, f, DmaDesign())) <= 1.0 + 1e-12
-
-
 class TestFillPenaltyOracle:
     def test_full_fill_has_no_clipping(self):
-        assert fill_penalty_mc(math.pi, 10_000, seed=1) == 1.0
+        assert fill_penalty_mc_stderr(math.pi, 10_000, seed=1)[0] == 1.0
 
     def test_zero_fill_matches_closed_form(self):
-        assert fill_penalty_mc(0.0, 200_000, seed=2) == pytest.approx(fill_penalty(0.0), abs=1e-3)
+        assert fill_penalty_mc_stderr(0.0, 200_000, seed=2)[0] == pytest.approx(fill_penalty(0.0), abs=1e-3)
 
     def test_half_fill(self):
-        assert fill_penalty_mc(math.pi / 2, 200_000, seed=3) == pytest.approx(0.6696, abs=0.01)
+        assert fill_penalty_mc_stderr(math.pi / 2, 200_000, seed=3)[0] == pytest.approx(0.6696, abs=0.01)
 
     def test_three_sigma_agreement(self):
         for xi in (0.3, 1.3, 2.4):
@@ -281,4 +237,4 @@ class TestFillPenaltyOracle:
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            fill_penalty_mc(-0.2, 100, seed=0)
+            fill_penalty_mc_stderr(-0.2, 100, seed=0)

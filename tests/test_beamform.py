@@ -14,14 +14,12 @@ from dmasim import (
     ScenarioConfig,
     SubcarrierGrid,
     center_frequency_beamformer,
-    center_frequency_tuning,
     default_grid,
     effective_channel,
     lorentzian_weight,
     multipath_channel,
     normalized_polarizability,
     override_fields,
-    phased_array_weights,
     resonance_grid,
     snr_profile,
     subcarrier_grid,
@@ -31,11 +29,11 @@ from dmasim import (
 from dmasim.beamform import _tangent_plane
 
 
-def make_channelset(h, grid, h_att=None, phases=None):
+def make_channelset(h, grid, h_att=None):
     h = np.asarray(h, dtype=complex)
     if h_att is None:
         h_att = np.ones(h.shape[1])
-    return ChannelSet(h=h, h_att=np.asarray(h_att, dtype=float), grid=grid, phases=phases)
+    return ChannelSet(h=h, h_att=np.asarray(h_att, dtype=float), grid=grid)
 
 
 def dense_center_frequency(channels, grid, design):
@@ -216,32 +214,6 @@ class TestCenterFrequencyBeamformer:
         channels = effective_channel(cfg, design)
         res = center_frequency_beamformer(channels, default_grid(design, 257), design)
         assert tuning_range(design).contains(res.f_r)
-
-
-class TestCenterFrequencyTuning:
-    def test_zero_phase_gives_carrier(self, design):
-        grid = two_point_grid()
-        channels = make_channelset(np.ones((2, design.n_slot)), grid, phases=np.zeros((2, design.n_slot)))
-        res = center_frequency_tuning(channels, design)
-        np.testing.assert_array_equal(res.f_r, np.full(design.n_slot, 15e9))
-
-    def test_minus_pi_phase_shifts_by_an_eighth_linewidth(self, design):
-        grid = two_point_grid()
-        phases = np.full((2, 1), -math.pi)
-        channels = make_channelset(np.ones((2, 1)), grid, phases=phases)
-        res = center_frequency_tuning(channels, design)
-        assert res.f_r[0] == pytest.approx(15e9 + design.gamma / 8, rel=1e-12)
-
-    def test_default_scenario_second_element(self, cfg, design):
-        channels = effective_channel(cfg, design)
-        res = center_frequency_tuning(channels, design)
-        assert res.f_r[1] == pytest.approx(15112347342.775878, rel=1e-12)
-
-    def test_requires_unwrapped_phases(self, cfg, design):
-        channels = effective_channel(cfg, design)
-        stripped = ChannelSet(h=channels.h, h_att=channels.h_att, grid=channels.grid, phases=None)
-        with pytest.raises(ValueError):
-            center_frequency_tuning(stripped, design)
 
 
 class TestSuccessiveBeamformer:
@@ -430,30 +402,3 @@ class TestSuccessiveBeamformer:
         with pytest.raises(ValueError):
             successive_beamformer(channels, np.ones(3), default_grid(design, 11), design)
 
-
-def test_resonance_csv_export(tmp_path, cfg, design):
-    from dmasim import export_resonances_csv
-
-    channels = effective_channel(cfg, design)
-    res = center_frequency_beamformer(channels, default_grid(design, 101), design)
-    path = tmp_path / "resonances.csv"
-    export_resonances_csv(res, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "n,f_r"
-    assert len(lines) == 1 + design.n_slot
-    n, f_r = lines[5].split(",")
-    assert int(n) == 4 and float(f_r) == res.f_r[4]
-
-
-class TestPhasedArrayWeights:
-    def test_unit_modulus_and_center_match(self, cfg, design):
-        channels = effective_channel(cfg, design)
-        w = phased_array_weights(channels)
-        np.testing.assert_allclose(np.abs(w), 1.0, rtol=0, atol=1e-12)
-        kc = channels.grid.center_index
-        prod = channels.h[kc] * w[kc]
-        np.testing.assert_allclose(prod, 1.0, rtol=0, atol=1e-12)
-
-    def test_same_vector_for_all_subcarriers(self, cfg, design):
-        w = phased_array_weights(effective_channel(cfg, design))
-        np.testing.assert_array_equal(w, np.tile(w[0], (cfg.k, 1)))

@@ -10,7 +10,6 @@ from dmasim import (
     ScenarioConfig,
     array_response,
     channel_phase_step,
-    dump_channel_csv,
     effective_channel,
     leakage_vector,
     multipath_channel,
@@ -232,16 +231,3 @@ class TestMultipathChannel:
         with pytest.raises(ValueError):
             MultipathSpec(l_path=0)
 
-
-def test_channel_csv_dump(tmp_path, cfg, design):
-    channels = effective_channel(override_fields(cfg, k=2), override_fields(design, n_slot=2))
-    path = tmp_path / "channel.csv"
-    dump_channel_csv(channels, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k,f_k,n,re_h,im_h,h_att"
-    assert len(lines) == 1 + 2 * 2
-    fields = lines[1].split(",")
-    assert int(fields[0]) == 0 and int(fields[2]) == 0
-    assert float(fields[3]) == 1.0 and float(fields[4]) == 0.0
-    taper = [float(line.split(",")[5]) for line in lines[1:]]
-    assert taper == [channels.h_att[0], channels.h_att[1]] * 2

@@ -1,3 +1,4 @@
+import csv
 import math
 from pathlib import Path
 
@@ -8,7 +9,6 @@ from dmasim import DmaDesign, ScenarioConfig, override_fields
 from dmasim.cli import _configs_from_args, build_parser, main
 from dmasim.experiments import (
     ExperimentPlan,
-    parse_spectrum_csv,
     run_plan,
     spectrum_rows,
 )
@@ -25,6 +25,26 @@ def small_cfg():
 @pytest.fixture
 def small_design():
     return DmaDesign(n_slot=8)
+
+
+def parse_spectrum_csv(path) -> tuple[list[dict], dict]:
+    """Read a spectrum CSV back: (per-subcarrier dicts, summary dict)."""
+    per_k: list[dict] = []
+    summary: dict = {}
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = [line for line in handle if not line.startswith("#")]
+    for row in csv.DictReader(lines):
+        if row["k"] == "summary":
+            summary = {
+                "scenario_id": row["scenario_id"],
+                "algorithm": row["algorithm"],
+                "g_sum": float(row["gain"]),
+                "capacity": float(row["rho"]),
+                "rate": float(row["se_k"]),
+            }
+        else:
+            per_k.append({**row, "k": int(row["k"]), **{c: float(row[c]) for c in ("f_k", "gain", "rho", "se_k")}})
+    return per_k, summary
 
 
 def body(path):
@@ -343,16 +363,19 @@ class TestCli:
         assert args.trials == 200 and args.k is None
 
     def test_validate_approx_notes_ignored_b_and_k(self, tmp_path, capsys):
-        # the kind sets its own bandwidths and subcarrier counts: the flags change no body, and a note says so
+        # the kind sets its own bandwidths and subcarrier counts: flags and config keys change no body, and a note says so
+        kb_cfg = tmp_path / "kb.cfg"
+        kb_cfg.write_text("K = 8\nB = 1e9\n", encoding="utf-8")
         bodies, notes = [], []
-        for i, flags in enumerate([[], ["--k", "32"], ["--b", "1e9"], ["--k", "32", "--b", "1e9"]]):
+        cases = [[], ["--k", "32"], ["--b", "1e9"], ["--k", "32", "--b", "1e9"], ["--config", str(kb_cfg)]]
+        for i, flags in enumerate(cases):
             out = tmp_path / str(i)
             assert main(["validate-approx", "--out", str(out), "--n-slot", "8", "--r-res", "51", *flags]) == 0
             bodies.append({p.name: body(p) for p in sorted(out.glob("*.csv"))})
             notes.append(capsys.readouterr().err.splitlines())
         assert len(bodies[0]) == 3 and all(b == bodies[0] for b in bodies)
-        note = "dmasim: note: validate-approx sets its own b and k; --b and --k are ignored"
-        assert notes == [[], [note], [note], [note]]
+        note = "dmasim: note: validate-approx sets its own b and k; the given B and K are ignored"
+        assert notes == [[], [note], [note], [note], [note]]
 
 
 def test_readme_library_example_runs():

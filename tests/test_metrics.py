@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -17,14 +15,11 @@ from dmasim import (
     noise_power,
     override_fields,
     path_loss,
-    phased_array_spectrum,
-    phased_array_weights,
     power_normalized_gain,
     radiated_fraction,
     resonance_spectrum,
     run_beamformer,
     snr_profile,
-    spectral_efficiency,
     subcarrier_grid,
 )
 from dmasim.channel import ChannelSet
@@ -131,7 +126,7 @@ class TestSpectralEfficiency:
     def test_zero_weights_give_zero(self, cfg, design):
         channels = effective_channel(cfg, design)
         weights = np.zeros_like(channels.h)
-        assert spectral_efficiency(channels, weights, cfg, design) == 0.0
+        assert gain_spectrum(channels, weights, cfg, design).capacity == 0.0
 
     def test_single_subcarrier_closed_form(self, design):
         cfg = ScenarioConfig(k=2)
@@ -155,7 +150,7 @@ class TestSpectralEfficiency:
         res, _ = run_beamformer("center-frequency", channels, cfg, design, default_grid(design, 101))
         weights = dma_weight_matrix(res, channels.grid.frequencies, design)
         rotated = weights * np.exp(1j * 1.234)
-        assert spectral_efficiency(channels, rotated, cfg, design) == pytest.approx(spectrum.capacity, rel=1e-12)
+        assert gain_spectrum(channels, rotated, cfg, design).capacity == pytest.approx(spectrum.capacity, rel=1e-12)
 
     def test_g_sum_is_exact_row_sum(self, cfg, design):
         channels = effective_channel(cfg, design)
@@ -169,6 +164,11 @@ class TestSpectralEfficiency:
         channels = effective_channel(cfg, design)
         a, b = (gain_spectrum(channels, np.conj(channels.h), cfg, design) for _ in range(2))
         assert a == a and a != b and len({a, a, b}) == 2
+
+    def test_resonance_spectrum_scores_like_run_beamformer(self, cfg, design):
+        channels = effective_channel(cfg, design)
+        res, spectrum = run_beamformer("center-frequency", channels, cfg, design, default_grid(design, 101))
+        np.testing.assert_array_equal(resonance_spectrum(channels, res, cfg, design).gain, spectrum.gain)
 
     def test_unknown_algorithm_rejected(self, cfg, design):
         channels = effective_channel(cfg, design)
@@ -199,26 +199,3 @@ class TestSumGainTrends:
             sums.append(spectrum.g_sum)
         assert all(b >= a for a, b in zip(sums, sums[1:]))
 
-
-class TestPhasedArray:
-    def test_single_subcarrier_coherent_gain(self, design):
-        grid = SubcarrierGrid(frequencies=np.array([14.5e9, 15e9]), center_index=1)
-        n = design.n_slot
-        h = np.exp(1j * np.linspace(0, 3, n))[None, :] * np.ones((2, 1))
-        channels = ChannelSet(h=h, h_att=np.ones(n), grid=grid)
-        spectrum = phased_array_spectrum(channels, phased_array_weights(channels), ScenarioConfig(k=2))
-        assert spectrum.gain[1] == pytest.approx(n, rel=1e-12)
-
-    def test_component_loss_scales_snr(self, cfg, design):
-        channels = effective_channel(cfg, design)
-        w = phased_array_weights(channels)
-        lossless = phased_array_spectrum(channels, w, cfg, loss_db=0.0)
-        lossy = phased_array_spectrum(channels, w, cfg, loss_db=8.8)
-        np.testing.assert_allclose(lossy.rho, lossless.rho * 10 ** (-0.88), rtol=1e-12)
-        assert 10 ** (-0.88) == pytest.approx(0.13182567385564073, rel=1e-12)
-
-    def test_beam_squint_favors_center(self, design):
-        cfg = ScenarioConfig(b=2e9, k=2)
-        channels = effective_channel(cfg, design)
-        spectrum = phased_array_spectrum(channels, phased_array_weights(channels), cfg)
-        assert spectrum.gain[1] >= spectrum.gain[0]

@@ -14,7 +14,6 @@ from dmasim import (
     noise_power,
     override_fields,
     path_loss,
-    propagation_lobe_suppressed,
     radiated_fraction,
     save_config,
     subcarrier_grid,
@@ -128,12 +127,6 @@ class TestPathLossAndNoise:
         base = noise_power(cfg)
         assert noise_power(override_fields(cfg, k=2 * cfg.k)) == pytest.approx(base / 2, rel=1e-12)
         assert noise_power(override_fields(cfg, b=2 * cfg.b)) == pytest.approx(base * 2, rel=1e-12)
-
-
-def test_default_design_suppresses_propagation_lobe(design):
-    assert propagation_lobe_suppressed(design)
-    # dropping the permittivity factor below free space flips the predicate
-    assert not propagation_lobe_suppressed(override_fields(design, eps_r=0.5))
 
 
 class TestConfigFile:
