@@ -48,17 +48,19 @@ class ChannelSet:
         return self.h.shape[0]
 
 
+ANGLE_MAX = math.radians(60.0)  # [rad]
+DELAY_MAX = 50e-9  # [s]
+
+
 @dataclass(frozen=True)
 class MultipathSpec:
     """Seeded ray-sum channel: complex-normal path gains with total unit
-    average power, angles uniform on [-60 deg, 60 deg], delays uniform on
-    [0, 50 ns]."""
+    average power, angles uniform on [-ANGLE_MAX, ANGLE_MAX] = [-60 deg,
+    60 deg], delays uniform on [0, DELAY_MAX] = [0, 50 ns]."""
 
     l_path: int = 4
     seed: int = 0
     pin_first_to_los: bool = False  # first path: gain 1/sqrt(L), delay 0, LOS angle
-    angle_max: float = math.radians(60.0)  # [rad]
-    delay_max: float = 50e-9  # [s]
 
     def __post_init__(self):
         if self.l_path < 1:
@@ -126,8 +128,8 @@ def multipath_channel(
     l_path = spec.l_path
     scale = math.sqrt(1.0 / (2.0 * l_path))
     gains = scale * (rng.standard_normal(l_path) + 1j * rng.standard_normal(l_path))
-    angles = rng.uniform(-spec.angle_max, spec.angle_max, l_path)
-    delays = rng.uniform(0.0, spec.delay_max, l_path)
+    angles = rng.uniform(-ANGLE_MAX, ANGLE_MAX, l_path)
+    delays = rng.uniform(0.0, DELAY_MAX, l_path)
     if spec.pin_first_to_los:
         gains[0] = 1.0 / math.sqrt(l_path)
         angles[0] = cfg.phi_t

@@ -2,8 +2,9 @@
 
 Scenario and design come from an optional flat key=value config file; every
 config key has an override flag, named "--" + the key in lowercase with "_"
-as "-". Exit code 0 on success, 1 with a one-line diagnostic otherwise; a run
-that fails writes no CSV.
+as "-". Only the Monte-Carlo kinds take --trials, --seed and --pin-los. Exit
+code 0 on success, 2 with a usage line for a bad argument, 1 with a one-line
+diagnostic for a run that fails; a run that fails writes no CSV.
 """
 
 from __future__ import annotations
@@ -13,8 +14,11 @@ import functools
 import sys
 from pathlib import Path
 
-from .experiments import KINDS, ExperimentPlan, run_plan
+from .experiments import KINDS, MONTE_CARLO_KINDS, ExperimentPlan, run_plan
 from .params import _DESIGN_KEYS, _INT_FIELDS, _SCENARIO_KEYS, DmaDesign, ScenarioConfig, load_config, override_fields
+
+
+_PLAN_FLAGS = ("r_res", "trials", "seed", "pin_los")  # ExperimentPlan fields; a kind may lack some
 
 
 @functools.cache  # parsing leaves the parser unchanged, so one per process serves every call
@@ -25,11 +29,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind, help=f"run the {kind} experiment")
         p.add_argument("--config", type=Path, default=None, help="flat key=value config file")
         p.add_argument("--out", type=Path, default=Path("results"), help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="master seed for Monte-Carlo kinds")
         p.add_argument("--axis", type=str, default=None, help="comma-separated sweep values (ascending)")
-        p.add_argument("--trials", type=int, default=200, help="Monte-Carlo trial count")
-        p.add_argument("--r-res", type=int, default=1001, help="resonance grid resolution")
-        p.add_argument("--pin-los", action="store_true", help="pin the first multipath ray to the LOS angle")
+        # the plan flags default to None, so ExperimentPlan holds the one set of defaults
+        p.add_argument("--r-res", type=int, default=None, help="resonance grid resolution")
+        if kind in MONTE_CARLO_KINDS:
+            p.add_argument("--trials", type=int, default=None, help="Monte-Carlo trial count")
+            p.add_argument("--seed", type=int, default=None, help="master seed")
+            p.add_argument("--pin-los", action="store_true", default=None, help="pin the first ray to the LOS angle")
         for key, (field, help_text) in {**_SCENARIO_KEYS, **_DESIGN_KEYS}.items():
             flag = "--" + key.lower().replace("_", "-")
             typ = int if field in _INT_FIELDS else float
@@ -56,15 +62,8 @@ def main(argv=None) -> int:
         if args.kind == "validate-approx" and (cfg.b != default.b or cfg.k != default.k):
             print("dmasim: note: validate-approx sets its own b and k; the given B and K are ignored", file=sys.stderr)
         axis = tuple(float(v) for v in args.axis.split(",")) if args.axis else ()
-        plan = ExperimentPlan(
-            kind=args.kind,
-            out_dir=args.out,
-            axis=axis,
-            trials=args.trials,
-            seed=args.seed,
-            r_res=args.r_res,
-            pin_los=args.pin_los,
-        )
+        given = {name: getattr(args, name) for name in _PLAN_FLAGS if getattr(args, name, None) is not None}
+        plan = ExperimentPlan(kind=args.kind, out_dir=args.out, axis=axis, **given)
         written = run_plan(plan, cfg, design)
     except (ValueError, OSError) as exc:
         print(f"dmasim: error: {exc}", file=sys.stderr)

@@ -63,8 +63,8 @@ def _detuning(f, f_r, design: DmaDesign):
 def normalized_polarizability(f, f_r, design: DmaDesign):
     """Unit-peak beamforming weight 1/(x + j) with x the normalized detuning.
 
-    Algebraically equal to the polarizability divided by Q_k*F_coupl, so the
-    coupling factor cancels. Peak amplitude 1 occurs exactly at f == f_r.
+    Algebraically equal to the polarizability divided by Q_k*F, so the
+    coupling factor F cancels. Peak amplitude 1 occurs exactly at f == f_r.
     """
     x = _detuning(f, f_r, design)
     out = 1.0 / (x + 1j)

@@ -23,13 +23,12 @@ from .channel import MultipathSpec, effective_channel, multipath_channel
 from .metrics import ALGORITHMS, GainSpectrum, run_beamformer
 from .params import DmaDesign, ScenarioConfig, override_fields, subcarrier_grid, wavelength
 
-# Validation-study scenario knobs: small signal bandwidth isolates the fill
-# and leakage factors; the per-subcarrier study uses a moderate bandwidth
-# around a quarter-damping tuning range.
-VALIDATE_NARROW_B = 5e7
+# Validation-study scenario knobs: a small signal bandwidth isolates the fill
+# and leakage factors; the sweeps resolve it on few subcarriers, the
+# per-subcarrier study on many.
+VALIDATE_B = 5e7
 VALIDATE_NARROW_K = 16
 VALIDATE_WIDE_TUNING = 8e9
-VALIDATE_SUBCARRIER_B = 5e7
 VALIDATE_SUBCARRIER_K = 64
 DEFAULT_LAMBDA_AXIS = (0.1, 0.3, 0.5, 0.7, 0.9)
 DEFAULT_RATE_B_AXIS = (2.5e8, 5e8, 1e9, 1.5e9, 2e9)
@@ -44,9 +43,9 @@ class ExperimentPlan:
     out_dir: Path
     axis: tuple = ()  # sweep values; empty selects the kind's default axis
     trials: int = 200  # Monte-Carlo kinds only
-    seed: int = 0
+    seed: int = 0  # Monte-Carlo kinds only
     r_res: int = 1001
-    pin_los: bool = False  # multipath: pin the first path to the LOS angle
+    pin_los: bool = False  # Monte-Carlo kinds only: pin the first path to the LOS angle
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -113,7 +112,7 @@ def _gamma_axis(design: DmaDesign) -> tuple:
 
 def _validation_sweep(cfg: ScenarioConfig, designs: list, field: str, penalty: str, r_res: int) -> list[list]:
     """Rows [design.<field>, simulated g_sum, approximate g_sum, breakdown.<penalty>, rel_err]."""
-    narrow = override_fields(cfg, b=VALIDATE_NARROW_B, k=VALIDATE_NARROW_K)
+    narrow = override_fields(cfg, b=VALIDATE_B, k=VALIDATE_NARROW_K)
     rows = []
     for d in designs:
         channels = effective_channel(narrow, d)
@@ -138,7 +137,7 @@ def validation_lambda_sweep(cfg: ScenarioConfig, design: DmaDesign, axis, r_res:
 
 def validation_per_subcarrier(cfg: ScenarioConfig, design: DmaDesign, r_res: int) -> list[list]:
     """Per-subcarrier gain, simulated vs approximate, wide tuning bandwidth."""
-    sub_cfg = override_fields(cfg, b=VALIDATE_SUBCARRIER_B, k=VALIDATE_SUBCARRIER_K)
+    sub_cfg = override_fields(cfg, b=VALIDATE_B, k=VALIDATE_SUBCARRIER_K)
     d = override_fields(design, b_tune=VALIDATE_WIDE_TUNING)
     channels = effective_channel(sub_cfg, d)
     _, spectrum = run_beamformer("center-frequency", channels, sub_cfg, d, default_grid(d, r_res))
@@ -182,17 +181,17 @@ class _Sweep:
 
     file: str
     column: str  # axis column of the CSV
-    field: str  # the overridden field
-    on_design: bool  # field of DmaDesign (else of ScenarioConfig)
+    field: str  # the overridden field: of DmaDesign if it has one, else of ScenarioConfig
     default_axis: Callable[[DmaDesign], tuple]
     reported: tuple[str, ...]  # GainSpectrum fields, one column per algorithm each
     spectra: bool = False  # also write the unswept configuration's per-subcarrier spectra
 
     def __call__(self, plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign) -> _Tables:
         axis = plan.axis or self.default_axis(design)
+        on_design = hasattr(design, self.field)
         rows = []
-        for point in _overrides(design if self.on_design else cfg, self.field, axis):
-            point_cfg, point_design = (cfg, point) if self.on_design else (point, design)
+        for point in _overrides(design if on_design else cfg, self.field, axis):
+            point_cfg, point_design = (cfg, point) if on_design else (point, design)
             spectra = _both_algorithms(point_cfg, point_design, plan.r_res)
             rows.append(
                 [getattr(point, self.field)]
@@ -261,19 +260,20 @@ def _multipath_mc(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign) 
 _RUNNERS: dict[str, Callable[[ExperimentPlan, ScenarioConfig, DmaDesign], _Tables]] = {
     "validate-approx": _validate_approx,
     "sweep-bandwidth": _Sweep(
-        "sweep_bandwidth.csv", "b", "b", False, lambda _: DEFAULT_RATE_B_AXIS, ("capacity", "rate"), spectra=True
+        "sweep_bandwidth.csv", "b", "b", lambda _: DEFAULT_RATE_B_AXIS, ("capacity", "rate"), spectra=True
     ),
-    "sweep-tuning": _Sweep("sweep_tuning.csv", "b_tune", "b_tune", True, _gamma_axis, ("capacity", "g_sum")),
+    "sweep-tuning": _Sweep("sweep_tuning.csv", "b_tune", "b_tune", _gamma_axis, ("capacity", "g_sum")),
     "sweep-lambda": _Sweep(
-        "sweep_lambda.csv", "lambda", "lambda_frac", True, lambda _: DEFAULT_LAMBDA_AXIS, ("capacity", "g_sum")
+        "sweep_lambda.csv", "lambda", "lambda_frac", lambda _: DEFAULT_LAMBDA_AXIS, ("capacity", "g_sum")
     ),
-    "sweep-angle": _Sweep("sweep_angle.csv", "phi_t", "phi_t", False, lambda _: DEFAULT_ANGLE_AXIS, ("capacity",)),
+    "sweep-angle": _Sweep("sweep_angle.csv", "phi_t", "phi_t", lambda _: DEFAULT_ANGLE_AXIS, ("capacity",)),
     "sweep-spacing": _sweep_spacing,
-    "sweep-damping": _Sweep("sweep_damping.csv", "q", "q", True, lambda _: (50.0, 100.0, 200.0), ("capacity", "rate")),
+    "sweep-damping": _Sweep("sweep_damping.csv", "q", "q", lambda _: (50.0, 100.0, 200.0), ("capacity", "rate")),
     "max-rate": _max_rate,
     "multipath-mc": _multipath_mc,
 }
 KINDS = tuple(_RUNNERS)
+MONTE_CARLO_KINDS = ("multipath-mc",)  # the kinds that read a plan's trials, seed and pin_los
 
 
 def run_plan(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign) -> list[Path]:

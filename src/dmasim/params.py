@@ -66,8 +66,8 @@ class DmaDesign:
     """Physical DMA design parameters.
 
     The damping factor is derived from the quality factor at the design
-    carrier, Gamma = 2*pi*f_t / q [rad/s]. The coupling factor is stored for
-    completeness only; it cancels in every normalized weight.
+    carrier, Gamma = 2*pi*f_t / q [rad/s]. There is no coupling factor: it
+    cancels in every normalized weight.
     """
 
     n_slot: int = 32  # element count
@@ -78,7 +78,6 @@ class DmaDesign:
     lambda_frac: float = 0.9  # fractional radiated power, in (0, 1)
     eps_r: float = 2.1  # substrate permittivity factor
     f_c10: float = 10e9  # waveguide cutoff frequency [Hz]
-    f_coupl: float = 1.0  # coupling factor (cancels in normalized weights)
 
     def __post_init__(self):
         _require_finite(self)
@@ -193,7 +192,7 @@ def wavelength(f: float) -> float:
 
 # Flat key=value config file schema, SI units: key -> (field, description).
 # Each key is also a CLI override flag: "--" + key.lower() with "_" -> "-".
-# f_t is in both tables, so the design carrier follows the scenario carrier.
+# f_t is in both tables, so its one key sets both carriers.
 _SCENARIO_KEYS = {
     "f_t": ("f_t", "carrier frequency [Hz]"),
     "B": ("b", "signal bandwidth [Hz]"),
@@ -213,7 +212,6 @@ _DESIGN_KEYS = {
     "Lambda": ("lambda_frac", "fractional radiated power in (0, 1)"),
     "eps_r": ("eps_r", "substrate permittivity factor"),
     "f_c10": ("f_c10", "waveguide cutoff frequency [Hz]"),
-    "F_coupl": ("f_coupl", "coupling factor"),
 }
 _INT_FIELDS = {"k", "n_slot"}
 
@@ -231,8 +229,8 @@ def _config_value(key: str, field: str, text: str):
 def load_config(path) -> tuple[ScenarioConfig, DmaDesign]:
     """Load a flat key=value config file; '#' starts a comment.
 
-    Unknown keys are rejected. Missing keys fall back to the defaults above;
-    the design carrier follows the scenario carrier unless set explicitly.
+    Unknown keys are rejected and missing keys fall back to the defaults
+    above. The one f_t key sets both carriers.
     """
     scenario_kwargs: dict = {}
     design_kwargs: dict = {}
@@ -253,9 +251,7 @@ def load_config(path) -> tuple[ScenarioConfig, DmaDesign]:
                     kwargs[field] = _config_value(key, field, text)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-    cfg = ScenarioConfig(**scenario_kwargs)
-    design_kwargs.setdefault("f_t", cfg.f_t)
-    return cfg, DmaDesign(**design_kwargs)
+    return ScenarioConfig(**scenario_kwargs), DmaDesign(**design_kwargs)
 
 
 def save_config(path, cfg: ScenarioConfig, design: DmaDesign) -> None:

@@ -17,6 +17,7 @@ from dmasim import (
     subcarrier_grid,
     waveguide_phase_vector,
 )
+from dmasim.channel import ANGLE_MAX, DELAY_MAX
 
 
 def reference_effective_h(cfg, design, grid):
@@ -33,8 +34,8 @@ def reference_multipath_h(spec, cfg, design, grid):
     l_path = spec.l_path
     scale = math.sqrt(1.0 / (2.0 * l_path))
     gains = scale * (rng.standard_normal(l_path) + 1j * rng.standard_normal(l_path))
-    angles = rng.uniform(-spec.angle_max, spec.angle_max, l_path)
-    delays = rng.uniform(0.0, spec.delay_max, l_path)
+    angles = rng.uniform(-ANGLE_MAX, ANGLE_MAX, l_path)
+    delays = rng.uniform(0.0, DELAY_MAX, l_path)
     if spec.pin_first_to_los:
         gains[0] = 1.0 / math.sqrt(l_path)
         angles[0] = cfg.phi_t

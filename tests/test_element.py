@@ -21,23 +21,22 @@ designs = st.builds(
     DmaDesign,
     q=st.floats(0.5, 1e4),
     f_t=st.floats(1e9, 1e11),
-    f_coupl=st.floats(0.1, 10.0),
     f_c10=st.just(1e8),
     b_tune=st.just(1e8),
 )
 freqs = st.floats(1e8, 1e12)
 
 
-def polarizability(f, f_r, design: DmaDesign):
+def polarizability(f, f_r, design: DmaDesign, f_coupl: float):
     """Magnetic polarizability 2*pi*f^2*F / (2*pi*f_r^2 - 2*pi*f^2 + j*Gamma*f).
 
-    The rational form of the element response, kept here as the oracle of
-    normalized_polarizability. The damping term j*Gamma*f keeps the
-    denominator away from zero for all real frequencies.
+    The rational form of the element response with coupling factor F, kept
+    here as the oracle of normalized_polarizability. The damping term
+    j*Gamma*f keeps the denominator away from zero for all real frequencies.
     """
     f = np.asarray(f, dtype=float)
     f_r = np.asarray(f_r, dtype=float)
-    num = 2 * math.pi * f * f * design.f_coupl
+    num = 2 * math.pi * f * f * f_coupl
     den = 2 * math.pi * f_r * f_r - 2 * math.pi * f * f + 1j * design.gamma * f
     out = num / den
     return complex(out) if out.ndim == 0 else out
@@ -45,19 +44,20 @@ def polarizability(f, f_r, design: DmaDesign):
 
 class TestPolarizability:
     def test_resonance_value(self, design):
-        # at f == f_r the response is -j * Q_k * F_coupl
+        # at f == f_r the response is -j * Q_k * F
         f = 12e9
         q_k = 2 * math.pi * f / design.gamma
-        got = polarizability(f, f, design)
-        assert got == pytest.approx(-1j * q_k * design.f_coupl, rel=1e-12)
+        got = polarizability(f, f, design, 2.5)
+        assert got == pytest.approx(-1j * q_k * 2.5, rel=1e-12)
 
     def test_vanishes_for_remote_resonance(self, design):
-        assert abs(polarizability(15e9, 1e15, design)) < 1e-9
+        assert abs(polarizability(15e9, 1e15, design, 1.0)) < 1e-9
 
-    @given(design=designs, f=freqs, f_r=freqs)
-    def test_normalized_form_matches_rational_form(self, design, f, f_r):
+    @given(design=designs, f_coupl=st.floats(0.1, 10.0), f=freqs, f_r=freqs)
+    def test_normalized_form_matches_rational_form(self, design, f_coupl, f, f_r):
+        # the coupling factor cancels: the normalized weight is the polarizability over Q_k * F, for every F
         q_k = 2 * math.pi * f / design.gamma
-        direct = polarizability(f, f_r, design) / (q_k * design.f_coupl)
+        direct = polarizability(f, f_r, design, f_coupl) / (q_k * f_coupl)
         assert cmath.isclose(direct, normalized_polarizability(f, f_r, design), rel_tol=1e-9)
 
 
@@ -90,13 +90,6 @@ class TestNormalizedPolarizability:
         amps = np.abs(normalized_polarizability(f, f + offsets, design))
         assert amps[0] == 1.0
         assert np.all(np.diff(amps) < 0)
-
-    def test_coupling_factor_cancels(self, design):
-        for f_coupl in (0.25, 1.0, 57.0):
-            d = override_fields(design, f_coupl=f_coupl)
-            assert normalized_polarizability(14.9e9, 15.2e9, d) == normalized_polarizability(
-                14.9e9, 15.2e9, design
-            )
 
 
 class TestPolarizabilityPhase:

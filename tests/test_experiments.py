@@ -272,7 +272,9 @@ class TestCli:
         ],
     )
     def test_every_kind_runs(self, tmp_path, capsys, kind, axis):
-        args = [kind, "--out", str(tmp_path), "--k", "8", "--n-slot", "8", "--r-res", "51", "--trials", "2"]
+        args = [kind, "--out", str(tmp_path), "--k", "8", "--n-slot", "8", "--r-res", "51"]
+        if kind == "multipath-mc":
+            args += ["--trials", "2"]
         if axis is not None:
             args.append(f"--axis={axis}")
         assert main(args) == 0
@@ -350,6 +352,22 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("dmasim: error:")
         assert not (tmp_path / "out").exists()
 
+    def test_removed_coupling_key_is_unknown(self, tmp_path, capsys):
+        cfg_path = tmp_path / "coupl.cfg"
+        cfg_path.write_text("F_coupl = 1\n", encoding="utf-8")
+        assert main(["sweep-tuning", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"dmasim: error: {cfg_path}:1: unknown config key 'F_coupl'"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags", [["--seed", "3"], ["--trials", "2"], ["--pin-los"], ["--f-coupl", "2"]])
+    def test_flag_without_effect_is_a_usage_error(self, tmp_path, capsys, flags):
+        # the Monte-Carlo flags belong to multipath-mc alone; the coupling factor is gone
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-tuning", *flags, "--out", str(tmp_path / "out"), "--n-slot", "8", "--r-res", "51"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_carrier_flag_moves_the_design_carrier(self, tmp_path):
         args = ["sweep-angle", "--out", str(tmp_path), "--f-t", "12e9", "--f-c10", "8e9"]
         cfg, design = _configs_from_args(build_parser().parse_args(args))
@@ -358,9 +376,9 @@ class TestCli:
     def test_cached_parser_starts_each_parse_from_defaults(self):
         parser = build_parser()
         parser.parse_args(["multipath-mc", "--trials", "3", "--k", "8"])
-        args = build_parser().parse_args(["sweep-tuning"])
+        args = build_parser().parse_args(["multipath-mc"])
         assert build_parser() is parser
-        assert args.trials == 200 and args.k is None
+        assert args.trials is None and args.k is None
 
     def test_validate_approx_notes_ignored_b_and_k(self, tmp_path, capsys):
         # the kind sets its own bandwidths and subcarrier counts: flags and config keys change no body, and a note says so

@@ -16,7 +16,8 @@ import pytest
 
 from dmasim.cli import main
 
-SMALL = ["--k", "8", "--n-slot", "8", "--r-res", "51", "--trials", "3", "--seed", "5"]
+SMALL = ["--k", "8", "--n-slot", "8", "--r-res", "51"]
+MONTE_CARLO = ["--trials", "3", "--seed", "5"]  # multipath-mc takes these; the other kinds reject them
 
 EXPLICIT_AXES = {
     "validate-approx": "5e8,1e9",
@@ -30,10 +31,15 @@ EXPLICIT_AXES = {
     "multipath-mc": "1,2",
 }
 
+
+def _argv(kind: str, *extra: str) -> list[str]:
+    return [kind, *SMALL, *(MONTE_CARLO if kind == "multipath-mc" else []), *extra]
+
+
 CASES = {
-    **{f"{kind}-axis": [kind, *SMALL, f"--axis={axis}"] for kind, axis in EXPLICIT_AXES.items()},
-    **{f"{kind}-default": [kind, *SMALL] for kind in EXPLICIT_AXES},
-    "multipath-mc-pin-los": ["multipath-mc", *SMALL, "--pin-los"],
+    **{f"{kind}-axis": _argv(kind, f"--axis={axis}") for kind, axis in EXPLICIT_AXES.items()},
+    **{f"{kind}-default": _argv(kind) for kind in EXPLICIT_AXES},
+    "multipath-mc-pin-los": _argv("multipath-mc", "--pin-los"),
 }
 
 

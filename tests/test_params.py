@@ -156,7 +156,7 @@ class TestConfigFile:
         path.write_text("# carrier\nf_t = 12e9\nK = 16  # subcarriers\n")
         cfg, design = load_config(path)
         assert cfg.f_t == 12e9 and cfg.k == 16
-        assert design.f_t == 12e9  # design carrier follows the scenario
+        assert design.f_t == 12e9  # the one f_t key sets both carriers
         assert design.n_slot == DmaDesign().n_slot
 
     def test_unknown_key_rejected(self, tmp_path):
