@@ -1,10 +1,11 @@
 """Batch CLI: one subcommand per experiment kind, CSV output.
 
-Scenario and design come from an optional flat key=value config file; every
-config key has an override flag, named "--" + the key in lowercase with "_"
-as "-". Only the Monte-Carlo kinds take --trials, --seed and --pin-los. Exit
-code 0 on success, 2 with a usage line for a bad argument, 1 with a one-line
-diagnostic for a run that fails; a run that fails writes no CSV.
+Scenario and design come from an optional flat key=value config file. A kind
+has an override flag, "--" + the key in lowercase with "_" as "-", for each
+setting it reads and none for one it ignores (experiments.IGNORED); a config
+file that sets an ignored key gets a note on stderr.
+Exit code 0 on success, 2 with a usage line for a bad argument, 1 with a
+one-line diagnostic for a run that fails; a run that fails writes no CSV.
 """
 
 from __future__ import annotations
@@ -14,43 +15,41 @@ import functools
 import sys
 from pathlib import Path
 
-from .experiments import KINDS, MONTE_CARLO_KINDS, ExperimentPlan, run_plan
-from .params import _DESIGN_KEYS, _INT_FIELDS, _SCENARIO_KEYS, DmaDesign, ScenarioConfig, load_config, override_fields
+from .experiments import IGNORED, KINDS, ExperimentPlan, run_plan
+from .params import _CONFIG_KEYS, _INT_FIELDS, DmaDesign, ScenarioConfig, load_config, override_fields
 
 
-_PLAN_FLAGS = ("r_res", "trials", "seed", "pin_los")  # ExperimentPlan fields; a kind may lack some
+_PLAN_FLAGS = {  # ExperimentPlan field -> add_argument keywords; flags default to None, the dataclasses hold defaults
+    "r_res": {"type": int, "help": "resonance grid resolution"},
+    "trials": {"type": int, "help": "Monte-Carlo trial count"},
+    "seed": {"type": int, "help": "master seed"},
+    "pin_los": {"action": "store_true", "help": "pin the first ray to the LOS angle"},
+}
 
 
 @functools.cache  # parsing leaves the parser unchanged, so one per process serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dmasim", description=__doc__)
     sub = parser.add_subparsers(dest="kind", required=True)
+    settings = {"--" + field.replace("_", "-"): (field, kwargs) for field, kwargs in _PLAN_FLAGS.items()}
+    for key, (field, help_text) in _CONFIG_KEYS.items():
+        typ = int if field in _INT_FIELDS else float
+        settings["--" + key.lower().replace("_", "-")] = (field, {"type": typ, "help": f"override {help_text}"})
     for kind in KINDS:
-        p = sub.add_parser(kind, help=f"run the {kind} experiment")
+        p = sub.add_parser(kind, help=f"run the {kind} experiment", allow_abbrev=False)  # --r is not --r-res
         p.add_argument("--config", type=Path, default=None, help="flat key=value config file")
         p.add_argument("--out", type=Path, default=Path("results"), help="output directory")
         p.add_argument("--axis", type=str, default=None, help="comma-separated sweep values (ascending)")
-        # the plan flags default to None, so ExperimentPlan holds the one set of defaults
-        p.add_argument("--r-res", type=int, default=None, help="resonance grid resolution")
-        if kind in MONTE_CARLO_KINDS:
-            p.add_argument("--trials", type=int, default=None, help="Monte-Carlo trial count")
-            p.add_argument("--seed", type=int, default=None, help="master seed")
-            p.add_argument("--pin-los", action="store_true", default=None, help="pin the first ray to the LOS angle")
-        for key, (field, help_text) in {**_SCENARIO_KEYS, **_DESIGN_KEYS}.items():
-            flag = "--" + key.lower().replace("_", "-")
-            typ = int if field in _INT_FIELDS else float
-            p.add_argument(flag, dest=field, type=typ, default=None, help=f"override {help_text}")
+        for flag, (field, kwargs) in settings.items():
+            if field not in IGNORED[kind]:
+                p.add_argument(flag, dest=field, default=None, **kwargs)
     return parser
 
 
 def _configs_from_args(args) -> tuple[ScenarioConfig, DmaDesign]:
-    if args.config is not None:
-        cfg, design = load_config(args.config)
-    else:
-        cfg, design = ScenarioConfig(), DmaDesign()
-    cfg = override_fields(cfg, **{field: getattr(args, field) for field, _ in _SCENARIO_KEYS.values()})
-    design = override_fields(design, **{field: getattr(args, field) for field, _ in _DESIGN_KEYS.values()})
-    return cfg, design
+    cfg, design = load_config(args.config) if args.config is not None else (ScenarioConfig(), DmaDesign())
+    given = {field: getattr(args, field, None) for field, _ in _CONFIG_KEYS.values()}  # None: no such flag or not given
+    return tuple(override_fields(obj, **{field: given[field] for field in vars(obj)}) for obj in (cfg, design))
 
 
 def main(argv=None) -> int:
@@ -58,9 +57,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg, design = _configs_from_args(args)
-        default = ScenarioConfig()
-        if args.kind == "validate-approx" and (cfg.b != default.b or cfg.k != default.k):
-            print("dmasim: note: validate-approx sets its own b and k; the given B and K are ignored", file=sys.stderr)
+        # a kind has no flag for a setting it ignores, so only a config file can set one
+        values, defaults = {**vars(cfg), **vars(design)}, {**vars(ScenarioConfig()), **vars(DmaDesign())}
+        if ignored := [key for key, (f, _) in _CONFIG_KEYS.items() if f in IGNORED[args.kind] and values[f] != defaults[f]]:
+            print(f"dmasim: note: {args.kind} ignores the config keys {', '.join(ignored)}", file=sys.stderr)
         axis = tuple(float(v) for v in args.axis.split(",")) if args.axis else ()
         given = {name: getattr(args, name) for name in _PLAN_FLAGS if getattr(args, name, None) is not None}
         plan = ExperimentPlan(kind=args.kind, out_dir=args.out, axis=axis, **given)

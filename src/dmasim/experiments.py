@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -42,10 +42,10 @@ class ExperimentPlan:
     kind: str
     out_dir: Path
     axis: tuple = ()  # sweep values; empty selects the kind's default axis
-    trials: int = 200  # Monte-Carlo kinds only
-    seed: int = 0  # Monte-Carlo kinds only
+    trials: int = 200  # multipath-mc only
+    seed: int = 0  # multipath-mc only
     r_res: int = 1001
-    pin_los: bool = False  # Monte-Carlo kinds only: pin the first path to the LOS angle
+    pin_los: bool = False  # multipath-mc only: pin the first path to the LOS angle
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -55,6 +55,8 @@ class ExperimentPlan:
             raise ValueError("sweep axis values must be finite")
         if list(axis) != sorted(axis):
             raise ValueError("sweep axis values must be sorted ascending")
+        if unread := [f.name for f in fields(self) if f.name in IGNORED[self.kind] and getattr(self, f.name) != f.default]:
+            raise ValueError(f"{self.kind} does not read {', '.join(unread)}")
         if self.trials < 1:
             raise ValueError("trial count must be >= 1")
         if self.r_res < 1:
@@ -145,8 +147,7 @@ def validation_per_subcarrier(cfg: ScenarioConfig, design: DmaDesign, r_res: int
     approx = power_normalized_gain(breakdown, d)
     flat = [breakdown.fill_penalty, breakdown.leakage_penalty, d.b_tune]
     freqs = subcarrier_grid(sub_cfg).frequencies
-    squint = breakdown.squint_gain
-    return [[k, float(f_k), spectrum.gain[k], approx[k], squint[k], *flat] for k, f_k in enumerate(freqs)]
+    return [[k, float(f_k), spectrum.gain[k], approx[k], breakdown.squint_gain[k], *flat] for k, f_k in enumerate(freqs)]
 
 
 # A runner takes (plan, scenario, design) and returns {file name: (header, rows)}.
@@ -157,16 +158,14 @@ _SPECTRUM_COLUMN = {"capacity": "se", "rate": "rate", "g_sum": "g_sum"}
 
 
 def _validate_approx(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign) -> _Tables:
-    tuning = _overrides(design, "b_tune", plan.axis or _gamma_axis(design))
-    lam = _overrides(design, "lambda_frac", DEFAULT_LAMBDA_AXIS, b_tune=VALIDATE_WIDE_TUNING)
     return {
         "tuning_sweep.csv": (
             ["b_tune", "g_cf_sum", "g_approx_sum", "fill_penalty", "rel_err"],
-            _validation_sweep(cfg, tuning, "b_tune", "fill_penalty", plan.r_res),
+            validation_tuning_sweep(cfg, design, plan.axis or _gamma_axis(design), plan.r_res),
         ),
         "lambda_sweep.csv": (
             ["lambda", "g_cf_sum", "g_approx_sum", "leakage_penalty", "rel_err"],
-            _validation_sweep(cfg, lam, "lambda_frac", "leakage_penalty", plan.r_res),
+            validation_lambda_sweep(cfg, design, DEFAULT_LAMBDA_AXIS, plan.r_res),
         ),
         "per_subcarrier.csv": (
             ["k", "f_k", "sim_gain", "approx_gain", "squint_gain", "fill_penalty", "leakage_penalty", "b_tune"],
@@ -193,13 +192,9 @@ class _Sweep:
         for point in _overrides(design if on_design else cfg, self.field, axis):
             point_cfg, point_design = (cfg, point) if on_design else (point, design)
             spectra = _both_algorithms(point_cfg, point_design, plan.r_res)
-            rows.append(
-                [getattr(point, self.field)]
-                + [getattr(spectra[alg], name) for name in self.reported for alg in ALGORITHMS]
-            )
-        header = [self.column] + [
-            f"{_SPECTRUM_COLUMN[name]}_{_ALG_SUFFIX[alg]}" for name in self.reported for alg in ALGORITHMS
-        ]
+            values = [getattr(spectra[alg], name) for name in self.reported for alg in ALGORITHMS]
+            rows.append([getattr(point, self.field)] + values)
+        header = [self.column] + [f"{_SPECTRUM_COLUMN[n]}_{_ALG_SUFFIX[a]}" for n in self.reported for a in ALGORITHMS]
         tables = {self.file: (header, rows)}
         if self.spectra:
             grid_freqs = subcarrier_grid(cfg).frequencies
@@ -273,7 +268,19 @@ _RUNNERS: dict[str, Callable[[ExperimentPlan, ScenarioConfig, DmaDesign], _Table
     "multipath-mc": _multipath_mc,
 }
 KINDS = tuple(_RUNNERS)
-MONTE_CARLO_KINDS = ("multipath-mc",)  # the kinds that read a plan's trials, seed and pin_los
+
+# Settings (plan, scenario or design fields) a kind never reads; the CLI gives it no flag for them and ExperimentPlan
+# rejects the plan ones. Validation compares gains, which have no SNR, at its own bandwidth, k and tuning range.
+_MONTE_CARLO = frozenset({"trials", "seed", "pin_los"})
+IGNORED = {kind: _MONTE_CARLO for kind in KINDS} | {
+    "validate-approx": _MONTE_CARLO | {"b", "k", "b_tune", "r", "p_in_tot", "t_temp", "g_dma"},
+    "sweep-tuning": _MONTE_CARLO | {"b_tune"},
+    "sweep-lambda": _MONTE_CARLO | {"lambda_frac"},
+    "sweep-angle": _MONTE_CARLO | {"phi_t"},
+    "sweep-damping": _MONTE_CARLO | {"q"},
+    "max-rate": _MONTE_CARLO | {"b", "b_tune"},
+    "multipath-mc": frozenset(),
+}
 
 
 def run_plan(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign) -> list[Path]:

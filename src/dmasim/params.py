@@ -213,6 +213,7 @@ _DESIGN_KEYS = {
     "eps_r": ("eps_r", "substrate permittivity factor"),
     "f_c10": ("f_c10", "waveguide cutoff frequency [Hz]"),
 }
+_CONFIG_KEYS = {**_SCENARIO_KEYS, **_DESIGN_KEYS}  # every key once; f_t keeps its scenario place
 _INT_FIELDS = {"k", "n_slot"}
 
 
@@ -232,9 +233,7 @@ def load_config(path) -> tuple[ScenarioConfig, DmaDesign]:
     Unknown keys are rejected and missing keys fall back to the defaults
     above. The one f_t key sets both carriers.
     """
-    scenario_kwargs: dict = {}
-    design_kwargs: dict = {}
-    tables = ((scenario_kwargs, _SCENARIO_KEYS), (design_kwargs, _DESIGN_KEYS))
+    read: dict = {}  # field -> value
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.split("#", 1)[0].strip()
@@ -243,28 +242,22 @@ def load_config(path) -> tuple[ScenarioConfig, DmaDesign]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, text = (part.strip() for part in line.split("=", 1))
-            targets = [(kwargs, table[key][0]) for kwargs, table in tables if key in table]
-            if not targets:
+            if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            field = _CONFIG_KEYS[key][0]
             try:
-                for kwargs, field in targets:
-                    kwargs[field] = _config_value(key, field, text)
+                read[field] = _config_value(key, field, text)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return ScenarioConfig(**scenario_kwargs), DmaDesign(**design_kwargs)
+    return tuple(cls(**{f.name: read[f.name] for f in fields(cls) if f.name in read}) for cls in (ScenarioConfig, DmaDesign))
 
 
 def save_config(path, cfg: ScenarioConfig, design: DmaDesign) -> None:
     """Write a config in the flat key=value schema that load_config reads; its one f_t is both carriers."""
     if design.f_t != cfg.f_t:
         raise ValueError(f"design carrier {design.f_t!r} differs from scenario carrier {cfg.f_t!r}; a config holds one f_t")
-    lines = []
-    for key, (field, _) in _SCENARIO_KEYS.items():
-        lines.append(f"{key} = {getattr(cfg, field)!r}")
-    for key, (field, _) in _DESIGN_KEYS.items():
-        if key == "f_t":
-            continue  # shared with the scenario
-        lines.append(f"{key} = {getattr(design, field)!r}")
+    values = {**vars(cfg), **vars(design)}
+    lines = [f"{key} = {values[field]!r}" for key, (field, _) in _CONFIG_KEYS.items()]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 

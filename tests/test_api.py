@@ -1,13 +1,18 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import pkgutil
 import re
 import types
 from pathlib import Path
 
+import pytest
+
 import dmasim
-from dmasim.cli import build_parser
+from dmasim.cli import build_parser, main
 from dmasim.experiments import KINDS
+from dmasim.params import _DESIGN_KEYS, _SCENARIO_KEYS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -93,6 +98,18 @@ SCENARIO_FLAGS = ["--f-t", "--b", "--k", "--phi-t", "--r", "--p-in-tot", "--t-te
 DESIGN_FLAGS = ["--n-slot", "--d-x", "--q", "--b-tune", "--lambda", "--eps-r", "--f-c10"]  # --f-t is shared
 COMMON_FLAGS = ["--config", "--out", "--axis", "--r-res", *SCENARIO_FLAGS, *DESIGN_FLAGS]
 MONTE_CARLO_FLAGS = ["--trials", "--seed", "--pin-los"]
+# the flags a kind lacks among COMMON_FLAGS: the field it sweeps, or what it fixes itself
+WITHOUT = {
+    "validate-approx": ["--b", "--k", "--b-tune", "--r", "--p-in-tot", "--t-temp", "--g-dma"],
+    "sweep-bandwidth": [],
+    "sweep-tuning": ["--b-tune"],
+    "sweep-lambda": ["--lambda"],
+    "sweep-angle": ["--phi-t"],
+    "sweep-spacing": [],
+    "sweep-damping": ["--q"],
+    "max-rate": ["--b", "--b-tune"],
+    "multipath-mc": [],
+}
 
 
 def _option_strings(parser: argparse.ArgumentParser) -> dict[str, list[str]]:
@@ -105,11 +122,80 @@ def _option_strings(parser: argparse.ArgumentParser) -> dict[str, list[str]]:
 
 def test_cli_options_are_pinned():
     options = _option_strings(build_parser())
-    assert list(options) == list(KINDS)
+    assert list(options) == list(KINDS) == list(WITHOUT)
     for kind, strings in options.items():
-        expected = COMMON_FLAGS + MONTE_CARLO_FLAGS if kind == "multipath-mc" else COMMON_FLAGS
+        expected = [flag for flag in COMMON_FLAGS if flag not in WITHOUT[kind]]
+        expected += MONTE_CARLO_FLAGS if kind == "multipath-mc" else []
         assert sorted(strings) == sorted(expected), kind
-    assert sum(map(len, options.values())) == 174
+    assert sum(map(len, options.values())) == 161
+    assert len(_SCENARIO_KEYS.keys() | _DESIGN_KEYS.keys()) == 15  # distinct config keys; f_t is shared
+
+
+# A moved value per flag: each differs from the default (or the base run's
+# value) and keeps every kind valid at the small size.
+MOVED = {
+    "--r-res": "41",
+    "--trials": "2",
+    "--seed": "1",
+    "--pin-los": None,
+    "--f-t": "16e9",
+    "--b": "4e8",
+    "--k": "6",
+    "--phi-t": "0.2",
+    "--r": "50",
+    "--p-in-tot": "2",
+    "--t-temp": "400",
+    "--g-dma": "0.5",
+    "--n-slot": "6",
+    "--d-x": "0.004",
+    "--q": "70",
+    "--b-tune": "1e9",
+    "--lambda": "0.5",
+    "--eps-r": "2.5",
+    "--f-c10": "9e9",
+}
+MOVED_AXIS = {
+    "validate-approx": "1e9",
+    "sweep-bandwidth": "1e8",
+    "sweep-tuning": "1e9",
+    "sweep-lambda": "0.5",
+    "sweep-angle": "0.1",
+    "sweep-spacing": "0.004",
+    "sweep-damping": "70",
+    "max-rate": "1e9",
+    "multipath-mc": "3",
+}
+
+
+def _bodies(argv: list[str], out: Path) -> dict:
+    """Run one CLI job; return {file name: CSV body without the timestamp line}."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--out", str(out)]) == 0, argv
+    return {path.name: path.read_bytes().split(b"\n", 1)[1] for path in sorted(out.glob("*.csv"))}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_flag_moves_an_output(tmp_path, kind):
+    # a kind takes a flag only if some CSV body depends on it, at the small size
+    flags = [s for s in _option_strings(build_parser())[kind] if s not in ("--config", "--out")]
+    base = [kind, "--n-slot", "8", "--r-res", "51"]
+    base += ["--k", "8"] if "--k" in flags else []
+    base += ["--trials", "3"] if "--trials" in flags else []
+    bodies: dict = {}
+
+    def run(argv: list[str]) -> dict:
+        if tuple(argv) not in bodies:
+            bodies[tuple(argv)] = _bodies(argv, tmp_path / str(len(bodies)))
+        return bodies[tuple(argv)]
+
+    without_effect = []
+    for flag in flags:
+        # the LOS angle reaches a multipath channel only through its pinned first path
+        start = [*base, "--pin-los"] if (kind, flag) == ("multipath-mc", "--phi-t") else base
+        value = MOVED_AXIS[kind] if flag == "--axis" else MOVED[flag]
+        if run([*start, flag] if value is None else [*start, flag, value]) == run(start):
+            without_effect.append(flag)
+    assert without_effect == []
 
 
 def test_config_fields_are_pinned():

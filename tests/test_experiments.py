@@ -97,7 +97,8 @@ class TestPlanValidation:
 
         monkeypatch.setattr("dmasim.experiments.effective_channel", no_solve)
         monkeypatch.setattr("dmasim.experiments.multipath_channel", no_solve)
-        plan = ExperimentPlan(kind=kind, out_dir=tmp_path / "out", axis=axis, trials=2, r_res=51)
+        trials = {"trials": 2} if kind == "multipath-mc" else {}  # the other kinds reject a trial count
+        plan = ExperimentPlan(kind=kind, out_dir=tmp_path / "out", axis=axis, r_res=51, **trials)
         with pytest.raises(ValueError):
             run_plan(plan, small_cfg, small_design)
         assert not (tmp_path / "out").exists()
@@ -109,8 +110,9 @@ class TestPlanValidation:
 
         monkeypatch.setattr("dmasim.experiments.effective_channel", no_solve)
         monkeypatch.setattr("dmasim.experiments.multipath_channel", no_solve)
+        trials = {"trials": 2} if kind == "multipath-mc" else {}
         with pytest.raises(ValueError, match="resolution"):
-            plan = ExperimentPlan(kind=kind, out_dir=tmp_path / "out", axis=(1.0,), trials=2, r_res=0)
+            plan = ExperimentPlan(kind=kind, out_dir=tmp_path / "out", axis=(1.0,), r_res=0, **trials)
             run_plan(plan, small_cfg, small_design)
         assert not (tmp_path / "out").exists()
 
@@ -272,7 +274,9 @@ class TestCli:
         ],
     )
     def test_every_kind_runs(self, tmp_path, capsys, kind, axis):
-        args = [kind, "--out", str(tmp_path), "--k", "8", "--n-slot", "8", "--r-res", "51"]
+        args = [kind, "--out", str(tmp_path), "--n-slot", "8", "--r-res", "51"]
+        if kind != "validate-approx":  # it sets its own subcarrier counts
+            args += ["--k", "8"]
         if kind == "multipath-mc":
             args += ["--trials", "2"]
         if axis is not None:
@@ -314,13 +318,15 @@ class TestCli:
                 "0.2,0.4",
                 "--r-res",
                 "51",
-                "--lambda",
-                "0.7",
+                "--q",
+                "70",
             ]
         )
         assert code == 0
         text = (tmp_path / "sweep_lambda.csv").read_text()
         assert "0.2" in text and "0.4" in text
+        # the sweep sets its own Lambda, so the file's Lambda changes nothing and a note says so
+        assert capsys.readouterr().err == "dmasim: note: sweep-lambda ignores the config keys Lambda\n"
 
     def test_invalid_axis_fails_with_diagnostic(self, tmp_path, capsys):
         code = main(["sweep-angle", "--out", str(tmp_path), "--axis=0.5,-0.5"])
@@ -336,7 +342,7 @@ class TestCli:
         "argv,config",
         [
             # the tuning sweep is valid, the wide-tuning lambda sweep is not
-            (["validate-approx", "--f-t", "3e9", "--f-c10", "1e9", "--b-tune", "1e9"], None),
+            (["validate-approx", "--f-t", "3e9", "--f-c10", "1e9"], None),
             (["sweep-tuning", "--b", "nan", "--axis", "1e9"], None),
             (["sweep-tuning"], "K = inf\n"),
             (["sweep-tuning"], "K = 64.9\n"),
@@ -359,11 +365,26 @@ class TestCli:
         assert capsys.readouterr().err.splitlines() == [f"dmasim: error: {cfg_path}:1: unknown config key 'F_coupl'"]
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("flags", [["--seed", "3"], ["--trials", "2"], ["--pin-los"], ["--f-coupl", "2"]])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["sweep-tuning", "--seed", "3"],
+            ["sweep-tuning", "--trials", "2"],
+            ["sweep-tuning", "--pin-los"],
+            ["sweep-tuning", "--f-coupl", "2"],
+            ["sweep-tuning", "--b-tune", "1e9"],
+            ["sweep-lambda", "--lambda", "0.5"],
+            ["sweep-angle", "--phi-t", "0.1"],
+            ["sweep-damping", "--q", "80"],
+            ["max-rate", "--b", "1e9"],
+            ["validate-approx", "--r", "50"],
+            ["validate-approx", "--k", "32"],
+        ],
+    )
     def test_flag_without_effect_is_a_usage_error(self, tmp_path, capsys, flags):
-        # the Monte-Carlo flags belong to multipath-mc alone; the coupling factor is gone
+        # a kind registers no flag for a setting it never reads (experiments.IGNORED); the coupling factor is gone
         with pytest.raises(SystemExit) as exc:
-            main(["sweep-tuning", *flags, "--out", str(tmp_path / "out"), "--n-slot", "8", "--r-res", "51"])
+            main([*flags, "--out", str(tmp_path / "out"), "--n-slot", "8", "--r-res", "51"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -381,19 +402,32 @@ class TestCli:
         assert args.trials is None and args.k is None
 
     def test_validate_approx_notes_ignored_b_and_k(self, tmp_path, capsys):
-        # the kind sets its own bandwidths and subcarrier counts: flags and config keys change no body, and a note says so
+        # the kind sets its own bandwidths and subcarrier counts: it has no --b or --k, and the
+        # config file's B and K change no body and get a note
+        for flags in (["--k", "32"], ["--b", "1e9"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["validate-approx", "--out", str(tmp_path / "flag"), "--n-slot", "8", "--r-res", "51", *flags])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "flag").exists()
         kb_cfg = tmp_path / "kb.cfg"
         kb_cfg.write_text("K = 8\nB = 1e9\n", encoding="utf-8")
         bodies, notes = [], []
-        cases = [[], ["--k", "32"], ["--b", "1e9"], ["--k", "32", "--b", "1e9"], ["--config", str(kb_cfg)]]
-        for i, flags in enumerate(cases):
+        for i, flags in enumerate([[], ["--config", str(kb_cfg)]]):
             out = tmp_path / str(i)
             assert main(["validate-approx", "--out", str(out), "--n-slot", "8", "--r-res", "51", *flags]) == 0
             bodies.append({p.name: body(p) for p in sorted(out.glob("*.csv"))})
             notes.append(capsys.readouterr().err.splitlines())
-        assert len(bodies[0]) == 3 and all(b == bodies[0] for b in bodies)
-        note = "dmasim: note: validate-approx sets its own b and k; the given B and K are ignored"
-        assert notes == [[], [note], [note], [note], [note]]
+        assert len(bodies[0]) == 3 and bodies[1] == bodies[0]
+        assert notes == [[], ["dmasim: note: validate-approx ignores the config keys B, K"]]
+
+    def test_plan_rejects_monte_carlo_fields_outside_multipath_mc(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^sweep-tuning does not read trials, seed, pin_los$"):
+            ExperimentPlan(kind="sweep-tuning", out_dir=tmp_path, axis=(1e9,), trials=7, seed=3, pin_los=True)
+        with pytest.raises(ValueError, match=r"^validate-approx does not read seed$"):
+            ExperimentPlan(kind="validate-approx", out_dir=tmp_path, seed=1)
+        plan = ExperimentPlan(kind="multipath-mc", out_dir=tmp_path, trials=7, seed=3, pin_los=True)
+        assert (plan.trials, plan.seed, plan.pin_los) == (7, 3, True)
 
 
 def test_readme_library_example_runs():
