@@ -2,19 +2,14 @@
 
 Both grid algorithms search a discretized resonant-frequency set; ties break
 toward the lower resonant frequency, so identical inputs always give
-identical configurations. The center-frequency beamformer scores every grid
-point by one dot product per element and ranks near ties by the exact
-distance. The successive beamformer scores only the rows that two exact
-bounds on each element's objective leave: a triangle-inequality bound over
-grid intervals of PRUNE_STEP rows, then, on the surviving intervals, the
-objective's tangent plane (each log2(1 + snr_k z_k) is concave in z_k, and
-z_k is affine in the weight on its circle), one small real product per run
-of intervals. The interval bound stays because the plane alone is loose at
-the first element, whose running sum is zero. It picks exactly what the
-exhaustive scan of every grid point picks, with an O(n_slot * r_res * k)
-worst case when nothing can be pruned. Its weight table and interval bounds
-are built once per grid and reused by every solve on that grid with the
-same subcarriers and damping.
+identical configurations. The center-frequency beamformer ranks every grid
+point by one dot product per element and re-ranks by the exact distance the
+elements whose best row has a near-tied cyclic neighbour. The successive
+beamformer scores only the rows that two exact bounds leave (an interval
+triangle bound, then the objective's tangent plane), so it picks exactly
+what the exhaustive scan picks, with an O(n_slot * r_res * k) worst case. Its
+weight table and interval bounds are built once per grid and reused by every
+solve on that grid with the same subcarriers and damping.
 """
 
 from __future__ import annotations
@@ -82,9 +77,15 @@ def center_frequency_beamformer(
 
     Each element takes the achievable weight a nearest to the circle point t
     at the conjugate channel angle. Both lie on |w + j/2| = 1/2, so |t - a|^2
-    = 1/2 - 2 * dot(t + j/2, a + j/2) up to ~1e-16 of rounding. The rows
-    within TIE_MARGIN of an element's best dot thus hold the exhaustive scan's
-    first minimum of |t - a|, and re-ranking them by |t - a| returns it.
+    = 1/2 - 2 * dot(t + j/2, a + j/2) up to ~1e-16 of rounding: re-ranking by
+    |t - a| the rows within TIE_MARGIN of an element's best dot returns the
+    exhaustive scan's first minimum. Rows ascend in f_r, so the angle psi_r of
+    a_r + j/2 rises over an arc shorter than 2 pi; each dot is
+    cos(psi_r - theta)/4 for the angle theta of t + j/2, and the rows near the
+    best are those circularly nearest theta, one cyclic run of row indices
+    around the best that wraps from the last row to row 0 when theta lies in
+    the arc's gap. So an element needs the re-rank only when a cyclic
+    neighbour of its best row is near too (always, on a one-row grid).
     """
     kc = channels.grid.center_index
     f_c = channels.grid.f_center
@@ -94,9 +95,7 @@ def center_frequency_beamformer(
     dots = np.stack([t.real, t.imag], axis=1) @ np.stack([a.real, a.imag])  # (n_slot, r_res)
     rows, idx = np.arange(targets.size), np.argmax(dots, axis=1)
     best = dots[rows, idx]
-    dots[rows, idx] = -np.inf  # an element is tied when its runner-up dot lies within TIE_MARGIN of its best
-    tied = np.flatnonzero(dots.max(axis=1) >= best - TIE_MARGIN)
-    dots[rows, idx] = best
+    tied = np.flatnonzero(np.maximum(dots[rows, idx - 1], dots[rows, (idx + 1) % grid.r_res]) >= best - TIE_MARGIN)
     dist = np.where(dots[tied] >= best[tied, None] - TIE_MARGIN, np.abs(targets[tied, None] - achievable), np.inf)
     idx[tied] = np.argmin(dist, axis=1)  # first minimum = lower resonant frequency
     return ResonanceConfiguration(f_r=grid.values[idx])

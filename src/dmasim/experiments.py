@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .approx import gain_breakdown, power_normalized_gain
 from .beamform import default_grid
-from .channel import MultipathSpec, effective_channel, multipath_channel
+from .channel import MultipathSpec, effective_channel, leakage_vector, multipath_channel
 from .metrics import ALGORITHMS, GainSpectrum, run_beamformer
 from .params import DmaDesign, ScenarioConfig, override_fields, subcarrier_grid, wavelength
 
@@ -115,9 +115,10 @@ def _gamma_axis(design: DmaDesign) -> tuple:
 def _validation_sweep(cfg: ScenarioConfig, designs: list, field: str, penalty: str, r_res: int) -> list[list]:
     """Rows [design.<field>, simulated g_sum, approximate g_sum, breakdown.<penalty>, rel_err]."""
     narrow = override_fields(cfg, b=VALIDATE_B, k=VALIDATE_NARROW_K)
+    base = effective_channel(narrow, designs[0]) if designs else None  # the sweeps move b_tune or lambda_frac, not h
     rows = []
     for d in designs:
-        channels = effective_channel(narrow, d)
+        channels = replace(base, h_att=leakage_vector(d))
         _, spectrum = run_beamformer("center-frequency", channels, narrow, d, default_grid(d, r_res))
         breakdown = gain_breakdown(narrow, d)
         approx_sum = float(np.sum(power_normalized_gain(breakdown, d)))

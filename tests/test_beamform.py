@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dmasim import (
     ChannelSet,
@@ -146,10 +146,14 @@ class TestCenterFrequencyBeamformer:
             st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
             st.floats(6.0, 10.4).map(lambda e: 10.0**e),  # 10**10.4 Hz stays below 2 * f_t
         ),
-        q_exp=st.floats(1.0, 3.0),
-        placed=st.sampled_from(("channel", "on grid", "special")),
+        q_exp=st.floats(0.0, 3.0),
+        placed=st.sampled_from(("channel", "on grid", "special", "gap")),
         seed=st.integers(0, 2**16),
     )
+    # targets in the arc's gap whose nearest rows are 0 and r_res - 1 (a scan blind to the wrap returns the wrong one)
+    @example(kind="los", n_slot=30, r_res=4001, b_tune=2.47e7, q_exp=0.06, placed="gap", seed=37605)
+    @example(kind="multipath", n_slot=29, r_res=64, b_tune=1.72e6, q_exp=1.37, placed="gap", seed=34073)
+    @example(kind="los", n_slot=23, r_res=1001, b_tune=1.42e8, q_exp=1.13, placed="gap", seed=11627)
     def test_matches_dense_scan(self, kind, n_slot, r_res, b_tune, q_exp, placed, seed):
         rng = np.random.default_rng(seed)
         cfg = ScenarioConfig(k=8)
@@ -170,6 +174,11 @@ class TestCenterFrequencyBeamformer:
             h[kc, moved] = np.exp(-1j * zeta[moved])
         elif placed == "special":  # -j (resonance), 0 (the circle's origin point) and the two sides
             zeta = rng.choice([-math.pi / 2, math.pi / 2, -math.pi, math.pi, 0.0], n_slot)
+            h[kc, moved] = np.exp(-1j * zeta[moved])
+        elif placed == "gap":  # opposite the middle of the weight arc, where rows 0 and r_res - 1 tie
+            psi = np.angle(2 * normalized_polarizability(channels.grid.f_center, grid.values, design) + 1j)
+            arc = np.mod(psi[-1] - psi[0], 2 * math.pi)  # psi rises with the row over an arc shorter than 2 pi
+            zeta = psi[-1] + (2 * math.pi - arc) / 2 + rng.normal(0.0, 1e-13, n_slot)
             h[kc, moved] = np.exp(-1j * zeta[moved])
         h[:, rng.random(n_slot) < 0.15] = 0.0  # silent elements
         channels = make_channelset(h, channels.grid, channels.h_att)

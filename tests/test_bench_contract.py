@@ -56,3 +56,9 @@ def test_multipath_job_builds_one_scan_table(tmp_path, capsys):
     trials = job.succ_calls
     assert calls["element.normalized_polarizability"] == 3 * trials + 1
     assert calls["params.subcarrier_grid"] == 2 * trials + 1
+
+
+def test_validation_job_builds_one_channel_per_sweep(tmp_path, capsys):
+    # the tuning and lambda sweeps each reuse one LOS channel; the per-subcarrier study builds its own
+    _, calls = traced_calls("approx-validate", tmp_path, capsys)
+    assert calls["channel.effective_channel"] == 3

@@ -8,9 +8,13 @@ import pytest
 from dmasim import DmaDesign, ScenarioConfig, override_fields
 from dmasim.cli import _configs_from_args, build_parser, main
 from dmasim.experiments import (
+    DEFAULT_LAMBDA_AXIS,
     ExperimentPlan,
+    _gamma_axis,
     run_plan,
     spectrum_rows,
+    validation_lambda_sweep,
+    validation_tuning_sweep,
 )
 from dmasim.metrics import run_beamformer
 from dmasim.channel import effective_channel
@@ -175,6 +179,22 @@ class TestValidateApprox:
         assert names == ["lambda_sweep.csv", "per_subcarrier.csv", "tuning_sweep.csv"]
         for path in written:
             assert path.exists() and len(path.read_text().splitlines()) > 2
+
+    def test_sweeps_reuse_the_channel_of_every_design(self, monkeypatch, cfg, design):
+        # each sweep builds one channel: b_tune and lambda_frac, the fields they move, must stay out of h
+        solved = []
+
+        def record(alg, channels, scenario, d, grid):
+            solved.append((channels, scenario, d))
+            return run_beamformer(alg, channels, scenario, d, grid)
+
+        monkeypatch.setattr("dmasim.experiments.run_beamformer", record)
+        validation_tuning_sweep(cfg, design, _gamma_axis(design), 51)
+        validation_lambda_sweep(cfg, design, DEFAULT_LAMBDA_AXIS, 51)
+        assert len({(d.b_tune, d.lambda_frac) for _, _, d in solved}) == 10
+        for channels, scenario, d in solved:
+            fresh = effective_channel(scenario, d)
+            assert np.array_equal(channels.h, fresh.h) and np.array_equal(channels.h_att, fresh.h_att)
 
 
 class TestSweepKinds:
