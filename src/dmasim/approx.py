@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .element import normalized_polarizability, tuning_range
-from .params import C_LIGHT, DmaDesign, ScenarioConfig, leakage_constant, radiated_fraction, subcarrier_grid, waveguide_beta
+from .params import C_LIGHT, DmaDesign, ScenarioConfig, _freeze, leakage_constant, radiated_fraction, subcarrier_grid, waveguide_beta
 
 
 @dataclass(frozen=True, eq=False)  # compared by identity: array fields have no truth value
@@ -30,10 +30,7 @@ class ApproxBreakdown:
     product: np.ndarray  # per-k approximate beamforming gain
 
     def __post_init__(self):
-        for name in ("squint_gain", "product"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _freeze(self, "squint_gain", "product")
 
 
 def squint_phase_profile(cfg: ScenarioConfig, design: DmaDesign) -> np.ndarray:

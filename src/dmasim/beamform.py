@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import ChannelSet
 from .element import ResonanceConfiguration, TuningRange, lorentzian_weight, normalized_polarizability, tuning_range
-from .params import DmaDesign
+from .params import DmaDesign, _freeze
 
 PRUNE_STEP = 64  # rows per interval of the successive scan's triangle bound
 # Relative margin below the best real objective before a bound drops a row:
@@ -32,6 +32,7 @@ PRUNE_RTOL = 1e-9
 # milliseconds per call (8 ms at 4001 x 128 after an idle spell, 2-CPU host).
 PLANE_FLOATS = 2**17
 TIE_MARGIN = 1e-12  # rows this near an element's best center-frequency dot are re-ranked by distance
+DEFAULT_R_RES = 1001  # resonance grid resolution when none is given
 
 
 @dataclass(frozen=True, eq=False)  # compared by identity: the array field has no truth value
@@ -39,14 +40,11 @@ class ResonanceGrid:
     """Equally spaced resonant frequencies spanning the tuning range."""
 
     values: np.ndarray  # ascending [Hz]
-    # [gamma, subcarrier frequencies, successive scan table] of the last solve
-    _scan: list = field(default_factory=list, init=False, repr=False)
+    _scan: tuple = field(default=(None, None, None), init=False, repr=False)  # (gamma, subcarriers, table) of the last scan
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        if values.size < 1:
+        _freeze(self, "values")
+        if self.values.size < 1:
             raise ValueError("resonance grid needs at least one point")
 
     @property
@@ -66,7 +64,7 @@ def resonance_grid(rng: TuningRange, r_res: int) -> ResonanceGrid:
     return ResonanceGrid(values=values)
 
 
-def default_grid(design: DmaDesign, r_res: int = 1001) -> ResonanceGrid:
+def default_grid(design: DmaDesign, r_res: int = DEFAULT_R_RES) -> ResonanceGrid:
     return resonance_grid(tuning_range(design), r_res)
 
 
@@ -130,12 +128,12 @@ def _scan_table(grid: ResonanceGrid, freq: np.ndarray, design: DmaDesign) -> tup
 
     An interval's anchor is its middle row; reach[j, k] is the largest
     |weights[r, k] - weights[anchor_j, k]| over the rows r of interval j.
-    The table depends only on the grid, the subcarriers and Gamma, so the
-    grid keeps the last one built.
+    The table depends only on the grid, the subcarriers and Gamma, so the grid
+    keeps the last one built, in one tuple that is read once and replaced whole.
     """
-    memo = grid._scan
-    if memo and memo[0] == design.gamma and np.array_equal(memo[1], freq):
-        return memo[2]
+    gamma, scanned, table = grid._scan
+    if gamma == design.gamma and np.array_equal(scanned, freq):
+        return table
     weights = normalized_polarizability(freq[None, :], grid.values[:, None], design)
     starts = np.arange(0, grid.r_res, PRUNE_STEP)
     last = np.minimum(starts + PRUNE_STEP, grid.r_res) - 1
@@ -143,7 +141,7 @@ def _scan_table(grid: ResonanceGrid, freq: np.ndarray, design: DmaDesign) -> tup
     reach = np.zeros(anchor_w.shape)
     for offset in range(PRUNE_STEP):  # a short last interval repeats its last row
         np.maximum(reach, np.abs(weights[np.minimum(starts + offset, last)] - anchor_w), out=reach)
-    memo[:] = [design.gamma, freq.copy(), (weights, anchor_w, reach)]
+    object.__setattr__(grid, "_scan", (design.gamma, freq, (weights, anchor_w, reach)))  # freq: its SubcarrierGrid's read-only copy
     return weights, anchor_w, reach
 
 

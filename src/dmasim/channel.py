@@ -1,8 +1,8 @@
 """Per-subcarrier channel vectors: wireless array response, waveguide phase
 advance, leakage taper, and an optional seeded multipath extension.
 
-Channel construction is pure; a ChannelSet is immutable after construction
-and safe to share across workers.
+Channel construction is pure; a ChannelSet keeps read-only copies of its
+arrays, so it is immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import C_LIGHT, DmaDesign, ScenarioConfig, SubcarrierGrid, leakage_constant, subcarrier_grid, waveguide_beta
+from .params import C_LIGHT, DmaDesign, ScenarioConfig, SubcarrierGrid, _freeze, leakage_constant, subcarrier_grid, waveguide_beta
 
 
 @dataclass(frozen=True, eq=False)  # compared by identity: array fields have no truth value
@@ -30,12 +30,7 @@ class ChannelSet:
     phases: np.ndarray | None = None  # (k, n_slot) unwrapped phase [rad]
 
     def __post_init__(self):
-        for name in ("h", "h_att", "phases"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.asarray(arr)
-                arr.flags.writeable = False
-                object.__setattr__(self, name, arr)
+        _freeze(self, "h", "h_att", "phases", dtype=None)  # h is complex
         if self.h_att.shape != self.h.shape[1:]:
             raise ValueError("leakage taper must hold one entry per channel element")
 
@@ -99,14 +94,12 @@ def channel_phase_step(f_k, cfg: ScenarioConfig, design: DmaDesign):
     """
     f_k = np.asarray(f_k, dtype=float)
     wireless = (2 * math.pi * f_k / C_LIGHT) * design.d_x * math.sin(cfg.phi_t)
-    out = wireless - design.d_x * waveguide_beta(f_k, design)
-    return float(out) if out.ndim == 0 else out
+    return wireless - design.d_x * waveguide_beta(f_k, design)
 
 
-def effective_channel(cfg: ScenarioConfig, design: DmaDesign, grid: SubcarrierGrid | None = None) -> ChannelSet:
+def effective_channel(cfg: ScenarioConfig, design: DmaDesign) -> ChannelSet:
     """Line-of-sight channel: elementwise array response times waveguide advance, per subcarrier."""
-    if grid is None:
-        grid = subcarrier_grid(cfg)
+    grid = subcarrier_grid(cfg)
     # named factors: numpy may swap the operands of a large temporary, which moves the last bit
     wireless = array_response(cfg.phi_t, grid.frequencies, design)
     guide = waveguide_phase_vector(grid.frequencies, design)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DmaDesign
+from .params import DmaDesign, _freeze
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,7 @@ class ResonanceConfiguration:
     f_r: np.ndarray  # [Hz], length n_slot
 
     def __post_init__(self):
-        f_r = np.asarray(self.f_r, dtype=float)
-        f_r.flags.writeable = False
-        object.__setattr__(self, "f_r", f_r)
+        _freeze(self, "f_r")
 
     @property
     def n_slot(self) -> int:
@@ -67,8 +65,7 @@ def normalized_polarizability(f, f_r, design: DmaDesign):
     coupling factor F cancels. Peak amplitude 1 occurs exactly at f == f_r.
     """
     x = _detuning(f, f_r, design)
-    out = 1.0 / (x + 1j)
-    return complex(out) if out.ndim == 0 else out
+    return 1.0 / (x + 1j)
 
 
 def polarizability_phase(f, f_r, design: DmaDesign):
@@ -76,8 +73,7 @@ def polarizability_phase(f, f_r, design: DmaDesign):
 
     The argument of the normalized weight itself is this value minus pi/2.
     """
-    out = np.arctan(_detuning(f, f_r, design))
-    return float(out) if out.ndim == 0 else out
+    return np.arctan(_detuning(f, f_r, design))
 
 
 def linear_phase_approx(f, f_r, design: DmaDesign):
@@ -87,15 +83,13 @@ def linear_phase_approx(f, f_r, design: DmaDesign):
     """
     f = np.asarray(f, dtype=float)
     f_r = np.asarray(f_r, dtype=float)
-    out = -math.pi / 2 - (4 * math.pi / design.gamma) * (f - f_r)
-    return float(out) if out.ndim == 0 else out
+    return -math.pi / 2 - (4 * math.pi / design.gamma) * (f - f_r)
 
 
 def lorentzian_weight(zeta):
     """Point -(j - exp(j*zeta))/2 of the constrained-weight circle."""
     zeta = np.asarray(zeta, dtype=float)
-    out = -(1j - np.exp(1j * zeta)) / 2.0
-    return complex(out) if out.ndim == 0 else out
+    return -(1j - np.exp(1j * zeta)) / 2.0
 
 
 def dma_weight_matrix(res: ResonanceConfiguration, frequencies, design: DmaDesign):

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .approx import gain_breakdown, power_normalized_gain
-from .beamform import default_grid
+from .beamform import DEFAULT_R_RES, default_grid
 from .channel import MultipathSpec, effective_channel, leakage_vector, multipath_channel
 from .metrics import ALGORITHMS, GainSpectrum, run_beamformer
 from .params import DmaDesign, ScenarioConfig, override_fields, subcarrier_grid, wavelength
@@ -44,7 +44,7 @@ class ExperimentPlan:
     axis: tuple = ()  # sweep values; empty selects the kind's default axis
     trials: int = 200  # multipath-mc only
     seed: int = 0  # multipath-mc only
-    r_res: int = 1001
+    r_res: int = DEFAULT_R_RES
     pin_los: bool = False  # multipath-mc only: pin the first path to the LOS angle
 
     def __post_init__(self):

@@ -14,7 +14,7 @@ import numpy as np
 from .beamform import ResonanceGrid, center_frequency_beamformer, default_grid, successive_beamformer
 from .channel import ChannelSet
 from .element import ResonanceConfiguration, dma_weight_matrix
-from .params import DmaDesign, ScenarioConfig, noise_power, path_loss, radiated_fraction, subcarrier_grid
+from .params import DmaDesign, ScenarioConfig, _freeze, noise_power, path_loss, radiated_fraction, subcarrier_grid
 
 
 @dataclass(frozen=True, eq=False)  # compared by identity: array fields have no truth value
@@ -29,10 +29,7 @@ class GainSpectrum:
     rate: float  # b * capacity [bit/s]
 
     def __post_init__(self):
-        for name in ("gain", "rho", "se"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _freeze(self, "gain", "rho", "se")
 
 
 def snr_profile(cfg: ScenarioConfig) -> np.ndarray:

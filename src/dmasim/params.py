@@ -23,6 +23,15 @@ def _require_finite(config) -> None:
         raise ValueError(f"{', '.join(bad)} must be finite")
 
 
+def _freeze(record, *names, dtype=float) -> None:
+    """Store a read-only copy, never the caller's buffer, of each named array field; None stays None."""
+    for name in names:
+        if (value := getattr(record, name)) is not None:
+            value = np.array(value, dtype=dtype)
+            value.flags.writeable = False
+            object.__setattr__(record, name, value)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Link-level experiment description."""
@@ -112,9 +121,7 @@ class SubcarrierGrid:
     center_index: int  # k//2; frequencies[center_index] == f_t exactly
 
     def __post_init__(self):
-        freq = np.asarray(self.frequencies, dtype=float)
-        freq.flags.writeable = False
-        object.__setattr__(self, "frequencies", freq)
+        _freeze(self, "frequencies")
 
     @property
     def k(self) -> int:
@@ -145,8 +152,7 @@ def waveguide_beta(f, design: DmaDesign):
     f = np.asarray(f, dtype=float)
     if np.any(f <= design.f_c10):
         raise ValueError("frequency at or below waveguide cutoff")
-    beta = (2 * math.pi * design.eps_r / C_LIGHT) * np.sqrt(f * f - design.f_c10**2)
-    return float(beta) if beta.ndim == 0 else beta
+    return (2 * math.pi * design.eps_r / C_LIGHT) * np.sqrt(f * f - design.f_c10**2)
 
 
 def leakage_constant(design: DmaDesign) -> float:
@@ -176,8 +182,7 @@ def path_loss(f: float, r: float) -> float:
     """Free-space path loss (c / (4*pi*r*f))^2, linear."""
     if np.any(np.asarray(f) <= 0) or r <= 0:
         raise ValueError("frequency and distance must be positive")
-    g = (C_LIGHT / (4 * math.pi * r * np.asarray(f, dtype=float))) ** 2
-    return float(g) if g.ndim == 0 else g
+    return (C_LIGHT / (4 * math.pi * r * np.asarray(f, dtype=float))) ** 2
 
 
 def noise_power(cfg: ScenarioConfig) -> float:

@@ -7,6 +7,7 @@ import re
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dmasim
@@ -202,3 +203,58 @@ def test_config_fields_are_pinned():
     design_fields = [f.name for f in dataclasses.fields(dmasim.DmaDesign)]
     assert design_fields == ["n_slot", "d_x", "q", "f_t", "b_tune", "lambda_frac", "eps_r", "f_c10"]
     assert [f.name for f in dataclasses.fields(dmasim.MultipathSpec)] == ["l_path", "seed", "pin_first_to_los"]
+
+
+# The value types: each builder gets one writable base array and passes views
+# of it as every array field.
+RECORDS = {
+    "SubcarrierGrid": (float, lambda v: dmasim.SubcarrierGrid(frequencies=v, center_index=4)),
+    "ResonanceGrid": (float, lambda v: dmasim.ResonanceGrid(values=v)),
+    "ResonanceConfiguration": (float, lambda v: dmasim.ResonanceConfiguration(f_r=v)),
+    "GainSpectrum": (float, lambda v: dmasim.GainSpectrum(gain=v, rho=v[1:], se=v[::2], g_sum=1.0, capacity=1.0, rate=1.0)),
+    "ApproxBreakdown": (float, lambda v: dmasim.ApproxBreakdown(squint_gain=v, fill_penalty=1.0, leakage_penalty=1.0, product=v[1:])),
+    "ChannelSet": (
+        complex,
+        lambda v: dmasim.ChannelSet(
+            h=v.reshape(2, 4), h_att=v.real[:4], grid=dmasim.subcarrier_grid(dmasim.ScenarioConfig(k=2)), phases=v.imag.reshape(2, 4)
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_hold_read_only_copies(name):
+    # a record built from a view must not change when the caller writes the base,
+    # and must leave the caller's array writable
+    dtype, build = RECORDS[name]
+    base = np.arange(1.0, 9.0) * (1 + 1j if dtype is complex else 1)
+    view = base[:]
+    record = build(view)
+    arrays = {f.name: getattr(record, f.name) for f in dataclasses.fields(record) if isinstance(getattr(record, f.name), np.ndarray)}
+    kept = {field: array.copy() for field, array in arrays.items()}
+    base[:] = 0
+    assert arrays and view.flags.writeable and base.flags.writeable
+    for field, array in arrays.items():
+        assert np.array_equal(array, kept[field]) and not array.flags.writeable, field
+
+
+_DESIGN = dmasim.DmaDesign()
+# Functions of one frequency-like argument, scalar or array: a scalar gives a float or a complex
+SCALAR_IN_SCALAR_OUT = {
+    "waveguide_beta": lambda f: dmasim.waveguide_beta(f, _DESIGN),
+    "path_loss": lambda f: dmasim.path_loss(f, 100.0),
+    "normalized_polarizability": lambda f: dmasim.normalized_polarizability(f, 15.2e9, _DESIGN),
+    "polarizability_phase": lambda f: dmasim.polarizability_phase(f, 15.2e9, _DESIGN),
+    "linear_phase_approx": lambda f: dmasim.linear_phase_approx(f, 15.2e9, _DESIGN),
+    "lorentzian_weight": lambda f: dmasim.lorentzian_weight(f / 1e10),
+    "channel_phase_step": lambda f: dmasim.channel_phase_step(f, dmasim.ScenarioConfig(), _DESIGN),
+    "squint_gain_from_phase": lambda f: dmasim.squint_gain_from_phase(f / 1e10, 32),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_IN_SCALAR_OUT))
+def test_scalar_input_gives_a_python_number(name):
+    fn = SCALAR_IN_SCALAR_OUT[name]
+    freqs = np.array([14.7e9, 15e9, 15.3e9])
+    value = fn(float(freqs[0]))
+    assert isinstance(value, (float, complex)) and value == fn(freqs)[0]

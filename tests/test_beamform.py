@@ -392,6 +392,29 @@ class TestSuccessiveBeamformer:
         for f_r, back, alone in zip(forward, backward, fresh):
             assert np.array_equal(f_r, back) and np.array_equal(f_r, alone)
 
+    def test_solve_between_memo_check_and_use_cannot_swap_the_table(self, monkeypatch):
+        # a solve with other subcarriers that lands between the memo's check and its read
+        # (another thread on the shared grid) must not hand its table to the first solve
+        design = DmaDesign(n_slot=8)
+        cfg_a, cfg_b = ScenarioConfig(k=8), ScenarioConfig(k=8, b=2e9)
+        chan_a, chan_b = effective_channel(cfg_a, design), effective_channel(cfg_b, design)
+        snr_a, snr_b = snr_profile(cfg_a), snr_profile(cfg_b)
+        fresh = successive_beamformer(chan_a, snr_a, default_grid(design, 51), design).f_r
+        grid = default_grid(design, 51)
+        successive_beamformer(chan_a, snr_a, grid, design)  # warm the grid with set A
+        equal, interleaved = np.array_equal, []
+
+        def array_equal(*args):
+            if not interleaved:
+                interleaved.append(args)
+                successive_beamformer(chan_b, snr_b, grid, design)
+            return equal(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "array_equal", array_equal)
+            got = successive_beamformer(chan_a, snr_a, grid, design).f_r
+        assert interleaved and np.array_equal(got, fresh)
+
     @pytest.mark.parametrize("r_res", [5, 201])  # 5: shorter than one interval of any bound level
     def test_silent_element_takes_lowest_resonance(self, cfg, design, rng, r_res):
         # a zero channel column scores every grid row alike, so no interval can be dropped
