@@ -48,7 +48,6 @@ from .channel import (
 from .beamform import (
     ResonanceGrid,
     center_frequency_beamformer,
-    default_grid,
     resonance_grid,
     successive_beamformer,
 )

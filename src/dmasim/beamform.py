@@ -1,27 +1,28 @@
 """Beamforming algorithms that produce per-element resonance configurations.
 
-Both grid algorithms search a discretized resonant-frequency set; ties break
-toward the lower resonant frequency, so identical inputs always give
-identical configurations. The center-frequency beamformer ranks every grid
-point by one dot product per element and re-ranks by the exact distance the
-elements whose best row has a near-tied cyclic neighbour. The successive
-beamformer scores only the rows that two exact bounds leave (an interval
-triangle bound, then the objective's tangent plane), so it picks exactly
-what the exhaustive scan picks, with an O(n_slot * r_res * k) worst case. Its
-weight table and interval bounds are built once per grid and reused by every
-solve on that grid with the same subcarriers and damping.
+Both search a ResonanceGrid, the resonant frequencies of one design for one
+subcarrier set; ties break toward the lower resonant frequency, so identical
+inputs always give identical configurations. The center-frequency beamformer
+ranks every grid point by one dot product per element and re-ranks by the
+exact distance the elements whose best row has a near-tied cyclic neighbour.
+The successive beamformer scores only the rows that two exact bounds leave
+(an interval triangle bound, then the objective's tangent plane), so it picks
+exactly what the exhaustive scan picks, with an O(n_slot * r_res * k) worst
+case. Its weight table and interval bounds are computed from the grid's own
+fields on its first successive solve and kept on the grid for every later one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .channel import ChannelSet
-from .element import ResonanceConfiguration, TuningRange, lorentzian_weight, normalized_polarizability, tuning_range
-from .params import DmaDesign, _freeze
+from .element import ResonanceConfiguration, lorentzian_weight, normalized_polarizability, tuning_range
+from .params import DmaDesign, SubcarrierGrid, _freeze
 
 PRUNE_STEP = 64  # rows per interval of the successive scan's triangle bound
 # Relative margin below the best real objective before a bound drops a row:
@@ -37,10 +38,11 @@ DEFAULT_R_RES = 1001  # resonance grid resolution when none is given
 
 @dataclass(frozen=True, eq=False)  # compared by identity: the array field has no truth value
 class ResonanceGrid:
-    """Equally spaced resonant frequencies spanning the tuning range."""
+    """Resonant frequencies of one design's elements, searched for one subcarrier set."""
 
     values: np.ndarray  # ascending [Hz]
-    _scan: tuple = field(default=(None, None, None), init=False, repr=False)  # (gamma, subcarriers, table) of the last scan
+    design: DmaDesign  # the elements it configures: their count and damping
+    subcarriers: SubcarrierGrid  # the only frequencies the successive table serves
 
     def __post_init__(self):
         _freeze(self, "values")
@@ -52,25 +54,38 @@ class ResonanceGrid:
         """Grid resolution: the number of resonant frequencies."""
         return self.values.size
 
+    @cached_property
+    def successive_table(self) -> tuple:
+        """The (r_res, k) weight table and the anchor weights and reach of its PRUNE_STEP-row intervals.
 
-def resonance_grid(rng: TuningRange, r_res: int) -> ResonanceGrid:
-    """Discretize a tuning range into r_res points; a single point sits at the center."""
+        An interval's anchor is its middle row; reach[j, k] is the largest
+        |weights[r, k] - weights[anchor_j, k]| over the rows r of interval j.
+        Computed from the grid's own fields on first use, since the
+        center-frequency beamformer never reads it.
+        """
+        weights = normalized_polarizability(self.subcarriers.frequencies[None, :], self.values[:, None], self.design)
+        starts = np.arange(0, self.r_res, PRUNE_STEP)
+        last = np.minimum(starts + PRUNE_STEP, self.r_res) - 1
+        anchor_w = weights[(starts + last) // 2]
+        reach = np.zeros(anchor_w.shape)
+        for offset in range(PRUNE_STEP):  # a short last interval repeats its last row
+            np.maximum(reach, np.abs(weights[np.minimum(starts + offset, last)] - anchor_w), out=reach)
+        return weights, anchor_w, reach
+
+
+def resonance_grid(design: DmaDesign, subcarriers: SubcarrierGrid, r_res: int = DEFAULT_R_RES) -> ResonanceGrid:
+    """Discretize the design's tuning range into r_res points; a single point sits at the center."""
     if r_res < 1:
         raise ValueError("resolution must be >= 1")
+    rng = tuning_range(design)
     if r_res == 1:
         values = np.array([(rng.f_r_min + rng.f_r_max) / 2.0])
     else:
         values = np.linspace(rng.f_r_min, rng.f_r_max, r_res)
-    return ResonanceGrid(values=values)
+    return ResonanceGrid(values=values, design=design, subcarriers=subcarriers)
 
 
-def default_grid(design: DmaDesign, r_res: int = DEFAULT_R_RES) -> ResonanceGrid:
-    return resonance_grid(tuning_range(design), r_res)
-
-
-def center_frequency_beamformer(
-    channels: ChannelSet, grid: ResonanceGrid, design: DmaDesign
-) -> ResonanceConfiguration:
+def center_frequency_beamformer(channels: ChannelSet, grid: ResonanceGrid) -> ResonanceConfiguration:
     """Per-element resonance matching the conjugate channel phase at the center subcarrier.
 
     Each element takes the achievable weight a nearest to the circle point t
@@ -88,7 +103,7 @@ def center_frequency_beamformer(
     kc = channels.grid.center_index
     f_c = channels.grid.f_center
     targets = lorentzian_weight(np.angle(np.conj(channels.h[kc])))  # (n_slot,)
-    achievable = normalized_polarizability(f_c, grid.values, design)  # (r_res,)
+    achievable = normalized_polarizability(f_c, grid.values, grid.design)  # (r_res,)
     t, a = targets + 0.5j, achievable + 0.5j  # both taken about the circle's center -j/2
     dots = np.stack([t.real, t.imag], axis=1) @ np.stack([a.real, a.imag])  # (n_slot, r_res)
     rows, idx = np.arange(targets.size), np.argmax(dots, axis=1)
@@ -123,36 +138,13 @@ def _tangent_plane(a: np.ndarray, running: np.ndarray, snr: np.ndarray, amp0: np
     return v.view(np.float64), slope @ (spread + np.abs(running)) ** 2
 
 
-def _scan_table(grid: ResonanceGrid, freq: np.ndarray, design: DmaDesign) -> tuple:
-    """The (r_res, k) weight table and the anchor weights and reach of its PRUNE_STEP-row intervals.
-
-    An interval's anchor is its middle row; reach[j, k] is the largest
-    |weights[r, k] - weights[anchor_j, k]| over the rows r of interval j.
-    The table depends only on the grid, the subcarriers and Gamma, so the grid
-    keeps the last one built, in one tuple that is read once and replaced whole.
-    """
-    gamma, scanned, table = grid._scan
-    if gamma == design.gamma and np.array_equal(scanned, freq):
-        return table
-    weights = normalized_polarizability(freq[None, :], grid.values[:, None], design)
-    starts = np.arange(0, grid.r_res, PRUNE_STEP)
-    last = np.minimum(starts + PRUNE_STEP, grid.r_res) - 1
-    anchor_w = weights[(starts + last) // 2]
-    reach = np.zeros(anchor_w.shape)
-    for offset in range(PRUNE_STEP):  # a short last interval repeats its last row
-        np.maximum(reach, np.abs(weights[np.minimum(starts + offset, last)] - anchor_w), out=reach)
-    object.__setattr__(grid, "_scan", (design.gamma, freq, (weights, anchor_w, reach)))  # freq: its SubcarrierGrid's read-only copy
-    return weights, anchor_w, reach
-
-
-def successive_beamformer(
-    channels: ChannelSet, snr, grid: ResonanceGrid, design: DmaDesign
-) -> ResonanceConfiguration:
+def successive_beamformer(channels: ChannelSet, snr, grid: ResonanceGrid) -> ResonanceConfiguration:
     """Greedy feed-order selection maximizing the running spectral efficiency.
 
     Element n picks the grid resonance maximizing
     mean_k log2(1 + snr_k * |U_n(f_k, f_r) + sum_{m<n} U_m(f_k, f_r_m)|^2)
-    with U_n = weight * taper * channel; earlier selections stay frozen.
+    with U_n = weight * taper * channel; earlier selections stay frozen. The
+    channel must have the grid's subcarriers, the only ones its table serves.
 
     Two exact bounds prune the scan without changing its result; a row is
     dropped only when a bound puts it below the objective of a real row, the
@@ -175,15 +167,17 @@ def successive_beamformer(
     """
     snr = np.asarray(snr, dtype=float)
     freq = channels.grid.frequencies
+    if not np.array_equal(freq, grid.subcarriers.frequencies):
+        raise ValueError("channel subcarriers differ from the resonance grid's")
     if snr.shape != freq.shape:
         raise ValueError("snr list must have one entry per subcarrier")
-    weights, anchor_w, reach = _scan_table(grid, freq, design)
+    weights, anchor_w, reach = grid.successive_table
     flat = weights.view(np.float64)  # (r_res, 2k): interleaved (Re, Im) of each weight, no copy
     index = np.arange(grid.r_res)
     block = max(PRUNE_STEP, PLANE_FLOATS // flat.shape[1])
     running = np.zeros(freq.size, dtype=complex)
-    chosen = np.empty(design.n_slot)
-    for n in range(design.n_slot):
+    chosen = np.empty(grid.design.n_slot)
+    for n in range(grid.design.n_slot):
         a = channels.h_att[n] * channels.h[:, n]
         amp = np.abs(anchor_w * a[None, :] + running[None, :])
         anchor_score = _score(amp, snr)

@@ -33,6 +33,8 @@ class ChannelSet:
         _freeze(self, "h", "h_att", "phases", dtype=None)  # h is complex
         if self.h_att.shape != self.h.shape[1:]:
             raise ValueError("leakage taper must hold one entry per channel element")
+        if self.h.shape[0] != self.grid.k:
+            raise ValueError("channel must hold one row per subcarrier")
 
     @property
     def n_slot(self) -> int:

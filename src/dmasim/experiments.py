@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .approx import gain_breakdown, power_normalized_gain
-from .beamform import DEFAULT_R_RES, default_grid
+from .beamform import DEFAULT_R_RES, resonance_grid
 from .channel import MultipathSpec, effective_channel, leakage_vector, multipath_channel
 from .metrics import ALGORITHMS, GainSpectrum, run_beamformer
 from .params import DmaDesign, ScenarioConfig, override_fields, subcarrier_grid, wavelength
@@ -95,8 +95,8 @@ def spectrum_rows(scenario_id: str, algorithm: str, frequencies, spectrum: GainS
 
 def _both_algorithms(cfg: ScenarioConfig, design: DmaDesign, r_res: int) -> dict[str, GainSpectrum]:
     channels = effective_channel(cfg, design)
-    grid = default_grid(design, r_res)
-    return {alg: run_beamformer(alg, channels, cfg, design, grid)[1] for alg in ALGORITHMS}
+    grid = resonance_grid(design, channels.grid, r_res)
+    return {alg: run_beamformer(alg, channels, cfg, grid)[1] for alg in ALGORITHMS}
 
 
 def _overrides(obj, field: str, axis, **fixed) -> list:
@@ -119,7 +119,7 @@ def _validation_sweep(cfg: ScenarioConfig, designs: list, field: str, penalty: s
     rows = []
     for d in designs:
         channels = replace(base, h_att=leakage_vector(d))
-        _, spectrum = run_beamformer("center-frequency", channels, narrow, d, default_grid(d, r_res))
+        _, spectrum = run_beamformer("center-frequency", channels, narrow, resonance_grid(d, channels.grid, r_res))
         breakdown = gain_breakdown(narrow, d)
         approx_sum = float(np.sum(power_normalized_gain(breakdown, d)))
         rel_err = abs(approx_sum - spectrum.g_sum) / spectrum.g_sum
@@ -143,7 +143,7 @@ def validation_per_subcarrier(cfg: ScenarioConfig, design: DmaDesign, r_res: int
     sub_cfg = override_fields(cfg, b=VALIDATE_B, k=VALIDATE_SUBCARRIER_K)
     d = override_fields(design, b_tune=VALIDATE_WIDE_TUNING)
     channels = effective_channel(sub_cfg, d)
-    _, spectrum = run_beamformer("center-frequency", channels, sub_cfg, d, default_grid(d, r_res))
+    _, spectrum = run_beamformer("center-frequency", channels, sub_cfg, resonance_grid(d, channels.grid, r_res))
     breakdown = gain_breakdown(sub_cfg, d)
     approx = power_normalized_gain(breakdown, d)
     flat = [breakdown.fill_penalty, breakdown.leakage_penalty, d.b_tune]
@@ -234,8 +234,8 @@ def _multipath_mc(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign) 
     axis = plan.axis or (1.0, 2.0, 4.0)
     if any(l_path != int(l_path) or l_path < 1 for l_path in axis):
         raise ValueError("path counts must be positive integers")
-    grid = default_grid(design, plan.r_res)
     subcarriers = subcarrier_grid(cfg)
+    grid = resonance_grid(design, subcarriers, plan.r_res)
     rows = []
     for l_idx, l_path in enumerate(axis):
         per_alg = {alg: [] for alg in ALGORITHMS}
@@ -244,7 +244,7 @@ def _multipath_mc(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign) 
             spec = MultipathSpec(l_path=int(l_path), seed=child, pin_first_to_los=plan.pin_los)
             channels = multipath_channel(spec, cfg, design, subcarriers)
             for alg in ALGORITHMS:
-                _, spectrum = run_beamformer(alg, channels, cfg, design, grid)
+                _, spectrum = run_beamformer(alg, channels, cfg, grid)
                 per_alg[alg].append(spectrum.capacity)
         for alg in ALGORITHMS:
             values = np.asarray(per_alg[alg])

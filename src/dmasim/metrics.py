@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamform import ResonanceGrid, center_frequency_beamformer, default_grid, successive_beamformer
+from .beamform import ResonanceGrid, center_frequency_beamformer, successive_beamformer
 from .channel import ChannelSet
 from .element import ResonanceConfiguration, dma_weight_matrix
 from .params import DmaDesign, ScenarioConfig, _freeze, noise_power, path_loss, radiated_fraction, subcarrier_grid
@@ -79,25 +79,20 @@ ALGORITHMS = ("center-frequency", "successive")  # the names run_beamformer acce
 
 
 def run_beamformer(
-    algorithm: str,
-    channels: ChannelSet,
-    cfg: ScenarioConfig,
-    design: DmaDesign,
-    grid: ResonanceGrid | None = None,
+    algorithm: str, channels: ChannelSet, cfg: ScenarioConfig, grid: ResonanceGrid
 ) -> tuple[ResonanceConfiguration, GainSpectrum]:
-    """Configure the aperture with the named algorithm and score it.
+    """Configure the aperture of grid's design with the named algorithm and score it.
 
     One SNR profile serves both the successive objective and the score.
     """
-    if grid is None:
-        grid = default_grid(design)
     rho = snr_profile(cfg)
+    # positional calls: benchmark/run.py's tracer reads the grid at these argument positions
     if algorithm == "center-frequency":
-        res = center_frequency_beamformer(channels, grid, design)
+        res = center_frequency_beamformer(channels, grid)
     elif algorithm == "successive":
-        res = successive_beamformer(channels, rho, grid, design)
+        res = successive_beamformer(channels, rho, grid)
     else:
         raise ValueError(f"unknown beamforming algorithm {algorithm!r}")
-    weights = dma_weight_matrix(res, channels.grid.frequencies, design)
-    return res, _assemble(gain_profile(channels, weights, design), rho, cfg.b)
+    weights = dma_weight_matrix(res, channels.grid.frequencies, grid.design)
+    return res, _assemble(gain_profile(channels, weights, grid.design), rho, cfg.b)
 

@@ -11,13 +11,11 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from dmasim import (
     DmaDesign,
     ScenarioConfig,
     center_frequency_beamformer,
-    default_grid,
     effective_channel,
     fill_penalty,
     fill_penalty_mc_stderr,
@@ -25,11 +23,12 @@ from dmasim import (
     leakage_penalty_exact,
     linear_phase_approx,
     normalized_polarizability,
-    override_fields,
     polarizability_phase,
+    resonance_grid,
     run_beamformer,
     snr_profile,
     squint_gain_from_phase,
+    subcarrier_grid,
     successive_beamformer,
     wavelength,
 )
@@ -155,13 +154,13 @@ def test_criterion_06_gain_approximation_validation():
 
 def test_criterion_07_wideband_spectral_efficiency_trends():
     design = DmaDesign()
-    grid = default_grid(design, 501)
     se_cf, se_succ = [], []
     for b in (2.5e8, 5e8, 7.5e8, 1e9, 1.25e9, 1.5e9, 1.75e9, 2e9):
         cfg = ScenarioConfig(b=b)
         channels = effective_channel(cfg, design)
-        _, s_cf = run_beamformer("center-frequency", channels, cfg, design, grid)
-        _, s_succ = run_beamformer("successive", channels, cfg, design, grid)
+        grid = resonance_grid(design, channels.grid, 501)  # one grid per subcarrier set
+        _, s_cf = run_beamformer("center-frequency", channels, cfg, grid)
+        _, s_succ = run_beamformer("successive", channels, cfg, grid)
         se_cf.append(s_cf.capacity)
         se_succ.append(s_succ.capacity)
     se_cf, se_succ = np.array(se_cf), np.array(se_succ)
@@ -182,14 +181,14 @@ def test_criterion_07_wideband_spectral_efficiency_trends():
 
 def test_criterion_08_steering_angle_flatness():
     design = DmaDesign()
-    grid = default_grid(design, 501)
+    grid = resonance_grid(design, subcarrier_grid(ScenarioConfig()), 501)  # the steering angle keeps the subcarriers
     variations = {}
     for algorithm in ("center-frequency", "successive"):
         values = []
         for deg in range(-60, 61, 20):
             cfg = ScenarioConfig(phi_t=math.radians(deg))
             channels = effective_channel(cfg, design)
-            _, spectrum = run_beamformer(algorithm, channels, cfg, design, grid)
+            _, spectrum = run_beamformer(algorithm, channels, cfg, grid)
             values.append(spectrum.capacity)
         values = np.array(values)
         variations[algorithm] = float((values.max() - values.min()) / values.mean())
@@ -211,7 +210,7 @@ def test_criterion_09_denser_spacing_wins_at_fixed_aperture():
         for d_x, n_slot in ((lam / 2, 16), (lam / 3, 24), (lam / 4, 32)):
             design = DmaDesign(n_slot=n_slot, d_x=d_x)
             channels = effective_channel(cfg, design)
-            _, spectrum = run_beamformer(algorithm, channels, cfg, design, default_grid(design, 501))
+            _, spectrum = run_beamformer(algorithm, channels, cfg, resonance_grid(design, channels.grid, 501))
             ses.append(spectrum.capacity)
         results[algorithm] = ses
     # listed from lambda/2 down to lambda/4: SE must rise pairwise (1% slack)
@@ -229,13 +228,15 @@ def test_criterion_10_grid_scan_complexity_scales_linearly():
 
     def successive_solve(n_slot, r_res):
         design = DmaDesign(n_slot=n_slot)
-        channels, grid = effective_channel(cfg, design), default_grid(design, r_res)
-        return lambda: successive_beamformer(channels, rho, grid, design)
+        channels = effective_channel(cfg, design)
+        grid = resonance_grid(design, channels.grid, r_res)
+        return lambda: successive_beamformer(channels, rho, grid)
 
     def center_solves(n_slot, r_res, reps=200):
         design = DmaDesign(n_slot=n_slot)
-        channels, grid = effective_channel(cfg, design), default_grid(design, r_res)
-        return lambda: [center_frequency_beamformer(channels, grid, design) for _ in range(reps)]
+        channels = effective_channel(cfg, design)
+        grid = resonance_grid(design, channels.grid, r_res)
+        return lambda: [center_frequency_beamformer(channels, grid) for _ in range(reps)]
 
     def ratio(small, large, blocks=5):
         # the sizes alternate block by block, so a spell of host load slows both alike

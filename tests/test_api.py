@@ -37,7 +37,6 @@ EXPORTED = {
     "array_response",
     "center_frequency_beamformer",
     "channel_phase_step",
-    "default_grid",
     "dma_weight_matrix",
     "effective_channel",
     "fill_penalty",
@@ -209,7 +208,12 @@ def test_config_fields_are_pinned():
 # of it as every array field.
 RECORDS = {
     "SubcarrierGrid": (float, lambda v: dmasim.SubcarrierGrid(frequencies=v, center_index=4)),
-    "ResonanceGrid": (float, lambda v: dmasim.ResonanceGrid(values=v)),
+    "ResonanceGrid": (
+        float,
+        lambda v: dmasim.ResonanceGrid(
+            values=v, design=dmasim.DmaDesign(), subcarriers=dmasim.subcarrier_grid(dmasim.ScenarioConfig(k=8))
+        ),
+    ),
     "ResonanceConfiguration": (float, lambda v: dmasim.ResonanceConfiguration(f_r=v)),
     "GainSpectrum": (float, lambda v: dmasim.GainSpectrum(gain=v, rho=v[1:], se=v[::2], g_sum=1.0, capacity=1.0, rate=1.0)),
     "ApproxBreakdown": (float, lambda v: dmasim.ApproxBreakdown(squint_gain=v, fill_penalty=1.0, leakage_penalty=1.0, product=v[1:])),

@@ -14,7 +14,6 @@ from dmasim import (
     ScenarioConfig,
     SubcarrierGrid,
     center_frequency_beamformer,
-    default_grid,
     effective_channel,
     lorentzian_weight,
     multipath_channel,
@@ -36,19 +35,20 @@ def make_channelset(h, grid, h_att=None):
     return ChannelSet(h=h, h_att=np.asarray(h_att, dtype=float), grid=grid)
 
 
-def dense_center_frequency(channels, grid, design):
+def dense_center_frequency(channels, grid):
     """The distance table over every grid row: the oracle of the dot-product search."""
     kc = channels.grid.center_index
     f_c = channels.grid.f_center
     targets = lorentzian_weight(np.angle(np.conj(channels.h[kc])))  # (n_slot,)
-    achievable = normalized_polarizability(f_c, grid.values, design)  # (r_res,)
+    achievable = normalized_polarizability(f_c, grid.values, grid.design)  # (r_res,)
     dist = np.abs(targets[None, :] - achievable[:, None])  # (r_res, n_slot)
     idx = np.argmin(dist, axis=0)  # first minimum = lower resonant frequency
     return ResonanceConfiguration(f_r=grid.values[idx])
 
 
-def exhaustive_successive(channels, snr, grid, design):
+def exhaustive_successive(channels, snr, grid):
     """The successive scan over every grid row: the oracle of the pruned scan."""
+    design = grid.design
     snr = np.asarray(snr, dtype=float)
     freq = channels.grid.frequencies
     weights = normalized_polarizability(freq[None, :], grid.values[:, None], design)
@@ -69,23 +69,23 @@ def two_point_grid(f_t=15e9, b=1e9):
 
 
 class TestResonanceGrid:
-    def test_endpoints_and_spacing(self, design):
-        grid = resonance_grid(tuning_range(design), 101)
+    def test_endpoints_and_spacing(self, cfg, design):
+        grid = resonance_grid(design, subcarrier_grid(cfg), 101)
         assert grid.values[0] == design.f_t - design.b_tune / 2
         assert grid.values[-1] == design.f_t + design.b_tune / 2
         np.testing.assert_allclose(np.diff(grid.values), design.b_tune / 100, rtol=1e-12)
 
-    def test_single_point_sits_at_center(self, design):
-        grid = resonance_grid(tuning_range(design), 1)
+    def test_single_point_sits_at_center(self, cfg, design):
+        grid = resonance_grid(design, subcarrier_grid(cfg), 1)
         np.testing.assert_array_equal(grid.values, [design.f_t])
 
-    def test_rejects_empty(self, design):
+    def test_rejects_empty(self, cfg, design):
         with pytest.raises(ValueError):
-            resonance_grid(tuning_range(design), 0)
+            resonance_grid(design, subcarrier_grid(cfg), 0)
 
-    def test_compares_by_identity(self, design):
+    def test_compares_by_identity(self, cfg, design):
         # the value array has no truth value, so grids compare by identity and stay hashable
-        a, b = default_grid(design, 11), default_grid(design, 11)
+        a, b = resonance_grid(design, subcarrier_grid(cfg), 11), resonance_grid(design, subcarrier_grid(cfg), 11)
         assert a == a and a != b and len({a, a, b}) == 2
 
 
@@ -96,21 +96,21 @@ class TestCenterFrequencyBeamformer:
         grid = two_point_grid()
         h = np.tile(np.exp(1j * math.pi / 2), (2, design.n_slot))
         channels = make_channelset(h, grid)
-        res = center_frequency_beamformer(channels, default_grid(design, 1001), design)
+        res = center_frequency_beamformer(channels, resonance_grid(design, channels.grid, 1001))
         np.testing.assert_array_equal(res.f_r, np.full(design.n_slot, design.f_t))
 
     def test_zero_tuning_bandwidth_pins_to_carrier(self, cfg, design):
         d0 = override_fields(design, b_tune=0.0)
         channels = effective_channel(cfg, d0)
-        res = center_frequency_beamformer(channels, default_grid(d0, 51), d0)
+        res = center_frequency_beamformer(channels, resonance_grid(d0, channels.grid, 51))
         np.testing.assert_array_equal(res.f_r, np.full(design.n_slot, design.f_t))
 
     def test_matches_bruteforce_oracle(self, cfg, design):
         d2 = override_fields(design, n_slot=2)
         cfg2 = override_fields(cfg, k=2)
         channels = effective_channel(cfg2, d2)
-        grid = default_grid(d2, 101)
-        res = center_frequency_beamformer(channels, grid, d2)
+        grid = resonance_grid(d2, channels.grid, 101)
+        res = center_frequency_beamformer(channels, grid)
         kc = channels.grid.center_index
         for n in range(2):
             target = lorentzian_weight(np.angle(np.conj(channels.h[kc, n])))
@@ -123,18 +123,18 @@ class TestCenterFrequencyBeamformer:
 
     def test_tie_breaks_toward_lower_resonance(self, design):
         # duplicated grid values produce an exact tie; the first (lower) wins
-        grid = ResonanceGrid(values=np.array([14.9e9, 14.9e9, 15.1e9]))
+        grid = ResonanceGrid(values=np.array([14.9e9, 14.9e9, 15.1e9]), design=design, subcarriers=two_point_grid())
         channels = make_channelset(np.ones((2, 3)), two_point_grid())
-        res = center_frequency_beamformer(channels, grid, design)
+        res = center_frequency_beamformer(channels, grid)
         assert set(res.f_r) <= {14.9e9, 15.1e9}
         # a target reached equally by both duplicates resolves to index 0
         h = np.tile(np.exp(1j * math.pi / 2), (2, 1))
-        res2 = center_frequency_beamformer(make_channelset(h, two_point_grid()), grid, design)
+        res2 = center_frequency_beamformer(make_channelset(h, two_point_grid()), grid)
         assert res2.f_r[0] == 14.9e9
 
-    def test_rejects_empty_grid(self):
+    def test_rejects_empty_grid(self, design):
         with pytest.raises(ValueError):
-            ResonanceGrid(values=np.array([]))
+            ResonanceGrid(values=np.array([]), design=design, subcarriers=two_point_grid())
 
     @settings(deadline=None)
     @given(
@@ -164,7 +164,7 @@ class TestCenterFrequencyBeamformer:
             channels = multipath_channel(MultipathSpec(l_path=1 + seed % 6, seed=seed), cfg, design)
         else:
             channels = make_channelset(np.exp(1j * rng.uniform(-np.pi, np.pi, (cfg.k, n_slot))), subcarrier_grid(cfg))
-        grid = default_grid(design, r_res)
+        grid = resonance_grid(design, channels.grid, r_res)
         h = channels.h.copy()
         kc = channels.grid.center_index
         moved = rng.random(n_slot) < 0.5
@@ -182,31 +182,31 @@ class TestCenterFrequencyBeamformer:
             h[kc, moved] = np.exp(-1j * zeta[moved])
         h[:, rng.random(n_slot) < 0.15] = 0.0  # silent elements
         channels = make_channelset(h, channels.grid, channels.h_att)
-        res = center_frequency_beamformer(channels, grid, design)
-        assert np.array_equal(res.f_r, dense_center_frequency(channels, grid, design).f_r)
+        res = center_frequency_beamformer(channels, grid)
+        assert np.array_equal(res.f_r, dense_center_frequency(channels, grid).f_r)
 
     def test_sub_hz_far_target_tie(self):
         # every grid weight sits within ~1e-15 of the same distance from a target at the origin
         # point: the dot product alone picks other rows than the distance table, the re-rank does not
         n_slot = 64
         design = DmaDesign(n_slot=n_slot, b_tune=5e-3)
-        grid = default_grid(design, 4001)
         zeta = math.pi / 2 + np.linspace(-1e-6, 1e-6, n_slot)
         channels = make_channelset(
             np.exp(-1j * zeta)[None, :], SubcarrierGrid(frequencies=np.array([design.f_t]), center_index=0)
         )
-        res = center_frequency_beamformer(channels, grid, design)
-        assert np.array_equal(res.f_r, dense_center_frequency(channels, grid, design).f_r)
+        grid = resonance_grid(design, channels.grid, 4001)
+        res = center_frequency_beamformer(channels, grid)
+        assert np.array_equal(res.f_r, dense_center_frequency(channels, grid).f_r)
 
     def test_solve_allocates_no_distance_table(self):
         # a complex (r_res, n_slot) distance table alone takes 16 MB here; the dot table takes 8 MB
         design = DmaDesign(n_slot=256)
         channels = effective_channel(ScenarioConfig(k=16), design)
-        grid = default_grid(design, 4001)
-        center_frequency_beamformer(channels, grid, design)  # warm call
+        grid = resonance_grid(design, channels.grid, 4001)
+        center_frequency_beamformer(channels, grid)  # warm call
         tracemalloc.start()
         try:
-            center_frequency_beamformer(channels, grid, design)
+            center_frequency_beamformer(channels, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -214,14 +214,14 @@ class TestCenterFrequencyBeamformer:
 
     def test_deterministic(self, cfg, design):
         channels = effective_channel(cfg, design)
-        grid = default_grid(design, 501)
-        a = center_frequency_beamformer(channels, grid, design)
-        b = center_frequency_beamformer(channels, grid, design)
+        grid = resonance_grid(design, channels.grid, 501)
+        a = center_frequency_beamformer(channels, grid)
+        b = center_frequency_beamformer(channels, grid)
         np.testing.assert_array_equal(a.f_r, b.f_r)
 
     def test_stays_in_range(self, cfg, design):
         channels = effective_channel(cfg, design)
-        res = center_frequency_beamformer(channels, default_grid(design, 257), design)
+        res = center_frequency_beamformer(channels, resonance_grid(design, channels.grid, 257))
         assert tuning_range(design).contains(res.f_r)
 
 
@@ -230,8 +230,8 @@ class TestSuccessiveBeamformer:
         d1 = override_fields(design, n_slot=1)
         grid_1k = SubcarrierGrid(frequencies=np.array([15e9]), center_index=0)
         channels = make_channelset(np.exp(1j * 0.7) * np.ones((1, 1)), grid_1k)
-        grid = default_grid(d1, 201)
-        res = successive_beamformer(channels, np.array([5.0]), grid, d1)
+        grid = resonance_grid(d1, channels.grid, 201)
+        res = successive_beamformer(channels, np.array([5.0]), grid)
         gains = np.abs(normalized_polarizability(15e9, grid.values, d1) * channels.h[0, 0])
         assert res.f_r[0] == grid.values[int(np.argmax(gains))]
 
@@ -240,8 +240,8 @@ class TestSuccessiveBeamformer:
         cfg2 = override_fields(cfg, k=2)
         channels = effective_channel(cfg2, d2)
         rho = snr_profile(cfg2)
-        grid = default_grid(d2, 51)
-        res = successive_beamformer(channels, rho, grid, d2)
+        grid = resonance_grid(d2, channels.grid, 51)
+        res = successive_beamformer(channels, rho, grid)
 
         freqs = channels.grid.frequencies
         running = np.zeros(2, dtype=complex)
@@ -268,8 +268,8 @@ class TestSuccessiveBeamformer:
 
     def test_degenerate_grid_pins_every_element(self, cfg, design):
         channels = effective_channel(cfg, design)
-        grid = default_grid(design, 1)
-        res = successive_beamformer(channels, snr_profile(cfg), grid, design)
+        grid = resonance_grid(design, channels.grid, 1)
+        res = successive_beamformer(channels, snr_profile(cfg), grid)
         np.testing.assert_array_equal(res.f_r, np.full(design.n_slot, design.f_t))
 
     def test_selected_point_beats_worst_grid_point(self, cfg, design):
@@ -278,8 +278,8 @@ class TestSuccessiveBeamformer:
         cfg4 = override_fields(cfg, k=4)
         channels = effective_channel(cfg4, d4)
         rho = snr_profile(cfg4)
-        grid = default_grid(d4, 31)
-        res = successive_beamformer(channels, rho, grid, d4)
+        grid = resonance_grid(d4, channels.grid, 31)
+        res = successive_beamformer(channels, rho, grid)
         freqs = channels.grid.frequencies
         running = np.zeros(4, dtype=complex)
         for n in range(4):
@@ -293,10 +293,10 @@ class TestSuccessiveBeamformer:
 
     def test_deterministic_and_in_range(self, cfg, design):
         channels = effective_channel(cfg, design)
-        grid = default_grid(design, 101)
+        grid = resonance_grid(design, channels.grid, 101)
         rho = snr_profile(cfg)
-        a = successive_beamformer(channels, rho, grid, design)
-        b = successive_beamformer(channels, rho, grid, design)
+        a = successive_beamformer(channels, rho, grid)
+        b = successive_beamformer(channels, rho, grid)
         np.testing.assert_array_equal(a.f_r, b.f_r)
         assert tuning_range(design).contains(a.f_r)
 
@@ -319,9 +319,9 @@ class TestSuccessiveBeamformer:
         else:
             channels = multipath_channel(MultipathSpec(l_path=l_path, seed=seed, pin_first_to_los=pin), cfg, design)
         snr = snr_profile(cfg) * 10.0**snr_exp
-        grid = default_grid(design, r_res)
-        res = successive_beamformer(channels, snr, grid, design)
-        assert np.array_equal(res.f_r, exhaustive_successive(channels, snr, grid, design))
+        grid = resonance_grid(design, channels.grid, r_res)
+        res = successive_beamformer(channels, snr, grid)
+        assert np.array_equal(res.f_r, exhaustive_successive(channels, snr, grid))
 
     @pytest.mark.parametrize("l_path", [0, 1, 4])  # 0: line of sight
     def test_tangent_plane_bounds_every_row(self, cfg, l_path):
@@ -332,11 +332,11 @@ class TestSuccessiveBeamformer:
         else:
             channels = multipath_channel(MultipathSpec(l_path=l_path, seed=l_path), cfg, design)
         snr = snr_profile(cfg)
-        grid = default_grid(design, 1001)
+        grid = resonance_grid(design, channels.grid, 1001)
         freq = channels.grid.frequencies
         weights = normalized_polarizability(freq[None, :], grid.values[:, None], design)
         taps = channels.h_att * channels.h
-        picks = np.searchsorted(grid.values, exhaustive_successive(channels, snr, grid, design))
+        picks = np.searchsorted(grid.values, exhaustive_successive(channels, snr, grid))
         running = np.sum(weights[picks[:8]] * taps[:, :8].T, axis=0)  # the first 8 elements' selections
         a = taps[:, 8]
         z = np.abs(weights * a + running) ** 2
@@ -352,68 +352,25 @@ class TestSuccessiveBeamformer:
             assert np.all(plane >= exact - tol)
             assert np.max(plane - exact) > 1e3 * tol  # not equal to the objective everywhere
 
-    def test_one_grid_serves_every_scan_input(self, monkeypatch):
-        # one grid across channel draws, subcarrier sets and dampings at one tuning range:
-        # a table left over from another solve would make the scan pick other rows than the oracle
-        builds = []
-        build = normalized_polarizability
-        monkeypatch.setattr("dmasim.beamform.normalized_polarizability", lambda *a: builds.append(a) or build(*a))
-        grid = default_grid(DmaDesign(n_slot=16), 1001)
-        solves = [  # (scenario, q, multipath seed; None for line of sight), each key change rebuilds
-            (ScenarioConfig(), 100.0, None),
-            (ScenarioConfig(), 100.0, 1),
-            (ScenarioConfig(k=16), 100.0, 2),
-            (ScenarioConfig(), 100.0, 3),  # back to the first key: one table is kept, not two
-            (ScenarioConfig(b=2e9), 100.0, None),
-            (ScenarioConfig(b=2e9), 100.0, 4),
-            (ScenarioConfig(), 50.0, 5),
-            (ScenarioConfig(), 100.0, None),
-        ]
-        for cfg, q, seed in solves:
-            design = DmaDesign(n_slot=16, q=q)
-            if seed is None:
-                channels = effective_channel(cfg, design)
-            else:
-                channels = multipath_channel(MultipathSpec(l_path=3, seed=seed), cfg, design)
-            snr = snr_profile(cfg)
-            res = successive_beamformer(channels, snr, grid, design)
-            assert np.array_equal(res.f_r, exhaustive_successive(channels, snr, grid, design))
-        assert len(builds) == 6
-
     def test_result_independent_of_solve_order(self, cfg):
         # Monte-Carlo trials share one grid; no trial may see what an earlier one left on it
         design = DmaDesign(n_slot=16)
         snr = snr_profile(cfg)
         trials = [multipath_channel(MultipathSpec(l_path=l, seed=s), cfg, design) for l, s in [(1, 7), (2, 8), (4, 9)]]
-        shared = default_grid(design, 1001)
-        forward = [successive_beamformer(c, snr, shared, design).f_r for c in trials]
-        backward = [successive_beamformer(c, snr, shared, design).f_r for c in reversed(trials)][::-1]
-        fresh = [successive_beamformer(c, snr, default_grid(design, 1001), design).f_r for c in trials]
-        for f_r, back, alone in zip(forward, backward, fresh):
+        shared = resonance_grid(design, subcarrier_grid(cfg), 1001)
+        forward = [successive_beamformer(c, snr, shared).f_r for c in trials]
+        backward = [successive_beamformer(c, snr, shared).f_r for c in reversed(trials)][::-1]
+        fresh = [successive_beamformer(c, snr, resonance_grid(design, c.grid, 1001)).f_r for c in trials]
+        for c, f_r, back, alone in zip(trials, forward, backward, fresh):
             assert np.array_equal(f_r, back) and np.array_equal(f_r, alone)
+            assert np.array_equal(f_r, exhaustive_successive(c, snr, shared))
 
-    def test_solve_between_memo_check_and_use_cannot_swap_the_table(self, monkeypatch):
-        # a solve with other subcarriers that lands between the memo's check and its read
-        # (another thread on the shared grid) must not hand its table to the first solve
-        design = DmaDesign(n_slot=8)
-        cfg_a, cfg_b = ScenarioConfig(k=8), ScenarioConfig(k=8, b=2e9)
-        chan_a, chan_b = effective_channel(cfg_a, design), effective_channel(cfg_b, design)
-        snr_a, snr_b = snr_profile(cfg_a), snr_profile(cfg_b)
-        fresh = successive_beamformer(chan_a, snr_a, default_grid(design, 51), design).f_r
-        grid = default_grid(design, 51)
-        successive_beamformer(chan_a, snr_a, grid, design)  # warm the grid with set A
-        equal, interleaved = np.array_equal, []
-
-        def array_equal(*args):
-            if not interleaved:
-                interleaved.append(args)
-                successive_beamformer(chan_b, snr_b, grid, design)
-            return equal(*args)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(np, "array_equal", array_equal)
-            got = successive_beamformer(chan_a, snr_a, grid, design).f_r
-        assert interleaved and np.array_equal(got, fresh)
+    def test_rejects_grid_of_other_subcarriers(self, design):
+        # a grid's table serves its own subcarriers only: equal k at another bandwidth is refused
+        grid = resonance_grid(design, subcarrier_grid(ScenarioConfig(k=8, b=5e8)), 51)
+        cfg = ScenarioConfig(k=8, b=2e9)
+        with pytest.raises(ValueError, match="subcarriers"):
+            successive_beamformer(effective_channel(cfg, design), snr_profile(cfg), grid)
 
     @pytest.mark.parametrize("r_res", [5, 201])  # 5: shorter than one interval of any bound level
     def test_silent_element_takes_lowest_resonance(self, cfg, design, rng, r_res):
@@ -424,13 +381,13 @@ class TestSuccessiveBeamformer:
         h[:, 2] = 0.0
         channels = make_channelset(h, subcarrier_grid(cfg4))
         rho = snr_profile(cfg4)
-        grid = default_grid(d4, r_res)
-        res = successive_beamformer(channels, rho, grid, d4)
+        grid = resonance_grid(d4, channels.grid, r_res)
+        res = successive_beamformer(channels, rho, grid)
         assert res.f_r[2] == grid.values[0]
-        np.testing.assert_array_equal(res.f_r, exhaustive_successive(channels, rho, grid, d4))
+        np.testing.assert_array_equal(res.f_r, exhaustive_successive(channels, rho, grid))
 
     def test_rejects_mismatched_snr(self, cfg, design):
         channels = effective_channel(cfg, design)
         with pytest.raises(ValueError):
-            successive_beamformer(channels, np.ones(3), default_grid(design, 11), design)
+            successive_beamformer(channels, np.ones(3), resonance_grid(design, channels.grid, 11))
 

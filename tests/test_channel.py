@@ -187,6 +187,11 @@ class TestEffectiveChannel:
         with pytest.raises(ValueError):
             ChannelSet(h=channels.h, h_att=np.ones(channels.h.shape), grid=channels.grid)
 
+    def test_rejects_rows_other_than_subcarriers(self):
+        # one row would broadcast over all 8 subcarriers in the successive scan
+        with pytest.raises(ValueError, match="^channel must hold one row per subcarrier$"):
+            ChannelSet(h=np.ones((1, 4), complex), h_att=np.ones(4), grid=subcarrier_grid(ScenarioConfig(k=8)))
+
     def test_immutable(self, cfg, design):
         channels = effective_channel(cfg, design)
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dmasim import DmaDesign, ScenarioConfig, override_fields
+from dmasim import DmaDesign, ScenarioConfig, resonance_grid
 from dmasim.cli import _configs_from_args, build_parser, main
 from dmasim.experiments import (
     DEFAULT_LAMBDA_AXIS,
@@ -144,7 +144,8 @@ class TestDeterminism:
 class TestSpectrumSchema:
     def test_round_trip(self, tmp_path, small_cfg, small_design):
         channels = effective_channel(small_cfg, small_design)
-        _, spectrum = run_beamformer("center-frequency", channels, small_cfg, small_design)
+        grid = resonance_grid(small_design, channels.grid)
+        _, spectrum = run_beamformer("center-frequency", channels, small_cfg, grid)
         rows = spectrum_rows("s1", "center-frequency", channels.grid.frequencies, spectrum)
         path = tmp_path / "spectrum.csv"
         with open(path, "w", encoding="utf-8") as handle:
@@ -184,9 +185,9 @@ class TestValidateApprox:
         # each sweep builds one channel: b_tune and lambda_frac, the fields they move, must stay out of h
         solved = []
 
-        def record(alg, channels, scenario, d, grid):
-            solved.append((channels, scenario, d))
-            return run_beamformer(alg, channels, scenario, d, grid)
+        def record(alg, channels, scenario, grid):
+            solved.append((channels, scenario, grid.design))
+            return run_beamformer(alg, channels, scenario, grid)
 
         monkeypatch.setattr("dmasim.experiments.run_beamformer", record)
         validation_tuning_sweep(cfg, design, _gamma_axis(design), 51)
@@ -270,10 +271,8 @@ class TestMultipathMc:
         written = run_plan(plan, small_cfg, small_design)
         rows = [line.split(",") for line in body(written[0]).splitlines()[1:]]
         channels = effective_channel(small_cfg, small_design)
-        from dmasim.beamform import default_grid
-
         for row in rows:
-            _, spectrum = run_beamformer(row[1], channels, small_cfg, small_design, default_grid(small_design, 101))
+            _, spectrum = run_beamformer(row[1], channels, small_cfg, resonance_grid(small_design, channels.grid, 101))
             assert float(row[2]) == pytest.approx(spectrum.capacity, rel=1e-12)
             assert float(row[3]) == pytest.approx(0.0, abs=1e-12)  # deterministic trials
 
@@ -456,10 +455,11 @@ def test_readme_library_example_runs():
     cfg = d.ScenarioConfig(b=1e9)
     design = d.DmaDesign()
     channels = d.effective_channel(cfg, design)
-    res, spectrum = d.run_beamformer("successive", channels, cfg, design)
+    grid = d.resonance_grid(design, channels.grid)
+    res, spectrum = d.run_beamformer("successive", channels, cfg, grid)
     assert spectrum.capacity > 0 and spectrum.rate == cfg.b * spectrum.capacity
     approx = d.power_normalized_gain(d.gain_breakdown(cfg, design), design)
     assert approx.shape == (cfg.k,)
     # the approximation models the center-frequency configuration
-    _, cf_spectrum = d.run_beamformer("center-frequency", channels, cfg, design)
+    _, cf_spectrum = d.run_beamformer("center-frequency", channels, cfg, grid)
     assert cf_spectrum.gain[cfg.k // 2] == pytest.approx(approx[cfg.k // 2], rel=0.10)

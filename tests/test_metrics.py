@@ -6,7 +6,6 @@ from dmasim import (
     ScenarioConfig,
     SubcarrierGrid,
     center_frequency_beamformer,
-    default_grid,
     dma_weight_matrix,
     effective_channel,
     gain_breakdown,
@@ -17,6 +16,7 @@ from dmasim import (
     path_loss,
     power_normalized_gain,
     radiated_fraction,
+    resonance_grid,
     resonance_spectrum,
     run_beamformer,
     snr_profile,
@@ -63,7 +63,7 @@ class TestNormalization:
 
     def test_weight_scaling_homogeneity(self, cfg, design):
         channels = effective_channel(cfg, design)
-        res = center_frequency_beamformer(channels, default_grid(design, 501), design)
+        res = center_frequency_beamformer(channels, resonance_grid(design, channels.grid, 501))
         weights = dma_weight_matrix(res, channels.grid.frequencies, design)
         scaled = gain_profile(channels, 3.0 * weights, design)
         np.testing.assert_allclose(scaled, loop_oracle_gain(channels, 3.0 * weights, design), rtol=1e-12)
@@ -71,7 +71,7 @@ class TestNormalization:
 
     def test_power_constraint_residual(self, cfg, design):
         channels = effective_channel(cfg, design)
-        res = center_frequency_beamformer(channels, default_grid(design, 501), design)
+        res = center_frequency_beamformer(channels, resonance_grid(design, channels.grid, 501))
         weights = dma_weight_matrix(res, channels.grid.frequencies, design)
         np.testing.assert_allclose(
             gain_profile(channels, weights, design), loop_oracle_gain(channels, weights, design), rtol=1e-12
@@ -111,7 +111,7 @@ class TestBeamformingGain:
     def test_center_subcarrier_tracks_approximation(self, cfg, design):
         # cross-module: normalized simulated gain vs power-normalized product
         channels = effective_channel(cfg, design)
-        _, spectrum = run_beamformer("center-frequency", channels, cfg, design)
+        _, spectrum = run_beamformer("center-frequency", channels, cfg, resonance_grid(design, channels.grid))
         predicted = power_normalized_gain(gain_breakdown(cfg, design), design)
         kc = cfg.k // 2
         assert spectrum.gain[kc] == pytest.approx(predicted[kc], rel=0.10)
@@ -139,22 +139,22 @@ class TestSpectralEfficiency:
     def test_successive_beats_center_frequency_on_wideband(self, design):
         cfg = ScenarioConfig(b=1.5e9)
         channels = effective_channel(cfg, design)
-        grid = default_grid(design, 301)
-        _, s_cf = run_beamformer("center-frequency", channels, cfg, design, grid)
-        _, s_succ = run_beamformer("successive", channels, cfg, design, grid)
+        grid = resonance_grid(design, channels.grid, 301)
+        _, s_cf = run_beamformer("center-frequency", channels, cfg, grid)
+        _, s_succ = run_beamformer("successive", channels, cfg, grid)
         assert s_succ.capacity >= s_cf.capacity
 
     def test_global_phase_invariance(self, cfg, design):
         channels = effective_channel(cfg, design)
-        _, spectrum = run_beamformer("center-frequency", channels, cfg, design, default_grid(design, 101))
-        res, _ = run_beamformer("center-frequency", channels, cfg, design, default_grid(design, 101))
+        _, spectrum = run_beamformer("center-frequency", channels, cfg, resonance_grid(design, channels.grid, 101))
+        res, _ = run_beamformer("center-frequency", channels, cfg, resonance_grid(design, channels.grid, 101))
         weights = dma_weight_matrix(res, channels.grid.frequencies, design)
         rotated = weights * np.exp(1j * 1.234)
         assert gain_spectrum(channels, rotated, cfg, design).capacity == pytest.approx(spectrum.capacity, rel=1e-12)
 
     def test_g_sum_is_exact_row_sum(self, cfg, design):
         channels = effective_channel(cfg, design)
-        res, spectrum = run_beamformer("center-frequency", channels, cfg, design, default_grid(design, 101))
+        res, spectrum = run_beamformer("center-frequency", channels, cfg, resonance_grid(design, channels.grid, 101))
         assert spectrum.g_sum == float(np.sum(spectrum.gain))
         assert spectrum.rate == cfg.b * spectrum.capacity
         assert np.all(spectrum.gain >= 0) and np.all(spectrum.se >= 0)
@@ -167,13 +167,13 @@ class TestSpectralEfficiency:
 
     def test_resonance_spectrum_scores_like_run_beamformer(self, cfg, design):
         channels = effective_channel(cfg, design)
-        res, spectrum = run_beamformer("center-frequency", channels, cfg, design, default_grid(design, 101))
+        res, spectrum = run_beamformer("center-frequency", channels, cfg, resonance_grid(design, channels.grid, 101))
         np.testing.assert_array_equal(resonance_spectrum(channels, res, cfg, design).gain, spectrum.gain)
 
     def test_unknown_algorithm_rejected(self, cfg, design):
         channels = effective_channel(cfg, design)
         with pytest.raises(ValueError):
-            run_beamformer("zero-forcing", channels, cfg, design)
+            run_beamformer("zero-forcing", channels, cfg, resonance_grid(design, channels.grid))
 
 
 class TestSumGainTrends:
@@ -184,7 +184,7 @@ class TestSumGainTrends:
         for scale in (0.25, 0.5, 1.0, 2.0, 4.0):
             d = override_fields(design, b_tune=design.gamma * scale)
             channels = effective_channel(cfg, d)
-            _, spectrum = run_beamformer("center-frequency", channels, cfg, d, default_grid(d, 501))
+            _, spectrum = run_beamformer("center-frequency", channels, cfg, resonance_grid(d, channels.grid, 501))
             sums.append(spectrum.g_sum)
         assert all(b >= a * 0.995 for a, b in zip(sums, sums[1:]))
         assert sums[-1] > sums[0]
@@ -195,7 +195,7 @@ class TestSumGainTrends:
         for lam in (0.1, 0.3, 0.5, 0.7, 0.9):
             d = override_fields(design, lambda_frac=lam, b_tune=8e9)
             channels = effective_channel(cfg, d)
-            _, spectrum = run_beamformer("center-frequency", channels, cfg, d, default_grid(d, 501))
+            _, spectrum = run_beamformer("center-frequency", channels, cfg, resonance_grid(d, channels.grid, 501))
             sums.append(spectrum.g_sum)
         assert all(b >= a for a, b in zip(sums, sums[1:]))
 
