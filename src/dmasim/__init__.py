@@ -27,7 +27,6 @@ from .params import (
 )
 from .element import (
     ResonanceConfiguration,
-    TuningRange,
     dma_weight_matrix,
     linear_phase_approx,
     lorentzian_weight,

@@ -66,9 +66,9 @@ def phase_fill_ratio(design: DmaDesign) -> float:
     |arg w(f_t, f_r_max) - arg w(f_t, f_r_min)| / pi; both arguments lie in
     (-pi, 0), so no wrap can occur.
     """
-    rng = tuning_range(design)
-    hi = np.angle(normalized_polarizability(design.f_t, rng.f_r_max, design))
-    lo = np.angle(normalized_polarizability(design.f_t, rng.f_r_min, design))
+    f_r_min, f_r_max = tuning_range(design)
+    hi = np.angle(normalized_polarizability(design.f_t, f_r_max, design))
+    lo = np.angle(normalized_polarizability(design.f_t, f_r_min, design))
     return float(abs(hi - lo) / math.pi)
 
 

@@ -77,11 +77,11 @@ def resonance_grid(design: DmaDesign, subcarriers: SubcarrierGrid, r_res: int = 
     """Discretize the design's tuning range into r_res points; a single point sits at the center."""
     if r_res < 1:
         raise ValueError("resolution must be >= 1")
-    rng = tuning_range(design)
+    f_r_min, f_r_max = tuning_range(design)
     if r_res == 1:
-        values = np.array([(rng.f_r_min + rng.f_r_max) / 2.0])
+        values = np.array([(f_r_min + f_r_max) / 2.0])
     else:
-        values = np.linspace(rng.f_r_min, rng.f_r_max, r_res)
+        values = np.linspace(f_r_min, f_r_max, r_res)
     return ResonanceGrid(values=values, design=design, subcarriers=subcarriers)
 
 
@@ -100,6 +100,8 @@ def center_frequency_beamformer(channels: ChannelSet, grid: ResonanceGrid) -> Re
     the arc's gap. So an element needs the re-rank only when a cyclic
     neighbour of its best row is near too (always, on a one-row grid).
     """
+    if channels.n_slot != grid.design.n_slot:
+        raise ValueError("channel element count differs from the resonance grid design's")
     kc = channels.grid.center_index
     f_c = channels.grid.f_center
     targets = lorentzian_weight(np.angle(np.conj(channels.h[kc])))  # (n_slot,)
@@ -144,7 +146,7 @@ def successive_beamformer(channels: ChannelSet, snr, grid: ResonanceGrid) -> Res
     Element n picks the grid resonance maximizing
     mean_k log2(1 + snr_k * |U_n(f_k, f_r) + sum_{m<n} U_m(f_k, f_r_m)|^2)
     with U_n = weight * taper * channel; earlier selections stay frozen. The
-    channel must have the grid's subcarriers, the only ones its table serves.
+    channel must have the grid's subcarriers and its design's element count.
 
     Two exact bounds prune the scan without changing its result; a row is
     dropped only when a bound puts it below the objective of a real row, the
@@ -167,6 +169,8 @@ def successive_beamformer(channels: ChannelSet, snr, grid: ResonanceGrid) -> Res
     """
     snr = np.asarray(snr, dtype=float)
     freq = channels.grid.frequencies
+    if channels.n_slot != grid.design.n_slot:
+        raise ValueError("channel element count differs from the resonance grid design's")
     if not np.array_equal(freq, grid.subcarriers.frequencies):
         raise ValueError("channel subcarriers differ from the resonance grid's")
     if snr.shape != freq.shape:

@@ -15,26 +15,10 @@ import numpy as np
 from .params import DmaDesign, _freeze
 
 
-@dataclass(frozen=True)
-class TuningRange:
-    """Achievable resonant-frequency interval [f_r_min, f_r_max]."""
-
-    f_r_min: float
-    f_r_max: float
-
-    def __post_init__(self):
-        if self.f_r_min > self.f_r_max:
-            raise ValueError("tuning range must satisfy f_r_min <= f_r_max")
-
-    def contains(self, f_r) -> bool:
-        f_r = np.asarray(f_r)
-        return bool(np.all(f_r >= self.f_r_min) and np.all(f_r <= self.f_r_max))
-
-
-def tuning_range(design: DmaDesign) -> TuningRange:
-    """Tuning interval of width b_tune centered on the design carrier."""
+def tuning_range(design: DmaDesign) -> tuple[float, float]:
+    """Resonant-frequency bounds (f_r_min, f_r_max): width b_tune centered on the design carrier."""
     half = design.b_tune / 2.0
-    return TuningRange(design.f_t - half, design.f_t + half)
+    return design.f_t - half, design.f_t + half
 
 
 @dataclass(frozen=True, eq=False)  # compared by identity: the array field has no truth value
@@ -45,10 +29,6 @@ class ResonanceConfiguration:
 
     def __post_init__(self):
         _freeze(self, "f_r")
-
-    @property
-    def n_slot(self) -> int:
-        return self.f_r.size
 
 
 def _detuning(f, f_r, design: DmaDesign):
@@ -95,10 +75,10 @@ def lorentzian_weight(zeta):
 def dma_weight_matrix(res: ResonanceConfiguration, frequencies, design: DmaDesign):
     """Weights for every (subcarrier, element) pair; shape (k, n_slot).
 
-    Rejects resonances outside the design tuning range.
+    Rejects resonances outside the design tuning range, and NaN.
     """
-    rng = tuning_range(design)
-    if not rng.contains(res.f_r):
+    f_r_min, f_r_max = tuning_range(design)
+    if not np.all((res.f_r >= f_r_min) & (res.f_r <= f_r_max)):
         raise ValueError("resonance configuration leaves the tuning range")
     freq = np.asarray(frequencies, dtype=float)
     return normalized_polarizability(freq[:, None], res.f_r[None, :], design)

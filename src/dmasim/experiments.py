@@ -147,7 +147,7 @@ def validation_per_subcarrier(cfg: ScenarioConfig, design: DmaDesign, r_res: int
     breakdown = gain_breakdown(sub_cfg, d)
     approx = power_normalized_gain(breakdown, d)
     flat = [breakdown.fill_penalty, breakdown.leakage_penalty, d.b_tune]
-    freqs = subcarrier_grid(sub_cfg).frequencies
+    freqs = channels.grid.frequencies
     return [[k, float(f_k), spectrum.gain[k], approx[k], breakdown.squint_gain[k], *flat] for k, f_k in enumerate(freqs)]
 
 

@@ -115,10 +115,9 @@ class DmaDesign:
 
 @dataclass(frozen=True, eq=False)  # compared by identity: the array field has no truth value
 class SubcarrierGrid:
-    """Passband subcarrier frequencies with an exact center subcarrier."""
+    """Passband subcarrier frequencies; the center subcarrier is the one at index k//2."""
 
     frequencies: np.ndarray  # strictly increasing, uniform spacing b/k [Hz]
-    center_index: int  # k//2; frequencies[center_index] == f_t exactly
 
     def __post_init__(self):
         _freeze(self, "frequencies")
@@ -126,6 +125,11 @@ class SubcarrierGrid:
     @property
     def k(self) -> int:
         return self.frequencies.size
+
+    @property
+    def center_index(self) -> int:
+        """k//2, where subcarrier_grid puts the carrier exactly."""
+        return self.k // 2
 
     @property
     def f_center(self) -> float:
@@ -140,7 +144,7 @@ def subcarrier_grid(cfg: ScenarioConfig) -> SubcarrierGrid:
     """
     spacing = cfg.b / cfg.k
     offsets = np.arange(cfg.k) - cfg.k // 2
-    return SubcarrierGrid(frequencies=cfg.f_t + spacing * offsets, center_index=cfg.k // 2)
+    return SubcarrierGrid(frequencies=cfg.f_t + spacing * offsets)
 
 
 def waveguide_beta(f, design: DmaDesign):

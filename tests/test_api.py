@@ -32,7 +32,6 @@ EXPORTED = {
     "ResonanceGrid",
     "ScenarioConfig",
     "SubcarrierGrid",
-    "TuningRange",
     "angular_fill",
     "array_response",
     "center_frequency_beamformer",
@@ -202,12 +201,13 @@ def test_config_fields_are_pinned():
     design_fields = [f.name for f in dataclasses.fields(dmasim.DmaDesign)]
     assert design_fields == ["n_slot", "d_x", "q", "f_t", "b_tune", "lambda_frac", "eps_r", "f_c10"]
     assert [f.name for f in dataclasses.fields(dmasim.MultipathSpec)] == ["l_path", "seed", "pin_first_to_los"]
+    assert [f.name for f in dataclasses.fields(dmasim.SubcarrierGrid)] == ["frequencies"]
 
 
 # The value types: each builder gets one writable base array and passes views
 # of it as every array field.
 RECORDS = {
-    "SubcarrierGrid": (float, lambda v: dmasim.SubcarrierGrid(frequencies=v, center_index=4)),
+    "SubcarrierGrid": (float, lambda v: dmasim.SubcarrierGrid(frequencies=v)),
     "ResonanceGrid": (
         float,
         lambda v: dmasim.ResonanceGrid(

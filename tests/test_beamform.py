@@ -20,6 +20,7 @@ from dmasim import (
     normalized_polarizability,
     override_fields,
     resonance_grid,
+    run_beamformer,
     snr_profile,
     subcarrier_grid,
     successive_beamformer,
@@ -65,7 +66,7 @@ def exhaustive_successive(channels, snr, grid):
 
 def two_point_grid(f_t=15e9, b=1e9):
     freqs = np.array([f_t - b / 2, f_t])
-    return SubcarrierGrid(frequencies=freqs, center_index=1)
+    return SubcarrierGrid(frequencies=freqs)
 
 
 class TestResonanceGrid:
@@ -123,13 +124,16 @@ class TestCenterFrequencyBeamformer:
 
     def test_tie_breaks_toward_lower_resonance(self, design):
         # duplicated grid values produce an exact tie; the first (lower) wins
-        grid = ResonanceGrid(values=np.array([14.9e9, 14.9e9, 15.1e9]), design=design, subcarriers=two_point_grid())
+        def tied_grid(n_slot):
+            values = np.array([14.9e9, 14.9e9, 15.1e9])
+            return ResonanceGrid(values=values, design=override_fields(design, n_slot=n_slot), subcarriers=two_point_grid())
+
         channels = make_channelset(np.ones((2, 3)), two_point_grid())
-        res = center_frequency_beamformer(channels, grid)
+        res = center_frequency_beamformer(channels, tied_grid(3))
         assert set(res.f_r) <= {14.9e9, 15.1e9}
         # a target reached equally by both duplicates resolves to index 0
         h = np.tile(np.exp(1j * math.pi / 2), (2, 1))
-        res2 = center_frequency_beamformer(make_channelset(h, two_point_grid()), grid)
+        res2 = center_frequency_beamformer(make_channelset(h, two_point_grid()), tied_grid(1))
         assert res2.f_r[0] == 14.9e9
 
     def test_rejects_empty_grid(self, design):
@@ -191,9 +195,7 @@ class TestCenterFrequencyBeamformer:
         n_slot = 64
         design = DmaDesign(n_slot=n_slot, b_tune=5e-3)
         zeta = math.pi / 2 + np.linspace(-1e-6, 1e-6, n_slot)
-        channels = make_channelset(
-            np.exp(-1j * zeta)[None, :], SubcarrierGrid(frequencies=np.array([design.f_t]), center_index=0)
-        )
+        channels = make_channelset(np.exp(-1j * zeta)[None, :], SubcarrierGrid(frequencies=np.array([design.f_t])))
         grid = resonance_grid(design, channels.grid, 4001)
         res = center_frequency_beamformer(channels, grid)
         assert np.array_equal(res.f_r, dense_center_frequency(channels, grid).f_r)
@@ -222,13 +224,14 @@ class TestCenterFrequencyBeamformer:
     def test_stays_in_range(self, cfg, design):
         channels = effective_channel(cfg, design)
         res = center_frequency_beamformer(channels, resonance_grid(design, channels.grid, 257))
-        assert tuning_range(design).contains(res.f_r)
+        f_r_min, f_r_max = tuning_range(design)
+        assert np.all((res.f_r >= f_r_min) & (res.f_r <= f_r_max))
 
 
 class TestSuccessiveBeamformer:
     def test_single_element_single_subcarrier_maximizes_gain(self, design):
         d1 = override_fields(design, n_slot=1)
-        grid_1k = SubcarrierGrid(frequencies=np.array([15e9]), center_index=0)
+        grid_1k = SubcarrierGrid(frequencies=np.array([15e9]))
         channels = make_channelset(np.exp(1j * 0.7) * np.ones((1, 1)), grid_1k)
         grid = resonance_grid(d1, channels.grid, 201)
         res = successive_beamformer(channels, np.array([5.0]), grid)
@@ -298,7 +301,8 @@ class TestSuccessiveBeamformer:
         a = successive_beamformer(channels, rho, grid)
         b = successive_beamformer(channels, rho, grid)
         np.testing.assert_array_equal(a.f_r, b.f_r)
-        assert tuning_range(design).contains(a.f_r)
+        f_r_min, f_r_max = tuning_range(design)
+        assert np.all((a.f_r >= f_r_min) & (a.f_r <= f_r_max))
 
     @settings(deadline=None)
     @given(
@@ -391,3 +395,15 @@ class TestSuccessiveBeamformer:
         with pytest.raises(ValueError):
             successive_beamformer(channels, np.ones(3), resonance_grid(design, channels.grid, 11))
 
+
+@pytest.mark.parametrize(
+    "algorithm,channel_slots,grid_slots", [("center-frequency", 4, 8), ("successive", 8, 4), ("successive", 4, 8)]
+)
+def test_rejects_channel_of_other_element_count(algorithm, channel_slots, grid_slots):
+    # unchecked, the first call scores 4 elements with the 8-slot design (6.03 bit/s/Hz), the second
+    # configures only 4 of the 8 elements before the scoring fails, and the third raises IndexError
+    cfg = ScenarioConfig(k=8)
+    channels = effective_channel(cfg, DmaDesign(n_slot=channel_slots))
+    grid = resonance_grid(DmaDesign(n_slot=grid_slots), channels.grid, 51)
+    with pytest.raises(ValueError, match="element count"):
+        run_beamformer(algorithm, channels, cfg, grid)

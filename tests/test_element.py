@@ -149,13 +149,13 @@ class TestLorentzianWeight:
 
 class TestTuningRangeAndWeights:
     def test_range_centered_on_carrier(self, design):
-        rng = tuning_range(design)
-        assert rng.f_r_max - rng.f_r_min == pytest.approx(design.b_tune, rel=1e-15)
-        assert (rng.f_r_min + rng.f_r_max) / 2 == pytest.approx(design.f_t, rel=1e-15)
+        f_r_min, f_r_max = tuning_range(design)
+        assert f_r_max - f_r_min == pytest.approx(design.b_tune, rel=1e-15)
+        assert (f_r_min + f_r_max) / 2 == pytest.approx(design.f_t, rel=1e-15)
 
     def test_degenerate_range(self, design):
-        rng = tuning_range(override_fields(design, b_tune=0.0))
-        assert rng.f_r_min == rng.f_r_max == design.f_t
+        f_r_min, f_r_max = tuning_range(override_fields(design, b_tune=0.0))
+        assert f_r_min == f_r_max == design.f_t
 
     def test_all_resonant_elements_give_minus_j(self, design):
         res = ResonanceConfiguration(f_r=np.full(design.n_slot, design.f_t))
@@ -176,8 +176,10 @@ class TestTuningRangeAndWeights:
         expected = [normalized_polarizability(15e9, fr, design) for fr in f_r]
         np.testing.assert_allclose(got, expected, rtol=0, atol=0)
 
-    def test_out_of_range_rejected(self, design):
-        res = ResonanceConfiguration(f_r=np.array([design.f_t + design.b_tune]))
+    @pytest.mark.parametrize("offset", [1.0, -1.0, math.nan], ids=["above", "below", "nan"])
+    def test_out_of_range_rejected(self, design, offset):
+        # offset from the carrier in tuning bandwidths; NaN compares false against both bounds
+        res = ResonanceConfiguration(f_r=np.array([design.f_t + offset * design.b_tune]))
         with pytest.raises(ValueError):
             dma_weight_matrix(res, np.array([15e9]), design)
 

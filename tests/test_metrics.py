@@ -56,7 +56,7 @@ class TestNormalization:
     def test_single_element_resonant_weight(self):
         # one element: M_k cancels any taper and channel phase, leaving Lambda
         design = DmaDesign(n_slot=1)
-        grid = SubcarrierGrid(frequencies=np.array([14.5e9, 15e9]), center_index=1)
+        grid = SubcarrierGrid(frequencies=np.array([14.5e9, 15e9]))
         channels = ChannelSet(h=np.exp(1j * np.array([[0.3], [2.1]])), h_att=np.array([0.4]), grid=grid)
         gain = gain_profile(channels, np.full((2, 1), -1j), design)
         np.testing.assert_allclose(gain, design.lambda_frac, rtol=1e-12)
@@ -95,7 +95,7 @@ class TestNormalization:
 class TestBeamformingGain:
     def test_single_element_gain_is_radiated_fraction(self):
         design = DmaDesign(n_slot=1)
-        grid = SubcarrierGrid(frequencies=np.array([14.5e9, 15e9]), center_index=1)
+        grid = SubcarrierGrid(frequencies=np.array([14.5e9, 15e9]))
         channels = ChannelSet(h=np.ones((2, 1), dtype=complex), h_att=np.ones(1), grid=grid)
         weights = np.full((2, 1), -1j)
         assert gain_profile(channels, weights, design)[1] == pytest.approx(design.lambda_frac, rel=1e-12)

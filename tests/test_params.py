@@ -9,6 +9,7 @@ from dmasim import (
     C_LIGHT,
     DmaDesign,
     ScenarioConfig,
+    SubcarrierGrid,
     leakage_constant,
     load_config,
     noise_power,
@@ -39,6 +40,13 @@ class TestSubcarrierGrid:
         grid = subcarrier_grid(ScenarioConfig(f_t=f_t, b=b, k=k))
         assert grid.frequencies[k // 2] == f_t
         assert grid.center_index == k // 2
+
+    def test_center_index_is_derived(self):
+        # the center is k//2 of the frequencies; a caller cannot point it at the band edge
+        frequencies = subcarrier_grid(ScenarioConfig(k=8)).frequencies
+        with pytest.raises(TypeError):
+            SubcarrierGrid(frequencies=frequencies, center_index=0)
+        assert SubcarrierGrid(frequencies=frequencies).f_center == 15e9
 
     def test_uniform_spacing(self):
         cfg = ScenarioConfig(f_t=15e9, b=1e9, k=64)
