@@ -3,10 +3,10 @@
 Both search a ResonanceGrid, the resonant frequencies of one design for one
 subcarrier set; ties break toward the lower resonant frequency, so identical
 inputs always give identical configurations. The center-frequency beamformer
-ranks every grid point by one dot product per element and re-ranks by the
-exact distance the elements whose best row has a near-tied cyclic neighbour.
-The successive beamformer scores only the rows that two exact bounds leave
-(an interval triangle bound, then the objective's tangent plane), so it picks
+scores 4 cyclic rows per element around the resonance its target angle
+inverts to, and every row only where those 4 cannot certify the pick. The
+successive beamformer scores only the rows that two exact bounds leave (an
+interval triangle bound, then the objective's tangent plane), so it picks
 exactly what the exhaustive scan picks, with an O(n_slot * r_res * k) worst
 case. Its weight table and interval bounds are computed from the grid's own
 fields on its first successive solve and kept on the grid for every later one.
@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import ChannelSet
-from .element import ResonanceConfiguration, lorentzian_weight, normalized_polarizability, tuning_range
+from .element import ResonanceConfiguration, _resonance_at_angle, lorentzian_weight, normalized_polarizability, tuning_range
 from .params import DmaDesign, SubcarrierGrid, _freeze
 
 PRUNE_STEP = 64  # rows per interval of the successive scan's triangle bound
@@ -46,8 +46,9 @@ class ResonanceGrid:
 
     def __post_init__(self):
         _freeze(self, "values")
-        if self.values.size < 1:
-            raise ValueError("resonance grid needs at least one point")
+        v = self.values  # NaN fails every comparison; an infinity in an ascending list sits at an end
+        if not (v.size and math.isfinite(v[0]) and math.isfinite(v[-1]) and (v[1:] >= v[:-1]).all()):
+            raise ValueError("resonance grid needs at least one point, all finite and ascending")
 
     @property
     def r_res(self) -> int:
@@ -85,34 +86,47 @@ def resonance_grid(design: DmaDesign, subcarriers: SubcarrierGrid, r_res: int = 
     return ResonanceGrid(values=values, design=design, subcarriers=subcarriers)
 
 
+def _nearest_rows(targets: np.ndarray, achievable: np.ndarray, rows: np.ndarray) -> tuple:
+    """Each target's pick among its rows (an index array broadcasting against targets[:, None]), its dots, their best.
+
+    Rows within TIE_MARGIN of the best dot are re-ranked by |t - a|; ties go to the lowest row.
+    """
+    t, a = targets[:, None], achievable[rows]
+    dots = t.real * a.real + (t.imag + 0.5) * (a.imag + 0.5)  # both taken about the circle's center -j/2
+    best = np.max(dots, axis=1)
+    dist = np.where(dots >= best[:, None] - TIE_MARGIN, np.abs(t - a), np.inf)
+    return np.min(np.where(dist == np.min(dist, axis=1, keepdims=True), rows, achievable.size), axis=1), dots, best
+
+
 def center_frequency_beamformer(channels: ChannelSet, grid: ResonanceGrid) -> ResonanceConfiguration:
     """Per-element resonance matching the conjugate channel phase at the center subcarrier.
 
     Each element takes the achievable weight a nearest to the circle point t
-    at the conjugate channel angle. Both lie on |w + j/2| = 1/2, so |t - a|^2
-    = 1/2 - 2 * dot(t + j/2, a + j/2) up to ~1e-16 of rounding: re-ranking by
-    |t - a| the rows within TIE_MARGIN of an element's best dot returns the
-    exhaustive scan's first minimum. Rows ascend in f_r, so the angle psi_r of
-    a_r + j/2 rises over an arc shorter than 2 pi; each dot is
-    cos(psi_r - theta)/4 for the angle theta of t + j/2, and the rows near the
-    best are those circularly nearest theta, one cyclic run of row indices
-    around the best that wraps from the last row to row 0 when theta lies in
-    the arc's gap. So an element needs the re-rank only when a cyclic
-    neighbour of its best row is near too (always, on a one-row grid).
+    at the conjugate channel angle zeta, ties going to the lowest row. Both
+    lie on |w + j/2| = 1/2, so |t - a|^2 = 1/2 - 2 * dot(t + j/2, a + j/2) up
+    to ~1e-16 of rounding: re-ranking by |t - a| the rows within TIE_MARGIN of
+    the best dot returns the exhaustive scan's first minimum. Each dot is
+    cos(psi_r - zeta)/4 for the angle psi_r of a_r + j/2, which rises with the
+    row over an arc shorter than 2 pi, so the dots are cyclically unimodal in
+    the row. An element scores only the 4 cyclic rows around the resonance
+    its zeta inverts to (element._resonance_at_angle); a zeta in the arc's
+    gap scores the last two rows and the first two. When both end rows lie
+    more than TIE_MARGIN below the window's best dot, the window holds a
+    local, hence the global, maximum and every row within TIE_MARGIN of it.
+    Otherwise the element is scored on every row, so the inverse need only be
+    close; on grids of 4 rows or fewer the window holds every row already.
     """
     if channels.n_slot != grid.design.n_slot:
         raise ValueError("channel element count differs from the resonance grid design's")
-    kc = channels.grid.center_index
     f_c = channels.grid.f_center
-    targets = lorentzian_weight(np.angle(np.conj(channels.h[kc])))  # (n_slot,)
+    zeta = np.angle(np.conj(channels.h[channels.grid.center_index]))  # (n_slot,)
+    targets = lorentzian_weight(zeta)
     achievable = normalized_polarizability(f_c, grid.values, grid.design)  # (r_res,)
-    t, a = targets + 0.5j, achievable + 0.5j  # both taken about the circle's center -j/2
-    dots = np.stack([t.real, t.imag], axis=1) @ np.stack([a.real, a.imag])  # (n_slot, r_res)
-    rows, idx = np.arange(targets.size), np.argmax(dots, axis=1)
-    best = dots[rows, idx]
-    tied = np.flatnonzero(np.maximum(dots[rows, idx - 1], dots[rows, (idx + 1) % grid.r_res]) >= best - TIE_MARGIN)
-    dist = np.where(dots[tied] >= best[tied, None] - TIE_MARGIN, np.abs(targets[tied, None] - achievable), np.inf)
-    idx[tied] = np.argmin(dist, axis=1)  # first minimum = lower resonant frequency
+    pos = np.searchsorted(grid.values, _resonance_at_angle(f_c, zeta, grid.design))
+    idx, dots, best = _nearest_rows(targets, achievable, (pos[:, None] + np.arange(-2, 2)) % grid.r_res)
+    full = np.flatnonzero(~(np.maximum(dots[:, 0], dots[:, -1]) < best - TIE_MARGIN))
+    if full.size:
+        idx[full] = _nearest_rows(targets[full], achievable, np.arange(grid.r_res)[None, :])[0]
     return ResonanceConfiguration(f_r=grid.values[idx])
 
 

@@ -38,6 +38,17 @@ def _detuning(f, f_r, design: DmaDesign):
     return 2 * math.pi * (f_r * f_r - f * f) / (design.gamma * f)
 
 
+def _resonance_at_angle(f, zeta, design: DmaDesign):
+    """Resonance f_r whose weight at f sits at angle zeta about the circle's center -j/2.
+
+    That angle is pi/2 - 2*arccot(x), rising with f_r over (-3pi/2, pi/2), so
+    with zeta taken into [-3pi/2, pi/2) the detuning is x = tan(zeta/2 + pi/4).
+    Angles no f_r >= 0 reaches give f_r = 0.
+    """
+    x = np.tan(np.where(zeta < math.pi / 2, zeta, zeta - 2 * math.pi) / 2 + math.pi / 4)
+    return np.sqrt(np.maximum(f * f + x * design.gamma * f / (2 * math.pi), 0.0))
+
+
 def normalized_polarizability(f, f_r, design: DmaDesign):
     """Unit-peak beamforming weight 1/(x + j) with x the normalized detuning.
 

@@ -121,6 +121,9 @@ class SubcarrierGrid:
 
     def __post_init__(self):
         _freeze(self, "frequencies")
+        f = self.frequencies  # NaN fails every comparison; an infinity in an increasing list sits at an end
+        if not (f.ndim == 1 and f.size and math.isfinite(f[0]) and math.isfinite(f[-1]) and (f[1:] > f[:-1]).all()):
+            raise ValueError("subcarrier frequencies must be a non-empty, finite, strictly increasing list")
 
     @property
     def k(self) -> int:

@@ -5,6 +5,7 @@ from hypothesis import settings
 from dmasim import DmaDesign, ScenarioConfig
 
 settings.register_profile("suite", derandomize=True, max_examples=100)
+settings.register_profile("ci", derandomize=True, max_examples=1000)  # the exactness oracles, run deeper in CI
 settings.load_profile("suite")
 
 

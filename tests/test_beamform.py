@@ -27,6 +27,7 @@ from dmasim import (
     tuning_range,
 )
 from dmasim.beamform import _tangent_plane
+from dmasim.experiments import _gamma_axis
 
 
 def make_channelset(h, grid, h_att=None):
@@ -83,6 +84,12 @@ class TestResonanceGrid:
     def test_rejects_empty(self, cfg, design):
         with pytest.raises(ValueError):
             resonance_grid(design, subcarrier_grid(cfg), 0)
+
+    @pytest.mark.parametrize("values", [[15.1e9, 14.9e9], [14.9e9, math.nan, 15.1e9], [14.9e9, math.inf], [math.nan]])
+    def test_rejects_descending_or_non_finite(self, cfg, design, values):
+        # the center-frequency search places each element among ascending rows
+        with pytest.raises(ValueError, match="finite and ascending"):
+            ResonanceGrid(values=np.array(values), design=design, subcarriers=subcarrier_grid(cfg))
 
     def test_compares_by_identity(self, cfg, design):
         # the value array has no truth value, so grids compare by identity and stay hashable
@@ -144,7 +151,7 @@ class TestCenterFrequencyBeamformer:
     @given(
         kind=st.sampled_from(("los", "multipath", "synthetic")),
         n_slot=st.integers(1, 64),
-        r_res=st.sampled_from((1, 2, 3, 7, 64, 65, 1001, 4001)),
+        r_res=st.sampled_from((1, 2, 3, 4, 5, 6, 7, 64, 65, 1001, 4001)),  # 4: the last grid its 4-row window covers
         b_tune=st.one_of(
             st.just(0.0),
             st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
@@ -158,6 +165,10 @@ class TestCenterFrequencyBeamformer:
     @example(kind="los", n_slot=30, r_res=4001, b_tune=2.47e7, q_exp=0.06, placed="gap", seed=37605)
     @example(kind="multipath", n_slot=29, r_res=64, b_tune=1.72e6, q_exp=1.37, placed="gap", seed=34073)
     @example(kind="los", n_slot=23, r_res=1001, b_tune=1.42e8, q_exp=1.13, placed="gap", seed=11627)
+    # one weight on every row: every window end ties its best, so every element is scored on every row
+    @example(kind="synthetic", n_slot=64, r_res=4001, b_tune=0.0, q_exp=2.0, placed="channel", seed=1)
+    # a sub-ulp spacing repeats rows: 6 rows hold 3 distinct resonances
+    @example(kind="los", n_slot=40, r_res=6, b_tune=4e-6, q_exp=2.0, placed="on grid", seed=2)
     def test_matches_dense_scan(self, kind, n_slot, r_res, b_tune, q_exp, placed, seed):
         rng = np.random.default_rng(seed)
         cfg = ScenarioConfig(k=8)
@@ -200,8 +211,34 @@ class TestCenterFrequencyBeamformer:
         res = center_frequency_beamformer(channels, grid)
         assert np.array_equal(res.f_r, dense_center_frequency(channels, grid).f_r)
 
+    @pytest.mark.parametrize("start,far", [(16e9, (-4e8, -2e8)), (14.5e9, (2e8, 4e8))])
+    def test_misplaced_window_falls_back(self, start, far):
+        # 60 rows 1 ulp apart far off resonance, beside two far rows: the angle inverse lands several rows off a
+        # target's own row, past the window's end on the dense side, and only the end-row test there sends it to
+        # the full row (the far rows before the dense ones test the right end, those after them the left end)
+        design = DmaDesign(n_slot=62, q=1000.0)
+        values = np.sort(np.concatenate([start + np.arange(60) * np.spacing(start), start + np.array(far)]))
+        sub = SubcarrierGrid(frequencies=np.array([15e9]))
+        grid = ResonanceGrid(values=values, design=design, subcarriers=sub)
+        zeta = np.angle(2 * normalized_polarizability(15e9, values, design) + 1j)  # each target on its own row
+        channels = make_channelset(np.exp(-1j * zeta)[None, :], sub)
+        assert np.array_equal(center_frequency_beamformer(channels, grid).f_r, dense_center_frequency(channels, grid).f_r)
+
+    @pytest.mark.parametrize("l_path", [0, 4])  # 0: line of sight
+    def test_matches_dense_scan_at_benchmark_sizes(self, l_path):
+        # 256 slots x 4001 rows at each point of the default tuning axis
+        design, cfg = DmaDesign(n_slot=256), ScenarioConfig()
+        for b_tune in _gamma_axis(design):
+            d = override_fields(design, b_tune=b_tune)
+            if l_path == 0:
+                channels = effective_channel(cfg, d)
+            else:
+                channels = multipath_channel(MultipathSpec(l_path=l_path, seed=4), cfg, d)
+            grid = resonance_grid(d, channels.grid, 4001)
+            assert np.array_equal(center_frequency_beamformer(channels, grid).f_r, dense_center_frequency(channels, grid).f_r)
+
     def test_solve_allocates_no_distance_table(self):
-        # a complex (r_res, n_slot) distance table alone takes 16 MB here; the dot table takes 8 MB
+        # a complex (r_res, n_slot) distance table alone takes 16 MB here; the windowed search takes no table
         design = DmaDesign(n_slot=256)
         channels = effective_channel(ScenarioConfig(k=16), design)
         grid = resonance_grid(design, channels.grid, 4001)
@@ -213,6 +250,20 @@ class TestCenterFrequencyBeamformer:
         finally:
             tracemalloc.stop()
         assert peak <= 12e6
+
+    def test_solve_stays_under_one_megabyte(self):
+        # a (n_slot, r_res) dot table takes 8 MB here; the search keeps 4 rows per element
+        design = DmaDesign(n_slot=256)
+        channels = effective_channel(ScenarioConfig(), design)
+        grid = resonance_grid(design, channels.grid, 4001)
+        center_frequency_beamformer(channels, grid)  # warm call
+        tracemalloc.start()
+        try:
+            center_frequency_beamformer(channels, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_deterministic(self, cfg, design):
         channels = effective_channel(cfg, design)

@@ -16,6 +16,7 @@ from dmasim import (
     polarizability_phase,
     tuning_range,
 )
+from dmasim.element import _resonance_at_angle
 
 designs = st.builds(
     DmaDesign,
@@ -145,6 +146,19 @@ class TestLorentzianWeight:
     @given(zeta=st.floats(0, 2 * math.pi))
     def test_circle_membership(self, zeta):
         assert abs(abs(lorentzian_weight(zeta) + 0.5j) - 0.5) <= 1e-15
+
+
+@pytest.mark.parametrize("q", [10.0, 100.0, 1000.0])
+def test_resonance_at_angle_inverts_the_weight_angle(q):
+    # across the reachable arc, from just above the angle of f_r = 0 up to pi/2, as a channel angle in (-pi, pi]
+    design, f = DmaDesign(q=q), 15.1e9
+    lowest = math.pi / 2 - 2 * math.atan2(1.0, -2 * math.pi * f / design.gamma)
+    arc = np.concatenate([np.linspace(lowest + 1e-9, math.pi / 2 - 1e-9, 2001), [-math.pi / 2, -math.pi, 0.0]])
+    zeta = np.angle(np.exp(1j * arc))
+    f_r = _resonance_at_angle(f, zeta, design)
+    psi = np.angle(2 * normalized_polarizability(f, f_r, design) + 1j)  # the weight's angle about -j/2
+    assert np.max(np.abs(np.angle(np.exp(1j * (psi - zeta))))) < 1e-12
+    assert _resonance_at_angle(f, -math.pi / 2, design) == f  # -j: resonance
 
 
 class TestTuningRangeAndWeights:

@@ -48,6 +48,14 @@ class TestSubcarrierGrid:
             SubcarrierGrid(frequencies=frequencies, center_index=0)
         assert SubcarrierGrid(frequencies=frequencies).f_center == 15e9
 
+    @pytest.mark.parametrize(
+        "frequencies", [[15.2e9, 14.8e9, 15e9], [], [15e9, 15e9], [14.8e9, math.nan, 15e9], [15e9, math.inf]]
+    )
+    def test_rejects_empty_or_unordered(self, frequencies):
+        # unchecked, the first was accepted with f_center 14.8 GHz and the empty list failed only when f_center was read
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SubcarrierGrid(frequencies=frequencies)
+
     def test_uniform_spacing(self):
         cfg = ScenarioConfig(f_t=15e9, b=1e9, k=64)
         diffs = np.diff(subcarrier_grid(cfg).frequencies)
