@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .element import normalized_polarizability, tuning_range
-from .params import C_LIGHT, DmaDesign, ScenarioConfig, _freeze, leakage_constant, radiated_fraction, subcarrier_grid, waveguide_beta
+from .params import C_LIGHT, DmaDesign, ScenarioConfig, _freeze, leakage_constant, radiated_fraction, waveguide_beta
 
 
 @dataclass(frozen=True, eq=False)  # compared by identity: array fields have no truth value
@@ -40,7 +40,7 @@ def squint_phase_profile(cfg: ScenarioConfig, design: DmaDesign) -> np.ndarray:
              + (2*pi*eps_r/c)*(sqrt((f_c+delta)^2 - f_c10^2) - sqrt(f_c^2 - f_c10^2)) ]
     with delta = f_k - f_center. Zero at the center subcarrier.
     """
-    grid = subcarrier_grid(cfg)
+    grid = cfg.subcarriers
     f_c = grid.f_center
     delta = grid.frequencies - f_c
     wireless = (2 * math.pi * delta / C_LIGHT) * math.sin(cfg.phi_t)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import C_LIGHT, DmaDesign, ScenarioConfig, SubcarrierGrid, _freeze, leakage_constant, subcarrier_grid, waveguide_beta
+from .params import C_LIGHT, DmaDesign, ScenarioConfig, SubcarrierGrid, _freeze, leakage_constant, waveguide_beta
 
 
 @dataclass(frozen=True, eq=False)  # compared by identity: array fields have no truth value
@@ -101,7 +101,7 @@ def channel_phase_step(f_k, cfg: ScenarioConfig, design: DmaDesign):
 
 def effective_channel(cfg: ScenarioConfig, design: DmaDesign) -> ChannelSet:
     """Line-of-sight channel: elementwise array response times waveguide advance, per subcarrier."""
-    grid = subcarrier_grid(cfg)
+    grid = cfg.subcarriers
     # named factors: numpy may swap the operands of a large temporary, which moves the last bit
     wireless = array_response(cfg.phi_t, grid.frequencies, design)
     guide = waveguide_phase_vector(grid.frequencies, design)
@@ -109,16 +109,13 @@ def effective_channel(cfg: ScenarioConfig, design: DmaDesign) -> ChannelSet:
     return ChannelSet(h=wireless * guide, h_att=leakage_vector(design), grid=grid, phases=phases)
 
 
-def multipath_channel(
-    spec: MultipathSpec, cfg: ScenarioConfig, design: DmaDesign, grid: SubcarrierGrid | None = None
-) -> ChannelSet:
+def multipath_channel(spec: MultipathSpec, cfg: ScenarioConfig, design: DmaDesign) -> ChannelSet:
     """Seeded ray-sum channel combined with the waveguide phase advance.
 
     h[k] = (sum_l g_l * a(phi_l, f_k) * exp(-j*2*pi*f_k*tau_l)) (.) h_dma[k];
     the leakage taper is unchanged. Identical seeds give bit-identical output.
     """
-    if grid is None:
-        grid = subcarrier_grid(cfg)
+    grid = cfg.subcarriers
     rng = np.random.default_rng(spec.seed)
     l_path = spec.l_path
     scale = math.sqrt(1.0 / (2.0 * l_path))

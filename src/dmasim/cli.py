@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .experiments import IGNORED, KINDS, ExperimentPlan, run_plan
@@ -49,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _configs_from_args(args) -> tuple[ScenarioConfig, DmaDesign]:
     cfg, design = load_config(args.config) if args.config is not None else (ScenarioConfig(), DmaDesign())
     given = {field: getattr(args, field, None) for field, _ in _CONFIG_KEYS.values()}  # None: no such flag or not given
-    return tuple(override_fields(obj, **{field: given[field] for field in vars(obj)}) for obj in (cfg, design))
+    return tuple(override_fields(obj, **{f.name: given[f.name] for f in fields(obj)}) for obj in (cfg, design))
 
 
 def main(argv=None) -> int:
@@ -58,7 +59,7 @@ def main(argv=None) -> int:
     try:
         cfg, design = _configs_from_args(args)
         # a kind has no flag for a setting it ignores, so only a config file can set one
-        values, defaults = {**vars(cfg), **vars(design)}, {**vars(ScenarioConfig()), **vars(DmaDesign())}
+        values, defaults = {**asdict(cfg), **asdict(design)}, {**asdict(ScenarioConfig()), **asdict(DmaDesign())}
         if ignored := [key for key, (f, _) in _CONFIG_KEYS.items() if f in IGNORED[args.kind] and values[f] != defaults[f]]:
             print(f"dmasim: note: {args.kind} ignores the config keys {', '.join(ignored)}", file=sys.stderr)
         axis = tuple(float(v) for v in args.axis.split(",")) if args.axis else ()

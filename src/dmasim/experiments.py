@@ -21,7 +21,7 @@ from .approx import gain_breakdown, power_normalized_gain
 from .beamform import DEFAULT_R_RES, resonance_grid
 from .channel import MultipathSpec, effective_channel, leakage_vector, multipath_channel
 from .metrics import ALGORITHMS, GainSpectrum, run_beamformer
-from .params import DmaDesign, ScenarioConfig, override_fields, subcarrier_grid, wavelength
+from .params import DmaDesign, ScenarioConfig, override_fields, wavelength
 
 # Validation-study scenario knobs: a small signal bandwidth isolates the fill
 # and leakage factors; the sweeps resolve it on few subcarriers, the
@@ -198,7 +198,7 @@ class _Sweep:
         header = [self.column] + [f"{_SPECTRUM_COLUMN[n]}_{_ALG_SUFFIX[a]}" for n in self.reported for a in ALGORITHMS]
         tables = {self.file: (header, rows)}
         if self.spectra:
-            grid_freqs = subcarrier_grid(cfg).frequencies
+            grid_freqs = cfg.subcarriers.frequencies
             for alg, spectrum in _both_algorithms(cfg, design, plan.r_res).items():
                 tables[f"spectrum_{alg}.csv"] = (SPECTRUM_HEADER, spectrum_rows("template", alg, grid_freqs, spectrum))
         return tables
@@ -234,15 +234,14 @@ def _multipath_mc(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign) 
     axis = plan.axis or (1.0, 2.0, 4.0)
     if any(l_path != int(l_path) or l_path < 1 for l_path in axis):
         raise ValueError("path counts must be positive integers")
-    subcarriers = subcarrier_grid(cfg)
-    grid = resonance_grid(design, subcarriers, plan.r_res)
+    grid = resonance_grid(design, cfg.subcarriers, plan.r_res)
     rows = []
     for l_idx, l_path in enumerate(axis):
         per_alg = {alg: [] for alg in ALGORITHMS}
         for trial in range(plan.trials):
             child = int(np.random.SeedSequence((plan.seed, l_idx, trial)).generate_state(1)[0])
             spec = MultipathSpec(l_path=int(l_path), seed=child, pin_first_to_los=plan.pin_los)
-            channels = multipath_channel(spec, cfg, design, subcarriers)
+            channels = multipath_channel(spec, cfg, design)
             for alg in ALGORITHMS:
                 _, spectrum = run_beamformer(alg, channels, cfg, grid)
                 per_alg[alg].append(spectrum.capacity)

@@ -14,7 +14,7 @@ import numpy as np
 from .beamform import ResonanceGrid, center_frequency_beamformer, successive_beamformer
 from .channel import ChannelSet
 from .element import ResonanceConfiguration, dma_weight_matrix
-from .params import DmaDesign, ScenarioConfig, _freeze, noise_power, path_loss, radiated_fraction, subcarrier_grid
+from .params import DmaDesign, ScenarioConfig, _freeze, noise_power, path_loss, radiated_fraction
 
 
 @dataclass(frozen=True, eq=False)  # compared by identity: array fields have no truth value
@@ -34,8 +34,7 @@ class GainSpectrum:
 
 def snr_profile(cfg: ScenarioConfig) -> np.ndarray:
     """Per-subcarrier SNR path_loss * g_dma * p_in / noise_power, linear; shape (k,)."""
-    grid = subcarrier_grid(cfg)
-    return path_loss(grid.frequencies, cfg.r) * cfg.g_dma * cfg.p_in / noise_power(cfg)
+    return path_loss(cfg.subcarriers.frequencies, cfg.r) * cfg.g_dma * cfg.p_in / noise_power(cfg)
 
 
 def gain_profile(channels: ChannelSet, weights: np.ndarray, design: DmaDesign) -> np.ndarray:
@@ -55,8 +54,15 @@ def gain_profile(channels: ChannelSet, weights: np.ndarray, design: DmaDesign) -
     return np.where(silent, 0.0, gain)
 
 
+def _require_scenario_subcarriers(channels: ChannelSet, cfg: ScenarioConfig) -> None:
+    """Reject a channel built on other subcarriers than cfg's; a channel built from cfg holds that very grid."""
+    if channels.grid is not cfg.subcarriers and not np.array_equal(channels.grid.frequencies, cfg.subcarriers.frequencies):
+        raise ValueError("channel subcarriers differ from the scenario's")
+
+
 def gain_spectrum(channels: ChannelSet, weights: np.ndarray, cfg: ScenarioConfig, design: DmaDesign) -> GainSpectrum:
     """Assemble per-subcarrier gain/SNR/SE records and their aggregates."""
+    _require_scenario_subcarriers(channels, cfg)
     return _assemble(gain_profile(channels, weights, design), snr_profile(cfg), cfg.b)
 
 
@@ -85,6 +91,7 @@ def run_beamformer(
 
     One SNR profile serves both the successive objective and the score.
     """
+    _require_scenario_subcarriers(channels, cfg)
     rho = snr_profile(cfg)
     # positional calls: benchmark/run.py's tracer reads the grid at these argument positions
     if algorithm == "center-frequency":

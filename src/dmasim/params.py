@@ -8,7 +8,8 @@ inputs and safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +70,11 @@ class ScenarioConfig:
         """Per-subcarrier input power [W]."""
         return self.p_in_tot / self.k
 
+    @cached_property
+    def subcarriers(self) -> SubcarrierGrid:
+        """The scenario's subcarrier grid: built on first use and kept, so every layer reads this one object."""
+        return subcarrier_grid(self)
+
 
 @dataclass(frozen=True)
 class DmaDesign:
@@ -104,6 +110,8 @@ class DmaDesign:
             raise ValueError("tuning bandwidth must keep resonant frequencies positive")
         if not 0 < self.lambda_frac < 1:
             raise ValueError("fractional radiated power must lie in (0, 1)")
+        if 1.0 - self.lambda_frac == 1.0:  # the leakage design would radiate nothing
+            raise ValueError("fractional radiated power is too small: 1 - lambda rounds to 1")
         if self.f_c10 >= self.f_t:
             raise ValueError("waveguide cutoff must lie below the design carrier")
 
@@ -268,7 +276,7 @@ def save_config(path, cfg: ScenarioConfig, design: DmaDesign) -> None:
     """Write a config in the flat key=value schema that load_config reads; its one f_t is both carriers."""
     if design.f_t != cfg.f_t:
         raise ValueError(f"design carrier {design.f_t!r} differs from scenario carrier {cfg.f_t!r}; a config holds one f_t")
-    values = {**vars(cfg), **vars(design)}
+    values = {**asdict(cfg), **asdict(design)}  # fields only, not the kept subcarrier grid
     lines = [f"{key} = {values[field]!r}" for key, (field, _) in _CONFIG_KEYS.items()]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")

@@ -50,15 +50,17 @@ def test_traced_calls_match_job_inputs(workload, tmp_path, capsys):
 
 
 def test_multipath_job_builds_one_scan_table(tmp_path, capsys):
-    # per trial: the center-frequency row, two scored weight matrices and one SNR profile per
-    # solve; per job: one successive weight table and one subcarrier grid for every channel
+    # per trial: the center-frequency row and two scored weight matrices; per job: one successive
+    # weight table and one subcarrier grid, which the scenario keeps for every channel and SNR profile
     job, calls = traced_calls("mc-multipath", tmp_path, capsys)
     trials = job.succ_calls
     assert calls["element.normalized_polarizability"] == 3 * trials + 1
-    assert calls["params.subcarrier_grid"] == 2 * trials + 1
+    assert calls["params.subcarrier_grid"] == 1
 
 
 def test_validation_job_builds_one_channel_per_sweep(tmp_path, capsys):
-    # the tuning and lambda sweeps each reuse one LOS channel; the per-subcarrier study builds its own
+    # the tuning and lambda sweeps each reuse one LOS channel; the per-subcarrier study builds its own.
+    # Each of the three scenarios derives one subcarrier grid for its channel, SNR and squint profiles.
     _, calls = traced_calls("approx-validate", tmp_path, capsys)
     assert calls["channel.effective_channel"] == 3
+    assert calls["params.subcarrier_grid"] == 3

@@ -197,6 +197,10 @@ class TestEffectiveChannel:
         with pytest.raises(ValueError):
             channels.h[0, 0] = 0
 
+    def test_channels_share_the_scenarios_grid(self, cfg, design):
+        assert effective_channel(cfg, design).grid is cfg.subcarriers
+        assert multipath_channel(MultipathSpec(), cfg, design).grid is cfg.subcarriers
+
     def test_compares_by_identity(self, cfg, design):
         # the channel arrays have no truth value, so channel sets compare by identity and stay hashable
         a, b = effective_channel(cfg, design), effective_channel(cfg, design)

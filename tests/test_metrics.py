@@ -170,6 +170,28 @@ class TestSpectralEfficiency:
         res, spectrum = run_beamformer("center-frequency", channels, cfg, resonance_grid(design, channels.grid, 101))
         np.testing.assert_array_equal(resonance_spectrum(channels, res, cfg, design).gain, spectrum.gain)
 
+    @pytest.mark.parametrize("other", [{"b": 5e8, "k": 8}, {"b": 1e9, "k": 16}])
+    def test_rejects_a_channel_on_other_subcarriers(self, other):
+        # same k, other band: scored, it would pair the channel with the other band's SNR (6.668 for 5.692 bit/s/Hz)
+        design = DmaDesign(n_slot=8)
+        channels = effective_channel(ScenarioConfig(b=1e9, k=8), design)
+        grid = resonance_grid(design, channels.grid, 51)
+        with pytest.raises(ValueError, match="channel subcarriers differ from the scenario's"):
+            run_beamformer("center-frequency", channels, ScenarioConfig(**other), grid)
+        with pytest.raises(ValueError, match="channel subcarriers differ from the scenario's"):
+            gain_spectrum(channels, np.conj(channels.h), ScenarioConfig(**other), design)
+
+    def test_equal_scenario_scores_the_channel(self):
+        # an equal scenario derives its own grid object; its frequencies match, so it scores as the channel's own
+        design, cfg = DmaDesign(n_slot=8), ScenarioConfig(b=1e9, k=8)
+        channels = effective_channel(cfg, design)
+        grid = resonance_grid(design, channels.grid, 51)
+        twin = ScenarioConfig(b=1e9, k=8)
+        assert twin.subcarriers is not channels.grid
+        _, own = run_beamformer("center-frequency", channels, cfg, grid)
+        _, spectrum = run_beamformer("center-frequency", channels, twin, grid)
+        assert spectrum.capacity == own.capacity == pytest.approx(5.692, abs=1e-3)
+
     def test_unknown_algorithm_rejected(self, cfg, design):
         channels = effective_channel(cfg, design)
         with pytest.raises(ValueError):

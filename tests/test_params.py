@@ -110,6 +110,10 @@ class TestLeakageConstant:
     def test_vanishes_with_radiated_fraction(self):
         assert leakage_constant(DmaDesign(lambda_frac=1e-12)) == pytest.approx(0.0, abs=1e-9)
 
+    def test_smallest_radiated_fraction_still_radiates(self):
+        # 1 - 1e-16 is still below 1, so the taper keeps a nonzero radiated fraction
+        assert radiated_fraction(DmaDesign(lambda_frac=1e-16)) > 0.0
+
     def test_single_element_rejected(self):
         with pytest.raises(ValueError):
             leakage_constant(DmaDesign(n_slot=1))
@@ -154,6 +158,17 @@ class TestConfigFile:
         loaded_cfg, loaded_design = load_config(path)
         assert loaded_cfg == cfg2
         assert loaded_design == design2
+
+    def test_kept_subcarrier_grid_is_not_a_field(self, tmp_path):
+        cfg = ScenarioConfig(k=16)
+        np.testing.assert_array_equal(cfg.subcarriers.frequencies, subcarrier_grid(cfg).frequencies)
+        assert cfg.subcarriers is cfg.subcarriers  # derived once, then kept
+        fresh = ScenarioConfig(k=16)
+        assert cfg == fresh and hash(cfg) == hash(fresh)
+        assert override_fields(cfg, k=32).subcarriers.k == 32  # a copy derives its own
+        path = tmp_path / "scenario.cfg"
+        save_config(path, cfg, DmaDesign())
+        assert load_config(path) == (cfg, DmaDesign())
 
     def test_round_trip_shared_carrier(self, tmp_path):
         path = tmp_path / "scenario.cfg"
@@ -241,6 +256,7 @@ class TestValidation:
             {"b_tune": -1.0},
             {"lambda_frac": 0.0},
             {"lambda_frac": 1.0},
+            {"lambda_frac": 1e-17},  # 1 - lambda rounds to 1: nothing would radiate
             {"f_c10": 20e9},
         ],
     )
