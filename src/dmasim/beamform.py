@@ -5,11 +5,11 @@ subcarrier set; ties break toward the lower resonant frequency, so identical
 inputs always give identical configurations. The center-frequency beamformer
 scores 4 cyclic rows per element around the resonance its target angle
 inverts to, and every row only where those 4 cannot certify the pick. The
-successive beamformer scores only the rows that two exact bounds leave (an
-interval triangle bound, then the objective's tangent plane), so it picks
-exactly what the exhaustive scan picks, with an O(n_slot * r_res * k) worst
-case. Its weight table and interval bounds are computed from the grid's own
-fields on its first successive solve and kept on the grid for every later one.
+successive beamformer scores only the rows that two exact bounds from the
+objective's tangent plane at each interval's anchor leave, so it picks exactly
+what the exhaustive scan picks, with an O(n_slot * r_res * k) worst case. Its
+weight table and interval reach are computed from the grid's own fields on its
+first successive solve and kept on the grid for every later one.
 """
 
 from __future__ import annotations
@@ -24,14 +24,10 @@ from .channel import ChannelSet
 from .element import ResonanceConfiguration, _resonance_at_angle, lorentzian_weight, normalized_polarizability, tuning_range
 from .params import DmaDesign, SubcarrierGrid, _freeze
 
-PRUNE_STEP = 64  # rows per interval of the successive scan's triangle bound
+PRUNE_STEP = 64  # rows per interval of the successive scan, each with its own tangent plane
 # Relative margin below the best real objective before a bound drops a row:
 # far above the rounding of either bound, so no maximum is ever lost.
 PRUNE_RTOL = 1e-9
-# Most floats one tangent-plane product reads. OpenBLAS splits a matrix-vector
-# product of 460,800 or more floats over its threads, which then can stall for
-# milliseconds per call (8 ms at 4001 x 128 after an idle spell, 2-CPU host).
-PLANE_FLOATS = 2**17
 TIE_MARGIN = 1e-12  # rows this near an element's best center-frequency dot are re-ranked by distance
 DEFAULT_R_RES = 1001  # resonance grid resolution when none is given
 
@@ -57,21 +53,25 @@ class ResonanceGrid:
 
     @cached_property
     def successive_table(self) -> tuple:
-        """The (r_res, k) weight table and the anchor weights and reach of its PRUNE_STEP-row intervals.
+        """The weight table in whole PRUNE_STEP-row intervals, each interval's anchor offset, anchor weights and reach.
 
-        An interval's anchor is its middle row; reach[j, k] is the largest
-        |weights[r, k] - weights[anchor_j, k]| over the rows r of interval j.
-        Computed from the grid's own fields on first use, since the
-        center-frequency beamformer never reads it.
+        The (intervals * PRUNE_STEP, k) table holds one row per grid value,
+        then copies of the last row up to a whole number of intervals. An
+        interval's anchor is its middle grid row, offsets[j] rows into it;
+        reach[j, k] is the largest |weights[r, k] - weights[anchor_j, k]| over
+        the rows r of interval j. Computed from the grid's own fields on first
+        use, since the center-frequency beamformer never reads it.
         """
-        weights = normalized_polarizability(self.subcarriers.frequencies[None, :], self.values[:, None], self.design)
         starts = np.arange(0, self.r_res, PRUNE_STEP)
-        last = np.minimum(starts + PRUNE_STEP, self.r_res) - 1
-        anchor_w = weights[(starts + last) // 2]
+        offsets = (np.minimum(self.r_res - starts, PRUNE_STEP) - 1) // 2
+        values = self.values[np.minimum(np.arange(starts.size * PRUNE_STEP), self.r_res - 1)]
+        weights = normalized_polarizability(self.subcarriers.frequencies[None, :], values[:, None], self.design)
+        blocks = weights.reshape(starts.size, PRUNE_STEP, -1)
+        anchor_w = blocks[np.arange(starts.size), offsets]
         reach = np.zeros(anchor_w.shape)
-        for offset in range(PRUNE_STEP):  # a short last interval repeats its last row
-            np.maximum(reach, np.abs(weights[np.minimum(starts + offset, last)] - anchor_w), out=reach)
-        return weights, anchor_w, reach
+        for offset in range(PRUNE_STEP):
+            np.maximum(reach, np.abs(blocks[:, offset] - anchor_w), out=reach)
+        return weights, offsets, anchor_w, reach
 
 
 def resonance_grid(design: DmaDesign, subcarriers: SubcarrierGrid, r_res: int = DEFAULT_R_RES) -> ResonanceGrid:
@@ -135,23 +135,24 @@ def _score(amp: np.ndarray, snr: np.ndarray) -> np.ndarray:
     return np.mean(np.log2(1.0 + snr[None, :] * amp**2), axis=1)
 
 
-def _tangent_plane(a: np.ndarray, running: np.ndarray, snr: np.ndarray, amp0: np.ndarray) -> tuple:
-    """Slopes of the successive objective's tangent plane at amplitudes amp0, and the plane's scale.
+def _tangent_plane(a: np.ndarray, running: np.ndarray, snr: np.ndarray, arg: np.ndarray, reach: np.ndarray) -> tuple:
+    """Slopes, scales and interval rises of the successive objective's tangent planes at the rows arg was taken at.
 
     On the weight circle |w|^2 = -Im w, so z_k = |w a_k + running_k|^2 equals
     |running_k|^2 + Re(w conj(u_k)) with u_k = 2 running_k conj(a_k) - j |a_k|^2:
-    affine in (Re w, Im w). Each term log2(1 + snr_k z_k) is concave in z_k,
-    so its tangent at amp0_k^2 lies above it, and for every row r
-    objective(r) <= objective(r0) + (flat[r] - flat[r0]) @ v
-    when amp0 holds row r0's amplitudes, flat is the weight table viewed as
-    interleaved (Re, Im) pairs and v the pairs of slope_k * u_k. The scale
-    sum_k slope_k (|a_k| + |running_k|)^2 bounds the size of each term of
-    that sum (|w| <= 1).
+    affine in (Re w, Im w). Each term log2(1 + snr_k z_k) is concave in z_k
+    (snr_k >= 0), so its tangent at row r_i lies above it, and for every row r
+    objective(r) <= objective(r_i) + sum_k slope_ik Re((w_rk - w_ik) conj(u_k))
+    when arg[i] holds 1 + snr_k z_k at row r_i. Returns slope (one row per
+    plane), u, and per plane the scale sum_k slope_ik (|a_k| + |running_k|)^2,
+    which bounds the size of each term of that sum (|w| <= 1), and the rise
+    sum_k slope_ik reach_ik |u_k|, which bounds the sum itself for every row
+    with |w_rk - w_ik| <= reach_ik.
     """
+    slope = snr / (arg * (math.log(2.0) * snr.size))
     spread = np.abs(a)
-    slope = snr / ((1.0 + snr * amp0**2) * (math.log(2.0) * snr.size))
-    v = slope * (2.0 * running * np.conj(a) - 1j * spread**2)  # (Re, Im) slope pairs as one complex number
-    return v.view(np.float64), slope @ (spread + np.abs(running)) ** 2
+    u = 2.0 * running * np.conj(a) - 1j * spread**2
+    return slope, u, slope @ (spread + np.abs(running)) ** 2, (slope * reach) @ np.abs(u)
 
 
 def successive_beamformer(channels: ChannelSet, snr, grid: ResonanceGrid) -> ResonanceConfiguration:
@@ -160,26 +161,25 @@ def successive_beamformer(channels: ChannelSet, snr, grid: ResonanceGrid) -> Res
     Element n picks the grid resonance maximizing
     mean_k log2(1 + snr_k * |U_n(f_k, f_r) + sum_{m<n} U_m(f_k, f_r_m)|^2)
     with U_n = weight * taper * channel; earlier selections stay frozen. The
-    channel must have the grid's subcarriers and its design's element count.
+    channel must have the grid's subcarriers and its design's element count,
+    and every snr_k must be finite and non-negative.
 
     Two exact bounds prune the scan without changing its result; a row is
-    dropped only when a bound puts it below the objective of a real row, the
-    floor, by a margin. First, by the triangle inequality no row of interval j
-    scores above the objective at amplitude |anchor contribution + running| +
-    |a_k| * reach_jk. Second, the objective is concave in each |.|^2, which is
-    affine in the weight on its circle, so no row scores above the tangent
-    plane taken at the best anchor (_tangent_plane). The plane costs one real
-    product per row and no log2 or |.|, but at the first element, where the
-    running sum is zero, it is loose; so it runs only on the rows of the
-    intervals the triangle bound keeps, one product per contiguous run of
-    them, each of at most PLANE_FLOATS floats so that it stays on one BLAS
-    thread. The plane's best row, scored exactly, raises the floor first.
-    The plane's margin also scales with the size of the terms it sums (the
-    scale of _tangent_plane): their product's rounding, about 2k * 1e-16 of
-    that size, and the circle identity's, |w|^2 + Im w ~ 1e-16, stay far
-    below PRUNE_RTOL of it. The rows that survive are scored with the
-    exhaustive scan's expression, so the first maximum is the exhaustive
-    scan's first maximum.
+    dropped only when a bound puts it below the floor, the best objective of
+    the interval anchors, by a margin. Both come from the objective's tangent
+    plane at each interval's own anchor (_tangent_plane): the objective is
+    concave in each |.|^2, which is affine in the weight on its circle. First,
+    every row of interval i lies within reach_ik of its anchor, so it scores
+    at most the anchor's objective plus the plane's rise. Second, each row of
+    the intervals that bound keeps is tested against its interval's plane: one
+    stacked real product per contiguous run of them, each item PRUNE_STEP rows
+    of 2k floats, small enough to stay on one BLAS thread. Each interval's
+    margin scales with the size of the terms its plane sums (the scale of
+    _tangent_plane): their product's rounding, about 2k * 1e-16 of that size,
+    and the circle identity's, |w|^2 + Im w ~ 1e-16, stay far below
+    PRUNE_RTOL of it. The survivors are scored with the exhaustive scan's
+    expression, so the first maximum is the exhaustive scan's; the table's
+    padding rows copy the last grid row, so they can tie it but never precede it.
     """
     snr = np.asarray(snr, dtype=float)
     freq = channels.grid.frequencies
@@ -189,36 +189,33 @@ def successive_beamformer(channels: ChannelSet, snr, grid: ResonanceGrid) -> Res
         raise ValueError("channel subcarriers differ from the resonance grid's")
     if snr.shape != freq.shape:
         raise ValueError("snr list must have one entry per subcarrier")
-    weights, anchor_w, reach = grid.successive_table
-    flat = weights.view(np.float64)  # (r_res, 2k): interleaved (Re, Im) of each weight, no copy
-    index = np.arange(grid.r_res)
-    block = max(PRUNE_STEP, PLANE_FLOATS // flat.shape[1])
+    if not np.all(np.isfinite(snr) & (snr >= 0.0)):
+        raise ValueError("snr list must be finite and non-negative")
+    weights, offsets, anchor_w, reach = grid.successive_table
+    blocks = weights.view(np.float64).reshape(offsets.size, PRUNE_STEP, -1)  # interleaved (Re, Im) rows, no copy
     running = np.zeros(freq.size, dtype=complex)
     chosen = np.empty(grid.design.n_slot)
     for n in range(grid.design.n_slot):
         a = channels.h_att[n] * channels.h[:, n]
-        amp = np.abs(anchor_w * a[None, :] + running[None, :])
-        anchor_score = _score(amp, snr)
-        j = int(np.argmax(anchor_score))
-        floor = anchor_score[j]  # objective of a real row, so the grid maximum is at least this; NaN disables pruning
-        live = np.flatnonzero(~(_score(amp + np.abs(a) * reach, snr) < floor - PRUNE_RTOL * (1.0 + np.abs(floor))))
-        v, scale = _tangent_plane(a, running, snr, amp[j])
-        offset = floor - anchor_w[j].view(np.float64) @ v  # plane(r) = flat[r] @ v + offset
-        spans = []  # row ranges of the contiguous runs of surviving intervals, at most `block` rows each
+        arg = 1.0 + snr * np.abs(anchor_w * a + running) ** 2  # the log's argument at each anchor
+        anchor_score = np.mean(np.log2(arg), axis=1)
+        floor = anchor_score.max()  # objective of a real row, so the grid maximum is at least this
+        slope, u, scale, rise = _tangent_plane(a, running, snr, arg, reach)
+        cut = floor - PRUNE_RTOL * (1.0 + abs(floor) + scale)  # per interval
+        live = np.flatnonzero(~(anchor_score + rise < cut))
+        v = (slope * u).view(np.float64)  # (intervals, 2k): each plane's (Re, Im) gradient pairs
+        spans = []  # interval ranges of the contiguous runs of live intervals
         for i in live.tolist():
-            lo, hi = i * PRUNE_STEP, (i + 1) * PRUNE_STEP
-            if spans and spans[-1][1] == lo and hi - spans[-1][0] <= block:
-                spans[-1][1] = hi
+            if spans and spans[-1][1] == i:
+                spans[-1][1] = i + 1
             else:
-                spans.append([lo, hi])
-        rows = np.concatenate([index[lo:hi] for lo, hi in spans])
-        plane = np.concatenate([flat[lo:hi] @ v for lo, hi in spans])
-        top = rows[np.argmax(plane)]
-        floor = np.maximum(floor, _score(np.abs(weights[top : top + 1] * a[None, :] + running[None, :]), snr)[0])
-        rows = rows[~(plane < floor - offset - PRUNE_RTOL * (1.0 + np.abs(floor) + scale))]
-        contrib = weights[rows] * a[None, :]
-        best = int(np.argmax(_score(np.abs(contrib + running[None, :]), snr)))  # first maximum = lowest row
+                spans.append([i, i + 1])
+        plane = np.concatenate([blocks[lo:hi] @ v[lo:hi, :, None] for lo, hi in spans])[:, :, 0]
+        rows = np.concatenate([np.arange(lo * PRUNE_STEP, hi * PRUNE_STEP) for lo, hi in spans])
+        cut = cut[live] - anchor_score[live] + plane[np.arange(live.size), offsets[live]]  # plane offset at its anchor
+        rows = rows[~(plane < cut[:, None]).ravel()]  # ascending
+        contrib = weights[rows] * a
+        best = int(np.argmax(_score(np.abs(contrib + running), snr)))  # first maximum = lowest row
         chosen[n] = grid.values[rows[best]]
         running = running + contrib[best]
     return ResonanceConfiguration(f_r=chosen)
-

@@ -366,6 +366,8 @@ class TestSuccessiveBeamformer:
         pin=st.booleans(),
         seed=st.integers(0, 2**16),
     )
+    # b_tune = 0.47 Gamma at the benchmark's large size, where a plane at the best anchor alone left ~330 rows per element
+    @example(r_res=4001, n_slot=24, half_k=32, snr_exp=0.0, tune_exp=8.646, l_path=0, pin=False, seed=0)
     def test_matches_exhaustive_scan(self, r_res, n_slot, half_k, snr_exp, tune_exp, l_path, pin, seed):
         cfg = ScenarioConfig(k=2 * half_k)
         design = DmaDesign(n_slot=n_slot, b_tune=10.0**tune_exp)
@@ -378,34 +380,46 @@ class TestSuccessiveBeamformer:
         res = successive_beamformer(channels, snr, grid)
         assert np.array_equal(res.f_r, exhaustive_successive(channels, snr, grid))
 
-    @pytest.mark.parametrize("l_path", [0, 1, 4])  # 0: line of sight
-    def test_tangent_plane_bounds_every_row(self, cfg, l_path):
-        # the scan's plane, one real product per row, is the objective's tangent plane: above every row, equal at its own
-        design = DmaDesign(n_slot=16)
+    @settings(deadline=None)
+    @given(l_path=st.sampled_from((0, 1, 4)), tune_exp=st.floats(8.0, 9.9), element=st.integers(0, 15))  # 0: LOS
+    @example(l_path=0, tune_exp=math.log10(2e9), element=8)
+    @example(l_path=1, tune_exp=math.log10(2e9), element=8)
+    @example(l_path=4, tune_exp=math.log10(2e9), element=8)
+    def test_interval_planes_bound_every_row(self, l_path, tune_exp, element):
+        # each interval's plane, one real product per row, is the objective's tangent plane at the interval's anchor:
+        # above every row, equal at its anchor; its interval bound is above every row of the interval
+        cfg, design = ScenarioConfig(), DmaDesign(n_slot=16, b_tune=10.0**tune_exp)
         if l_path == 0:
             channels = effective_channel(cfg, design)
         else:
             channels = multipath_channel(MultipathSpec(l_path=l_path, seed=l_path), cfg, design)
         snr = snr_profile(cfg)
-        grid = resonance_grid(design, channels.grid, 1001)
-        freq = channels.grid.frequencies
-        weights = normalized_polarizability(freq[None, :], grid.values[:, None], design)
+        grid = resonance_grid(design, channels.grid, 1001)  # 15 whole 64-row intervals and a short one of 41 rows
+        table, offsets, anchor_w, reach = grid.successive_table
+        weights = normalized_polarizability(channels.grid.frequencies[None, :], grid.values[:, None], design)
+        starts = np.arange(offsets.size) * 64
+        anchors = starts + offsets
+        assert np.array_equal(table[: grid.r_res], weights) and np.all(table[grid.r_res :] == weights[-1])
+        assert np.array_equal(anchor_w, weights[anchors]) and offsets[-1] == 20
         taps = channels.h_att * channels.h
         picks = np.searchsorted(grid.values, exhaustive_successive(channels, snr, grid))
-        running = np.sum(weights[picks[:8]] * taps[:, :8].T, axis=0)  # the first 8 elements' selections
-        a = taps[:, 8]
+        running = np.sum(weights[picks[:element]] * taps[:, :element].T, axis=0)  # the earlier elements' selections
+        a = taps[:, element]
         z = np.abs(weights * a + running) ** 2
         exact = np.mean(np.log2(1.0 + snr * z), axis=1)
-        for r0 in (0, int(np.argmax(exact)), 400, 1000):
-            v, scale = _tangent_plane(a, running, snr, np.sqrt(z[r0]))
-            plane = exact[r0] + (weights.view(np.float64) - weights[r0].view(np.float64)) @ v
-            slope = snr / ((1.0 + snr * z[r0]) * math.log(2.0))
-            tangent = np.mean(np.log2(1.0 + snr * z[r0]) + slope * (z - z[r0]), axis=1)
-            tol = 1e-12 * (1.0 + np.max(exact) + scale)
-            assert tangent[r0] == pytest.approx(exact[r0], rel=1e-15, abs=0)
+        slope, u, scale, rise = _tangent_plane(a, running, snr, 1.0 + snr * z[anchors], reach)
+        flat, v = weights.view(np.float64), (slope * u).view(np.float64)
+        for i, (r0, lo) in enumerate(zip(anchors, starts)):
+            plane = exact[r0] + (flat - flat[r0]) @ v[i]
+            tangent = np.mean(np.log2(1.0 + snr * z[r0]) + snr / ((1.0 + snr * z[r0]) * math.log(2.0)) * (z - z[r0]), axis=1)
+            tol = 1e-12 * (1.0 + np.max(exact) + scale[i])
+            assert plane[r0] == exact[r0] and tangent[r0] == pytest.approx(exact[r0], rel=1e-15, abs=0)
             np.testing.assert_allclose(plane, tangent, rtol=0, atol=tol)
             assert np.all(plane >= exact - tol)
             assert np.max(plane - exact) > 1e3 * tol  # not equal to the objective everywhere
+            rows = slice(lo, lo + 64)
+            assert np.array_equal(reach[i], np.max(np.abs(weights[rows] - weights[r0]), axis=0))
+            assert exact[r0] + rise[i] >= np.max(exact[rows]) - tol
 
     def test_result_independent_of_solve_order(self, cfg):
         # Monte-Carlo trials share one grid; no trial may see what an earlier one left on it
@@ -445,6 +459,41 @@ class TestSuccessiveBeamformer:
         channels = effective_channel(cfg, design)
         with pytest.raises(ValueError):
             successive_beamformer(channels, np.ones(3), resonance_grid(design, channels.grid, 11))
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_rejects_negative_or_non_finite_snr(self, bad):
+        # both bounds need log2(1 + s * z) concave and increasing; unchecked, -1 fails inside numpy and NaN or
+        # inf silently gives every element the same pick
+        cfg = ScenarioConfig(k=8)
+        channels = effective_channel(cfg, DmaDesign(n_slot=8))
+        snr = snr_profile(cfg)
+        snr[3] = bad
+        with pytest.raises(ValueError, match="snr list must be finite and non-negative"):
+            successive_beamformer(channels, snr, resonance_grid(DmaDesign(n_slot=8), channels.grid, 201))
+
+    def test_zero_snr_matches_exhaustive_scan(self):
+        cfg = ScenarioConfig(k=8)
+        channels = effective_channel(cfg, DmaDesign(n_slot=8))
+        grid = resonance_grid(DmaDesign(n_slot=8), channels.grid, 201)
+        for snr in (np.zeros(8), np.where(np.arange(8) % 2, snr_profile(cfg), 0.0)):
+            res = successive_beamformer(channels, snr, grid)
+            assert np.array_equal(res.f_r, exhaustive_successive(channels, snr, grid))
+
+    def test_solve_stays_under_one_megabyte(self):
+        # at b_tune = 0.47 Gamma one plane at the best anchor left a mean of 328 rows per element and an 8 MB peak
+        design = DmaDesign(n_slot=256, b_tune=0.47 * DmaDesign().gamma)
+        cfg = ScenarioConfig()
+        channels = effective_channel(cfg, design)
+        snr = snr_profile(cfg)
+        grid = resonance_grid(design, channels.grid, 4001)
+        successive_beamformer(channels, snr, grid)  # warm call: builds the grid's table
+        tracemalloc.start()
+        try:
+            successive_beamformer(channels, snr, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 @pytest.mark.parametrize(
