@@ -279,6 +279,43 @@ class TestCenterFrequencyBeamformer:
         assert np.all((res.f_r >= f_r_min) & (res.f_r <= f_r_max))
 
 
+def _check_interval_planes(design, l_path, element):
+    # each interval's plane, one real product per row, is the objective's tangent plane at the interval's anchor:
+    # above every row, equal at its anchor; its interval bound is above every row of the interval
+    cfg = ScenarioConfig()
+    if l_path == 0:
+        channels = effective_channel(cfg, design)
+    else:
+        channels = multipath_channel(MultipathSpec(l_path=l_path, seed=l_path), cfg, design)
+    snr = snr_profile(cfg)
+    grid = resonance_grid(design, channels.grid, 1001)  # 15 whole 64-row intervals and a short one of 41 rows
+    table, offsets, anchor_w, reach = grid.successive_table
+    weights = normalized_polarizability(channels.grid.frequencies[None, :], grid.values[:, None], design)
+    starts = np.arange(offsets.size) * 64
+    anchors = starts + offsets
+    assert np.array_equal(table[: grid.r_res], weights) and np.all(table[grid.r_res :] == weights[-1])
+    assert np.array_equal(anchor_w, weights[anchors]) and offsets[-1] == 20
+    taps = channels.h_att * channels.h
+    picks = np.searchsorted(grid.values, exhaustive_successive(channels, snr, grid))
+    running = np.sum(weights[picks[:element]] * taps[:, :element].T, axis=0)  # the earlier elements' selections
+    a = taps[:, element]
+    z = np.abs(weights * a + running) ** 2
+    exact = np.mean(np.log2(1.0 + snr * z), axis=1)
+    slope, u, scale, rise = _tangent_plane(a, running, snr, 1.0 + snr * z[anchors], reach)
+    flat, v = weights.view(np.float64), (slope * u).view(np.float64)
+    for i, (r0, lo) in enumerate(zip(anchors, starts)):
+        plane = exact[r0] + (flat - flat[r0]) @ v[i]
+        tangent = np.mean(np.log2(1.0 + snr * z[r0]) + snr / ((1.0 + snr * z[r0]) * math.log(2.0)) * (z - z[r0]), axis=1)
+        tol = 1e-12 * (1.0 + np.max(exact) + scale[i])
+        assert plane[r0] == exact[r0] and tangent[r0] == pytest.approx(exact[r0], rel=1e-15, abs=0)
+        np.testing.assert_allclose(plane, tangent, rtol=0, atol=tol)
+        assert np.all(plane >= exact - tol)
+        assert np.max(plane - exact) > 1e3 * tol  # not equal to the objective everywhere
+        rows = slice(lo, lo + 64)
+        assert np.array_equal(reach[i], np.max(np.abs(weights[rows] - weights[r0]), axis=0))
+        assert exact[r0] + rise[i] >= np.max(exact[rows]) - tol
+
+
 class TestSuccessiveBeamformer:
     def test_single_element_single_subcarrier_maximizes_gain(self, design):
         d1 = override_fields(design, n_slot=1)
@@ -380,46 +417,15 @@ class TestSuccessiveBeamformer:
         res = successive_beamformer(channels, snr, grid)
         assert np.array_equal(res.f_r, exhaustive_successive(channels, snr, grid))
 
+    @pytest.mark.parametrize("l_path", [0, 1, 4])  # 0: line of sight
+    def test_tangent_plane_bounds_every_row(self, l_path):
+        # the 9th element at the default tuning bandwidth
+        _check_interval_planes(DmaDesign(n_slot=16), l_path, element=8)
+
     @settings(deadline=None)
     @given(l_path=st.sampled_from((0, 1, 4)), tune_exp=st.floats(8.0, 9.9), element=st.integers(0, 15))  # 0: LOS
-    @example(l_path=0, tune_exp=math.log10(2e9), element=8)
-    @example(l_path=1, tune_exp=math.log10(2e9), element=8)
-    @example(l_path=4, tune_exp=math.log10(2e9), element=8)
     def test_interval_planes_bound_every_row(self, l_path, tune_exp, element):
-        # each interval's plane, one real product per row, is the objective's tangent plane at the interval's anchor:
-        # above every row, equal at its anchor; its interval bound is above every row of the interval
-        cfg, design = ScenarioConfig(), DmaDesign(n_slot=16, b_tune=10.0**tune_exp)
-        if l_path == 0:
-            channels = effective_channel(cfg, design)
-        else:
-            channels = multipath_channel(MultipathSpec(l_path=l_path, seed=l_path), cfg, design)
-        snr = snr_profile(cfg)
-        grid = resonance_grid(design, channels.grid, 1001)  # 15 whole 64-row intervals and a short one of 41 rows
-        table, offsets, anchor_w, reach = grid.successive_table
-        weights = normalized_polarizability(channels.grid.frequencies[None, :], grid.values[:, None], design)
-        starts = np.arange(offsets.size) * 64
-        anchors = starts + offsets
-        assert np.array_equal(table[: grid.r_res], weights) and np.all(table[grid.r_res :] == weights[-1])
-        assert np.array_equal(anchor_w, weights[anchors]) and offsets[-1] == 20
-        taps = channels.h_att * channels.h
-        picks = np.searchsorted(grid.values, exhaustive_successive(channels, snr, grid))
-        running = np.sum(weights[picks[:element]] * taps[:, :element].T, axis=0)  # the earlier elements' selections
-        a = taps[:, element]
-        z = np.abs(weights * a + running) ** 2
-        exact = np.mean(np.log2(1.0 + snr * z), axis=1)
-        slope, u, scale, rise = _tangent_plane(a, running, snr, 1.0 + snr * z[anchors], reach)
-        flat, v = weights.view(np.float64), (slope * u).view(np.float64)
-        for i, (r0, lo) in enumerate(zip(anchors, starts)):
-            plane = exact[r0] + (flat - flat[r0]) @ v[i]
-            tangent = np.mean(np.log2(1.0 + snr * z[r0]) + snr / ((1.0 + snr * z[r0]) * math.log(2.0)) * (z - z[r0]), axis=1)
-            tol = 1e-12 * (1.0 + np.max(exact) + scale[i])
-            assert plane[r0] == exact[r0] and tangent[r0] == pytest.approx(exact[r0], rel=1e-15, abs=0)
-            np.testing.assert_allclose(plane, tangent, rtol=0, atol=tol)
-            assert np.all(plane >= exact - tol)
-            assert np.max(plane - exact) > 1e3 * tol  # not equal to the objective everywhere
-            rows = slice(lo, lo + 64)
-            assert np.array_equal(reach[i], np.max(np.abs(weights[rows] - weights[r0]), axis=0))
-            assert exact[r0] + rise[i] >= np.max(exact[rows]) - tol
+        _check_interval_planes(DmaDesign(n_slot=16, b_tune=10.0**tune_exp), l_path, element)
 
     def test_result_independent_of_solve_order(self, cfg):
         # Monte-Carlo trials share one grid; no trial may see what an earlier one left on it
