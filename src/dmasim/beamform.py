@@ -3,9 +3,9 @@
 Both search a ResonanceGrid, the resonant frequencies of one design for one
 subcarrier set; ties break toward the lower resonant frequency, so identical
 inputs always give identical configurations. The center-frequency beamformer
-scores 4 cyclic rows per element around the resonance its target angle
-inverts to, and every row only where those 4 cannot certify the pick. The
-successive beamformer scores only the rows that two exact bounds from the
+ranks by distance 4 cyclic rows per element around the resonance its target
+angle inverts to, and every row only where those 4 cannot certify the pick.
+The successive beamformer scores only the rows that two exact bounds from the
 objective's tangent plane at each interval's anchor leave, so it picks exactly
 what the exhaustive scan picks, with an O(n_slot * r_res * k) worst case. Its
 weight table and interval reach are computed from the grid's own fields on its
@@ -25,10 +25,11 @@ from .element import ResonanceConfiguration, _resonance_at_angle, lorentzian_wei
 from .params import DmaDesign, SubcarrierGrid, _freeze
 
 PRUNE_STEP = 64  # rows per interval of the successive scan, each with its own tangent plane
+ANCHOR_ROW = (PRUNE_STEP - 1) // 2  # each interval's anchor: its middle row, the padding's copy in a short last one
 # Relative margin below the best real objective before a bound drops a row:
 # far above the rounding of either bound, so no maximum is ever lost.
 PRUNE_RTOL = 1e-9
-TIE_MARGIN = 1e-12  # rows this near an element's best center-frequency dot are re-ranked by distance
+TIE_MARGIN = 1e-12  # a center-frequency window's end rows lie this far beyond its least distance to certify it
 DEFAULT_R_RES = 1001  # resonance grid resolution when none is given
 
 
@@ -53,25 +54,24 @@ class ResonanceGrid:
 
     @cached_property
     def successive_table(self) -> tuple:
-        """The weight table in whole PRUNE_STEP-row intervals, each interval's anchor offset, anchor weights and reach.
+        """The weight table in whole PRUNE_STEP-row intervals, each interval's anchor weights and reach.
 
         The (intervals * PRUNE_STEP, k) table holds one row per grid value,
-        then copies of the last row up to a whole number of intervals. An
-        interval's anchor is its middle grid row, offsets[j] rows into it;
-        reach[j, k] is the largest |weights[r, k] - weights[anchor_j, k]| over
-        the rows r of interval j. Computed from the grid's own fields on first
-        use, since the center-frequency beamformer never reads it.
+        then copies of the last row up to a whole number of intervals. Each
+        interval's anchor is its row ANCHOR_ROW, a real row's weights even
+        where a short last interval puts it on a copy; reach[j, k] is the
+        largest |weights[r, k] - anchor_w[j, k]| over the interval's rows r.
+        Computed on first use: the center-frequency beamformer never reads it.
         """
-        starts = np.arange(0, self.r_res, PRUNE_STEP)
-        offsets = (np.minimum(self.r_res - starts, PRUNE_STEP) - 1) // 2
-        values = self.values[np.minimum(np.arange(starts.size * PRUNE_STEP), self.r_res - 1)]
+        intervals = -(-self.r_res // PRUNE_STEP)
+        values = self.values[np.minimum(np.arange(intervals * PRUNE_STEP), self.r_res - 1)]
         weights = normalized_polarizability(self.subcarriers.frequencies[None, :], values[:, None], self.design)
-        blocks = weights.reshape(starts.size, PRUNE_STEP, -1)
-        anchor_w = blocks[np.arange(starts.size), offsets]
+        blocks = weights.reshape(intervals, PRUNE_STEP, -1)
+        anchor_w = blocks[:, ANCHOR_ROW]
         reach = np.zeros(anchor_w.shape)
         for offset in range(PRUNE_STEP):
             np.maximum(reach, np.abs(blocks[:, offset] - anchor_w), out=reach)
-        return weights, offsets, anchor_w, reach
+        return weights, anchor_w, reach
 
 
 def resonance_grid(design: DmaDesign, subcarriers: SubcarrierGrid, r_res: int = DEFAULT_R_RES) -> ResonanceGrid:
@@ -87,34 +87,32 @@ def resonance_grid(design: DmaDesign, subcarriers: SubcarrierGrid, r_res: int = 
 
 
 def _nearest_rows(targets: np.ndarray, achievable: np.ndarray, rows: np.ndarray) -> tuple:
-    """Each target's pick among its rows (an index array broadcasting against targets[:, None]), its dots, their best.
+    """Each target's pick among its rows (indices broadcasting against targets[:, None]), its distances, their least.
 
-    Rows within TIE_MARGIN of the best dot are re-ranked by |t - a|; ties go to the lowest row.
+    Ties go to the lowest row.
     """
-    t, a = targets[:, None], achievable[rows]
-    dots = t.real * a.real + (t.imag + 0.5) * (a.imag + 0.5)  # both taken about the circle's center -j/2
-    best = np.max(dots, axis=1)
-    dist = np.where(dots >= best[:, None] - TIE_MARGIN, np.abs(t - a), np.inf)
-    return np.min(np.where(dist == np.min(dist, axis=1, keepdims=True), rows, achievable.size), axis=1), dots, best
+    dist = np.abs(targets[:, None] - achievable[rows])
+    least = np.min(dist, axis=1)
+    return np.min(np.where(dist == least[:, None], rows, achievable.size), axis=1), dist, least
 
 
 def center_frequency_beamformer(channels: ChannelSet, grid: ResonanceGrid) -> ResonanceConfiguration:
     """Per-element resonance matching the conjugate channel phase at the center subcarrier.
 
     Each element takes the achievable weight a nearest to the circle point t
-    at the conjugate channel angle zeta, ties going to the lowest row. Both
-    lie on |w + j/2| = 1/2, so |t - a|^2 = 1/2 - 2 * dot(t + j/2, a + j/2) up
-    to ~1e-16 of rounding: re-ranking by |t - a| the rows within TIE_MARGIN of
-    the best dot returns the exhaustive scan's first minimum. Each dot is
-    cos(psi_r - zeta)/4 for the angle psi_r of a_r + j/2, which rises with the
-    row over an arc shorter than 2 pi, so the dots are cyclically unimodal in
-    the row. An element scores only the 4 cyclic rows around the resonance
-    its zeta inverts to (element._resonance_at_angle); a zeta in the arc's
-    gap scores the last two rows and the first two. When both end rows lie
-    more than TIE_MARGIN below the window's best dot, the window holds a
-    local, hence the global, maximum and every row within TIE_MARGIN of it.
-    Otherwise the element is scored on every row, so the inverse need only be
-    close; on grids of 4 rows or fewer the window holds every row already.
+    at the conjugate channel angle zeta, ties going to the lowest row; each
+    |t - a| is the exhaustive scan's own expression, so bitwise its value.
+    Both lie on |w + j/2| = 1/2, so |t - a_r| = |sin((psi_r - zeta) / 2)| for
+    the angle psi_r of a_r + j/2, which rises with the row over an arc
+    shorter than 2 pi: the distances are cyclically unimodal in the row. An
+    element scores only the 4 cyclic rows around the resonance its zeta
+    inverts to (element._resonance_at_angle); a zeta in the arc's gap scores
+    the last two rows and the first two. When both end rows lie more than
+    TIE_MARGIN beyond the window's least distance, far above ~1e-16 of
+    rounding, the window holds a local, hence the global, minimum and every
+    row that ties it. Otherwise the element is scored on every row, so the
+    inverse need only be close; on grids of 4 rows or fewer the window holds
+    every row already.
     """
     if channels.n_slot != grid.design.n_slot:
         raise ValueError("channel element count differs from the resonance grid design's")
@@ -123,8 +121,8 @@ def center_frequency_beamformer(channels: ChannelSet, grid: ResonanceGrid) -> Re
     targets = lorentzian_weight(zeta)
     achievable = normalized_polarizability(f_c, grid.values, grid.design)  # (r_res,)
     pos = np.searchsorted(grid.values, _resonance_at_angle(f_c, zeta, grid.design))
-    idx, dots, best = _nearest_rows(targets, achievable, (pos[:, None] + np.arange(-2, 2)) % grid.r_res)
-    full = np.flatnonzero(~(np.maximum(dots[:, 0], dots[:, -1]) < best - TIE_MARGIN))
+    idx, dist, least = _nearest_rows(targets, achievable, (pos[:, None] + np.arange(-2, 2)) % grid.r_res)
+    full = np.flatnonzero(~(np.minimum(dist[:, 0], dist[:, -1]) > least + TIE_MARGIN))
     if full.size:
         idx[full] = _nearest_rows(targets[full], achievable, np.arange(grid.r_res)[None, :])[0]
     return ResonanceConfiguration(f_r=grid.values[idx])
@@ -170,10 +168,11 @@ def successive_beamformer(channels: ChannelSet, snr, grid: ResonanceGrid) -> Res
     plane at each interval's own anchor (_tangent_plane): the objective is
     concave in each |.|^2, which is affine in the weight on its circle. First,
     every row of interval i lies within reach_ik of its anchor, so it scores
-    at most the anchor's objective plus the plane's rise. Second, each row of
-    the intervals that bound keeps is tested against its interval's plane: one
-    stacked real product per contiguous run of them, each item PRUNE_STEP rows
-    of 2k floats, small enough to stay on one BLAS thread. Each interval's
+    at most the anchor's objective plus the plane's rise. Second, every row
+    from the first to the last interval that bound keeps is tested against
+    its own interval's plane in one stacked real product of PRUNE_STEP-row
+    items (2k floats a row, few enough for one BLAS thread), which drops
+    the rows of a dropped interval between them too. Each interval's
     margin scales with the size of the terms its plane sums (the scale of
     _tangent_plane): their product's rounding, about 2k * 1e-16 of that size,
     and the circle identity's, |w|^2 + Im w ~ 1e-16, stay far below
@@ -191,8 +190,8 @@ def successive_beamformer(channels: ChannelSet, snr, grid: ResonanceGrid) -> Res
         raise ValueError("snr list must have one entry per subcarrier")
     if not np.all(np.isfinite(snr) & (snr >= 0.0)):
         raise ValueError("snr list must be finite and non-negative")
-    weights, offsets, anchor_w, reach = grid.successive_table
-    blocks = weights.view(np.float64).reshape(offsets.size, PRUNE_STEP, -1)  # interleaved (Re, Im) rows, no copy
+    weights, anchor_w, reach = grid.successive_table
+    blocks = weights.view(np.float64).reshape(reach.shape[0], PRUNE_STEP, -1)  # interleaved (Re, Im) rows, no copy
     running = np.zeros(freq.size, dtype=complex)
     chosen = np.empty(grid.design.n_slot)
     for n in range(grid.design.n_slot):
@@ -203,17 +202,11 @@ def successive_beamformer(channels: ChannelSet, snr, grid: ResonanceGrid) -> Res
         slope, u, scale, rise = _tangent_plane(a, running, snr, arg, reach)
         cut = floor - PRUNE_RTOL * (1.0 + abs(floor) + scale)  # per interval
         live = np.flatnonzero(~(anchor_score + rise < cut))
-        v = (slope * u).view(np.float64)  # (intervals, 2k): each plane's (Re, Im) gradient pairs
-        spans = []  # interval ranges of the contiguous runs of live intervals
-        for i in live.tolist():
-            if spans and spans[-1][1] == i:
-                spans[-1][1] = i + 1
-            else:
-                spans.append([i, i + 1])
-        plane = np.concatenate([blocks[lo:hi] @ v[lo:hi, :, None] for lo, hi in spans])[:, :, 0]
-        rows = np.concatenate([np.arange(lo * PRUNE_STEP, hi * PRUNE_STEP) for lo, hi in spans])
-        cut = cut[live] - anchor_score[live] + plane[np.arange(live.size), offsets[live]]  # plane offset at its anchor
-        rows = rows[~(plane < cut[:, None]).ravel()]  # ascending
+        lo, hi = live[0], live[-1] + 1
+        v = (slope[lo:hi] * u).view(np.float64)  # (hi - lo, 2k): each plane's (Re, Im) gradient pairs
+        plane = (blocks[lo:hi] @ v[:, :, None])[:, :, 0]
+        cut = (cut - anchor_score)[lo:hi, None] + plane[:, ANCHOR_ROW, None]  # plane offset at its anchor
+        rows = np.flatnonzero(~(plane < cut)) + lo * PRUNE_STEP  # ascending
         contrib = weights[rows] * a
         best = int(np.argmax(_score(np.abs(contrib + running), snr)))  # first maximum = lowest row
         chosen[n] = grid.values[rows[best]]

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import C_LIGHT, DmaDesign, ScenarioConfig, SubcarrierGrid, _freeze, leakage_constant, waveguide_beta
+from .params import (
+    C_LIGHT, DmaDesign, ScenarioConfig, SubcarrierGrid, _freeze, _require_counts, leakage_constant, waveguide_beta
+)
 
 
 @dataclass(frozen=True, eq=False)  # compared by identity: array fields have no truth value
@@ -60,8 +62,7 @@ class MultipathSpec:
     pin_first_to_los: bool = False  # first path: gain 1/sqrt(L), delay 0, LOS angle
 
     def __post_init__(self):
-        if self.l_path < 1:
-            raise ValueError("path count must be >= 1")
+        _require_counts(self, l_path=1, seed=0)
 
 
 def array_response(phi_t: float, f, design: DmaDesign) -> np.ndarray:

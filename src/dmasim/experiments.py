@@ -21,7 +21,7 @@ from .approx import gain_breakdown, power_normalized_gain
 from .beamform import DEFAULT_R_RES, resonance_grid
 from .channel import MultipathSpec, effective_channel, leakage_vector, multipath_channel
 from .metrics import ALGORITHMS, GainSpectrum, run_beamformer
-from .params import DmaDesign, ScenarioConfig, override_fields, wavelength
+from .params import DmaDesign, ScenarioConfig, _require_counts, override_fields, wavelength
 
 # Validation-study scenario knobs: a small signal bandwidth isolates the fill
 # and leakage factors; the sweeps resolve it on few subcarriers, the
@@ -57,10 +57,9 @@ class ExperimentPlan:
             raise ValueError("sweep axis values must be sorted ascending")
         if unread := [f.name for f in fields(self) if f.name in IGNORED[self.kind] and getattr(self, f.name) != f.default]:
             raise ValueError(f"{self.kind} does not read {', '.join(unread)}")
-        if self.trials < 1:
-            raise ValueError("trial count must be >= 1")
         if self.r_res < 1:
             raise ValueError("resonance grid resolution must be >= 1")
+        _require_counts(self, trials=1, seed=0, r_res=1)
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "out_dir", Path(self.out_dir))
 

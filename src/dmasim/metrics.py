@@ -63,14 +63,10 @@ def _require_scenario_subcarriers(channels: ChannelSet, cfg: ScenarioConfig) -> 
 def gain_spectrum(channels: ChannelSet, weights: np.ndarray, cfg: ScenarioConfig, design: DmaDesign) -> GainSpectrum:
     """Assemble per-subcarrier gain/SNR/SE records and their aggregates."""
     _require_scenario_subcarriers(channels, cfg)
-    return _assemble(gain_profile(channels, weights, design), snr_profile(cfg), cfg.b)
-
-
-def _assemble(gain: np.ndarray, rho: np.ndarray, b: float) -> GainSpectrum:
-    """GainSpectrum from per-subcarrier gains and SNRs at signal bandwidth b."""
+    gain, rho = gain_profile(channels, weights, design), snr_profile(cfg)
     se = np.log2(1.0 + rho * gain)
     capacity = float(np.mean(se))
-    return GainSpectrum(gain=gain, rho=rho, se=se, g_sum=float(np.sum(gain)), capacity=capacity, rate=b * capacity)
+    return GainSpectrum(gain=gain, rho=rho, se=se, g_sum=float(np.sum(gain)), capacity=capacity, rate=cfg.b * capacity)
 
 
 def resonance_spectrum(
@@ -87,19 +83,17 @@ ALGORITHMS = ("center-frequency", "successive")  # the names run_beamformer acce
 def run_beamformer(
     algorithm: str, channels: ChannelSet, cfg: ScenarioConfig, grid: ResonanceGrid
 ) -> tuple[ResonanceConfiguration, GainSpectrum]:
-    """Configure the aperture of grid's design with the named algorithm and score it.
+    """Configure the aperture of grid's design with the named algorithm and score it with resonance_spectrum.
 
-    One SNR profile serves both the successive objective and the score.
+    The successive objective reads the same snr_profile(cfg) that the score does.
     """
     _require_scenario_subcarriers(channels, cfg)
-    rho = snr_profile(cfg)
     # positional calls: benchmark/run.py's tracer reads the grid at these argument positions
     if algorithm == "center-frequency":
         res = center_frequency_beamformer(channels, grid)
     elif algorithm == "successive":
-        res = successive_beamformer(channels, rho, grid)
+        res = successive_beamformer(channels, snr_profile(cfg), grid)
     else:
         raise ValueError(f"unknown beamforming algorithm {algorithm!r}")
-    weights = dma_weight_matrix(res, channels.grid.frequencies, grid.design)
-    return res, _assemble(gain_profile(channels, weights, grid.design), rho, cfg.b)
+    return res, resonance_spectrum(channels, res, cfg, grid.design)
 

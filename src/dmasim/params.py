@@ -24,6 +24,15 @@ def _require_finite(config) -> None:
         raise ValueError(f"{', '.join(bad)} must be finite")
 
 
+def _require_counts(record, **least) -> None:
+    """Store each named count or seed field as an int no less than its given least; 64.0 passes, 2.5 or NaN fails."""
+    for name, low in least.items():
+        value = getattr(record, name)
+        if not (isinstance(value, (int, np.integer)) or float(value).is_integer()) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        object.__setattr__(record, name, int(value))
+
+
 def _freeze(record, *names, dtype=float) -> None:
     """Store a read-only copy, never the caller's buffer, of each named array field; None stays None."""
     for name in names:
@@ -48,12 +57,13 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _require_finite(self)
+        _require_counts(self, k=2)
         if self.f_t <= 0:
             raise ValueError("carrier frequency must be positive")
         if self.b <= 0:
             raise ValueError("signal bandwidth must be positive")
-        if self.k < 2 or self.k % 2 != 0:
-            raise ValueError("subcarrier count must be even and >= 2")
+        if self.k % 2 != 0:
+            raise ValueError(f"k must be even, got {self.k}")
         if abs(self.phi_t) >= math.pi / 2:
             raise ValueError("steering angle must satisfy |phi_t| < pi/2")
         if self.r <= 0:
@@ -96,8 +106,7 @@ class DmaDesign:
 
     def __post_init__(self):
         _require_finite(self)
-        if self.n_slot < 1:
-            raise ValueError("element count must be >= 1")
+        _require_counts(self, n_slot=1)
         if self.d_x <= 0:
             raise ValueError("element spacing must be positive")
         if self.q <= 0:

@@ -26,7 +26,7 @@ from dmasim import (
     successive_beamformer,
     tuning_range,
 )
-from dmasim.beamform import _tangent_plane
+from dmasim.beamform import ANCHOR_ROW, PRUNE_RTOL, PRUNE_STEP, _tangent_plane
 from dmasim.experiments import _gamma_axis
 
 
@@ -38,7 +38,7 @@ def make_channelset(h, grid, h_att=None):
 
 
 def dense_center_frequency(channels, grid):
-    """The distance table over every grid row: the oracle of the dot-product search."""
+    """The distance table over every grid row: the oracle of the windowed search."""
     kc = channels.grid.center_index
     f_c = channels.grid.f_center
     targets = lorentzian_weight(np.angle(np.conj(channels.h[kc])))  # (n_slot,)
@@ -201,8 +201,8 @@ class TestCenterFrequencyBeamformer:
         assert np.array_equal(res.f_r, dense_center_frequency(channels, grid).f_r)
 
     def test_sub_hz_far_target_tie(self):
-        # every grid weight sits within ~1e-15 of the same distance from a target at the origin
-        # point: the dot product alone picks other rows than the distance table, the re-rank does not
+        # every grid weight sits within ~1e-15 of the same distance from a target at the origin point:
+        # each window's end rows tie its least distance, so every element is ranked on every row
         n_slot = 64
         design = DmaDesign(n_slot=n_slot, b_tune=5e-3)
         zeta = math.pi / 2 + np.linspace(-1e-6, 1e-6, n_slot)
@@ -281,7 +281,8 @@ class TestCenterFrequencyBeamformer:
 
 def _check_interval_planes(design, l_path, element):
     # each interval's plane, one real product per row, is the objective's tangent plane at the interval's anchor:
-    # above every row, equal at its anchor; its interval bound is above every row of the interval
+    # above every row, equal at its anchor; its interval bound is above every row of the interval and, since the
+    # scan tests every row between its first and last kept interval, above the plane on every row of the interval
     cfg = ScenarioConfig()
     if l_path == 0:
         channels = effective_channel(cfg, design)
@@ -289,12 +290,12 @@ def _check_interval_planes(design, l_path, element):
         channels = multipath_channel(MultipathSpec(l_path=l_path, seed=l_path), cfg, design)
     snr = snr_profile(cfg)
     grid = resonance_grid(design, channels.grid, 1001)  # 15 whole 64-row intervals and a short one of 41 rows
-    table, offsets, anchor_w, reach = grid.successive_table
+    table, anchor_w, reach = grid.successive_table
     weights = normalized_polarizability(channels.grid.frequencies[None, :], grid.values[:, None], design)
-    starts = np.arange(offsets.size) * 64
-    anchors = starts + offsets
+    starts = np.arange(reach.shape[0]) * PRUNE_STEP
+    anchors = starts + ANCHOR_ROW  # the short interval's too: 991 of its rows 960-1000
     assert np.array_equal(table[: grid.r_res], weights) and np.all(table[grid.r_res :] == weights[-1])
-    assert np.array_equal(anchor_w, weights[anchors]) and offsets[-1] == 20
+    assert np.array_equal(anchor_w, weights[anchors])
     taps = channels.h_att * channels.h
     picks = np.searchsorted(grid.values, exhaustive_successive(channels, snr, grid))
     running = np.sum(weights[picks[:element]] * taps[:, :element].T, axis=0)  # the earlier elements' selections
@@ -311,9 +312,10 @@ def _check_interval_planes(design, l_path, element):
         np.testing.assert_allclose(plane, tangent, rtol=0, atol=tol)
         assert np.all(plane >= exact - tol)
         assert np.max(plane - exact) > 1e3 * tol  # not equal to the objective everywhere
-        rows = slice(lo, lo + 64)
+        rows = slice(lo, lo + PRUNE_STEP)
         assert np.array_equal(reach[i], np.max(np.abs(weights[rows] - weights[r0]), axis=0))
         assert exact[r0] + rise[i] >= np.max(exact[rows]) - tol
+        assert np.all(plane[rows] <= exact[r0] + rise[i] + tol)
 
 
 class TestSuccessiveBeamformer:
@@ -426,6 +428,33 @@ class TestSuccessiveBeamformer:
     @given(l_path=st.sampled_from((0, 1, 4)), tune_exp=st.floats(8.0, 9.9), element=st.integers(0, 15))  # 0: LOS
     def test_interval_planes_bound_every_row(self, l_path, tune_exp, element):
         _check_interval_planes(DmaDesign(n_slot=16, b_tune=10.0**tune_exp), l_path, element)
+
+    def test_split_live_intervals(self):
+        # at b_tune = 0.3 Gamma elements 18, 53 and 61 keep intervals on both sides of dropped ones, so the scan's
+        # one plane product spans the dropped ones; 53 picks from its last run of kept intervals, 18 and 61 from
+        # their first, so scoring any one run alone would lose a maximum
+        design = DmaDesign(n_slot=64, b_tune=0.3 * DmaDesign().gamma)
+        cfg = ScenarioConfig()
+        channels = effective_channel(cfg, design)
+        snr = snr_profile(cfg)
+        grid = resonance_grid(design, channels.grid, 4001)
+        picks = exhaustive_successive(channels, snr, grid)
+        table, anchor_w, reach = grid.successive_table
+        taps = channels.h_att * channels.h
+        running = np.zeros(cfg.k, dtype=complex)
+        split = []  # per split element: (its pick lies past its first run, before its last run)
+        for n, row in enumerate(np.searchsorted(grid.values, picks)):
+            arg = 1.0 + snr * np.abs(anchor_w * taps[:, n] + running) ** 2
+            anchor_score = np.mean(np.log2(arg), axis=1)
+            _, _, scale, rise = _tangent_plane(taps[:, n], running, snr, arg, reach)
+            floor = anchor_score.max()
+            live = np.flatnonzero(anchor_score + rise >= floor - PRUNE_RTOL * (1.0 + abs(floor) + scale))
+            gaps = np.flatnonzero(np.diff(live) > 1)
+            if gaps.size:
+                split.append((row // PRUNE_STEP > live[gaps[0]], row // PRUNE_STEP < live[gaps[-1] + 1]))
+            running = running + table[row] * taps[:, n]
+        assert any(past for past, _ in split) and any(before for _, before in split)
+        assert np.array_equal(successive_beamformer(channels, snr, grid).f_r, picks)
 
     def test_result_independent_of_solve_order(self, cfg):
         # Monte-Carlo trials share one grid; no trial may see what an earlier one left on it

@@ -43,6 +43,7 @@ def test_traced_calls_match_job_inputs(workload, tmp_path, capsys):
     expected = {
         "cli.main": 1,
         "metrics.run_beamformer": job.solves,
+        "metrics.resonance_spectrum": job.solves,  # every solve is scored through the one public path
         "beamform.successive_beamformer": job.succ_calls,
         "beamform.center_frequency_beamformer": job.cf_calls,
     }

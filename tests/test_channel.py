@@ -241,3 +241,19 @@ class TestMultipathChannel:
         with pytest.raises(ValueError):
             MultipathSpec(l_path=0)
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"l_path": 2.5}, "l_path must be an integer >= 1, got 2.5"),  # unchecked, a TypeError inside numpy
+            ({"seed": 0.5}, "seed must be an integer >= 0, got 0.5"),
+            ({"seed": -1}, "seed must be an integer >= 0, got -1"),  # unchecked, numpy's message without the field
+        ],
+    )
+    def test_rejects_fractional_count_or_negative_seed(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MultipathSpec(**kwargs)
+
+    def test_integral_float_counts_kept_as_ints(self):
+        spec = MultipathSpec(l_path=4.0, seed=7.0)
+        assert (spec.l_path, spec.seed) == (4, 7) and type(spec.l_path) is type(spec.seed) is int
+

@@ -74,6 +74,24 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             ExperimentPlan(kind="multipath-mc", out_dir=tmp_path, trials=0)
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"trials": 2.5}, "trials must be an integer >= 1, got 2.5"),  # unchecked, a TypeError inside numpy
+            ({"r_res": 2.5}, "r_res must be an integer >= 1, got 2.5"),
+            ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+            ({"seed": -1}, "seed must be an integer >= 0, got -1"),  # unchecked, numpy's message without the field
+        ],
+    )
+    def test_rejects_fractional_count_or_negative_seed(self, tmp_path, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExperimentPlan(kind="multipath-mc", out_dir=tmp_path, **kwargs)
+
+    def test_integral_float_counts_kept_as_ints(self, tmp_path):
+        plan = ExperimentPlan(kind="multipath-mc", out_dir=tmp_path, trials=2.0, seed=3.0, r_res=51.0)
+        assert (plan.trials, plan.seed, plan.r_res) == (2, 3, 51)
+        assert {type(plan.trials), type(plan.seed), type(plan.r_res)} == {int}
+
     def test_rejected_before_any_output(self, tmp_path, small_cfg, small_design):
         plan = ExperimentPlan(kind="multipath-mc", out_dir=tmp_path / "mc", axis=(1.5,), trials=2, r_res=51)
         with pytest.raises(ValueError):
@@ -365,6 +383,7 @@ class TestCli:
             (["sweep-tuning", "--b", "nan", "--axis", "1e9"], None),
             (["sweep-tuning"], "K = inf\n"),
             (["sweep-tuning"], "K = 64.9\n"),
+            (["multipath-mc", "--seed", "-1", "--trials", "2", "--k", "8"], None),
         ],
     )
     def test_failed_run_writes_nothing(self, tmp_path, capsys, argv, config):

@@ -258,11 +258,18 @@ class TestValidation:
             {"lambda_frac": 1.0},
             {"lambda_frac": 1e-17},  # 1 - lambda rounds to 1: nothing would radiate
             {"f_c10": 20e9},
+            {"n_slot": 2.5},  # unchecked, a 3-element channel beside a 1.5-element leakage design
         ],
     )
     def test_design_invariants(self, kwargs):
         with pytest.raises(ValueError):
             DmaDesign(**kwargs)
+
+    @pytest.mark.parametrize("cls,field,low", [(ScenarioConfig, "k", 2), (DmaDesign, "n_slot", 1)])
+    def test_counts_must_be_integral(self, cls, field, low):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= {low}, got 2.5$"):
+            cls(**{field: 2.5})
+        assert type(getattr(cls(**{field: 8.0}), field)) is int  # an integral float is kept as its int
 
     @pytest.mark.parametrize("cls", [ScenarioConfig, DmaDesign])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
