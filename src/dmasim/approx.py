@@ -100,8 +100,6 @@ def leakage_penalty_exact(design: DmaDesign) -> float:
     leakage_penalty(lambda_frac) as the element count grows.
     """
     n = design.n_slot
-    if n < 2:
-        raise ValueError("finite-aperture penalty needs at least two elements")
     a = leakage_constant(design) * design.d_x
     if a == 0.0:
         return 1.0

@@ -22,7 +22,7 @@ import numpy as np
 
 from .channel import ChannelSet
 from .element import ResonanceConfiguration, _resonance_at_angle, lorentzian_weight, normalized_polarizability, tuning_range
-from .params import DmaDesign, SubcarrierGrid, _freeze
+from .params import DmaDesign, SubcarrierGrid, _count, _freeze
 
 PRUNE_STEP = 64  # rows per interval of the successive scan, each with its own tangent plane
 ANCHOR_ROW = (PRUNE_STEP - 1) // 2  # each interval's anchor: its middle row, the padding's copy in a short last one
@@ -76,8 +76,7 @@ class ResonanceGrid:
 
 def resonance_grid(design: DmaDesign, subcarriers: SubcarrierGrid, r_res: int = DEFAULT_R_RES) -> ResonanceGrid:
     """Discretize the design's tuning range into r_res points; a single point sits at the center."""
-    if r_res < 1:
-        raise ValueError("resolution must be >= 1")
+    r_res = _count("r_res", r_res, 1)
     f_r_min, f_r_max = tuning_range(design)
     if r_res == 1:
         values = np.array([(f_r_min + f_r_max) / 2.0])

@@ -57,8 +57,6 @@ class ExperimentPlan:
             raise ValueError("sweep axis values must be sorted ascending")
         if unread := [f.name for f in fields(self) if f.name in IGNORED[self.kind] and getattr(self, f.name) != f.default]:
             raise ValueError(f"{self.kind} does not read {', '.join(unread)}")
-        if self.r_res < 1:
-            raise ValueError("resonance grid resolution must be >= 1")
         _require_counts(self, trials=1, seed=0, r_res=1)
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "out_dir", Path(self.out_dir))
@@ -231,15 +229,14 @@ def _max_rate(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign) -> _
 
 def _multipath_mc(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign) -> _Tables:
     axis = plan.axis or (1.0, 2.0, 4.0)
-    if any(l_path != int(l_path) or l_path < 1 for l_path in axis):
-        raise ValueError("path counts must be positive integers")
+    l_paths = [MultipathSpec(l_path=v).l_path for v in axis]  # each checked before any channel is built
     grid = resonance_grid(design, cfg.subcarriers, plan.r_res)
     rows = []
-    for l_idx, l_path in enumerate(axis):
+    for l_idx, l_path in enumerate(l_paths):
         per_alg = {alg: [] for alg in ALGORITHMS}
         for trial in range(plan.trials):
             child = int(np.random.SeedSequence((plan.seed, l_idx, trial)).generate_state(1)[0])
-            spec = MultipathSpec(l_path=int(l_path), seed=child, pin_first_to_los=plan.pin_los)
+            spec = MultipathSpec(l_path=l_path, seed=child, pin_first_to_los=plan.pin_los)
             channels = multipath_channel(spec, cfg, design)
             for alg in ALGORITHMS:
                 _, spectrum = run_beamformer(alg, channels, cfg, grid)

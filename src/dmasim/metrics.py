@@ -34,7 +34,8 @@ class GainSpectrum:
 
 def snr_profile(cfg: ScenarioConfig) -> np.ndarray:
     """Per-subcarrier SNR path_loss * g_dma * p_in / noise_power, linear; shape (k,)."""
-    return path_loss(cfg.subcarriers.frequencies, cfg.r) * cfg.g_dma * cfg.p_in / noise_power(cfg)
+    with np.errstate(over="ignore", divide="ignore"):  # past the float range: inf, which the successive solve rejects
+        return path_loss(cfg.subcarriers.frequencies, cfg.r) * cfg.g_dma * cfg.p_in / noise_power(cfg)
 
 
 def gain_profile(channels: ChannelSet, weights: np.ndarray, design: DmaDesign) -> np.ndarray:

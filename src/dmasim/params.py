@@ -24,13 +24,24 @@ def _require_finite(config) -> None:
         raise ValueError(f"{', '.join(bad)} must be finite")
 
 
+def _require_positive(record, **words) -> None:
+    """Reject each named field that is not above zero, calling it by its given words."""
+    for name, said in words.items():
+        if getattr(record, name) <= 0:
+            raise ValueError(f"{said} must be positive")
+
+
+def _count(name: str, value, least: int) -> int:
+    """The count or seed value as an int no less than least; 64.0 passes, 2.5 or NaN fails."""
+    if not (isinstance(value, (int, np.integer)) or float(value).is_integer()) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _require_counts(record, **least) -> None:
-    """Store each named count or seed field as an int no less than its given least; 64.0 passes, 2.5 or NaN fails."""
+    """Store each named count or seed field as the int _count makes of it."""
     for name, low in least.items():
-        value = getattr(record, name)
-        if not (isinstance(value, (int, np.integer)) or float(value).is_integer()) or value < low:
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        object.__setattr__(record, name, int(value))
+        object.__setattr__(record, name, _count(name, getattr(record, name), low))
 
 
 def _freeze(record, *names, dtype=float) -> None:
@@ -58,20 +69,14 @@ class ScenarioConfig:
     def __post_init__(self):
         _require_finite(self)
         _require_counts(self, k=2)
-        if self.f_t <= 0:
-            raise ValueError("carrier frequency must be positive")
-        if self.b <= 0:
-            raise ValueError("signal bandwidth must be positive")
+        _require_positive(
+            self, f_t="carrier frequency", b="signal bandwidth", r="link distance",
+            p_in_tot="input power", t_temp="noise temperature",
+        )
         if self.k % 2 != 0:
             raise ValueError(f"k must be even, got {self.k}")
         if abs(self.phi_t) >= math.pi / 2:
             raise ValueError("steering angle must satisfy |phi_t| < pi/2")
-        if self.r <= 0:
-            raise ValueError("link distance must be positive")
-        if self.p_in_tot <= 0:
-            raise ValueError("input power must be positive")
-        if self.t_temp <= 0:
-            raise ValueError("noise temperature must be positive")
         if not 0 < self.g_dma <= 1:
             raise ValueError("DMA efficiency loss must lie in (0, 1]")
 
@@ -107,12 +112,7 @@ class DmaDesign:
     def __post_init__(self):
         _require_finite(self)
         _require_counts(self, n_slot=1)
-        if self.d_x <= 0:
-            raise ValueError("element spacing must be positive")
-        if self.q <= 0:
-            raise ValueError("quality factor must be positive")
-        if self.f_t <= 0:
-            raise ValueError("design carrier must be positive")
+        _require_positive(self, d_x="element spacing", q="quality factor", f_t="design carrier")
         if self.b_tune < 0:
             raise ValueError("tuning bandwidth must be non-negative")
         if self.b_tune >= 2 * self.f_t:
@@ -221,8 +221,8 @@ def wavelength(f: float) -> float:
 
 # Flat key=value config file schema, SI units: key -> (field, description).
 # Each key is also a CLI override flag: "--" + key.lower() with "_" -> "-".
-# f_t is in both tables, so its one key sets both carriers.
-_SCENARIO_KEYS = {
+# f_t is a field of both ScenarioConfig and DmaDesign, so its one key sets both carriers.
+_CONFIG_KEYS = {
     "f_t": ("f_t", "carrier frequency [Hz]"),
     "B": ("b", "signal bandwidth [Hz]"),
     "K": ("k", "subcarrier count (even)"),
@@ -231,18 +231,14 @@ _SCENARIO_KEYS = {
     "P_in_tot": ("p_in_tot", "total input power [W]"),
     "T_temp": ("t_temp", "noise temperature [K]"),
     "G_dma": ("g_dma", "DMA efficiency loss, linear"),
-}
-_DESIGN_KEYS = {
     "N_slot": ("n_slot", "DMA element count"),
     "d_x": ("d_x", "element spacing [m]"),
     "Q": ("q", "quality factor at the carrier"),
-    "f_t": _SCENARIO_KEYS["f_t"],
     "B_tune": ("b_tune", "tuning bandwidth [Hz]"),
     "Lambda": ("lambda_frac", "fractional radiated power in (0, 1)"),
     "eps_r": ("eps_r", "substrate permittivity factor"),
     "f_c10": ("f_c10", "waveguide cutoff frequency [Hz]"),
 }
-_CONFIG_KEYS = {**_SCENARIO_KEYS, **_DESIGN_KEYS}  # every key once; f_t keeps its scenario place
 _INT_FIELDS = {"k", "n_slot"}
 
 

@@ -13,7 +13,7 @@ import pytest
 import dmasim
 from dmasim.cli import build_parser, main
 from dmasim.experiments import KINDS
-from dmasim.params import _DESIGN_KEYS, _SCENARIO_KEYS
+from dmasim.params import _CONFIG_KEYS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -127,7 +127,7 @@ def test_cli_options_are_pinned():
         expected += MONTE_CARLO_FLAGS if kind == "multipath-mc" else []
         assert sorted(strings) == sorted(expected), kind
     assert sum(map(len, options.values())) == 161
-    assert len(_SCENARIO_KEYS.keys() | _DESIGN_KEYS.keys()) == 15  # distinct config keys; f_t is shared
+    assert len(_CONFIG_KEYS) == 15  # one f_t key sets both carriers
 
 
 # A moved value per flag: each differs from the default (or the base run's

@@ -188,7 +188,7 @@ class TestLeakagePenaltyExact:
             assert a / b == pytest.approx(2.0, abs=0.2)
 
     def test_single_element_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^leakage design undefined for a single element$"):
             leakage_penalty_exact(DmaDesign(n_slot=1))
 
 

@@ -82,8 +82,14 @@ class TestResonanceGrid:
         np.testing.assert_array_equal(grid.values, [design.f_t])
 
     def test_rejects_empty(self, cfg, design):
-        with pytest.raises(ValueError):
-            resonance_grid(design, subcarrier_grid(cfg), 0)
+        for r_res in (0, 2.5):  # no rows, or not a whole number of them
+            with pytest.raises(ValueError, match=f"^r_res must be an integer >= 1, got {r_res}$"):
+                resonance_grid(design, subcarrier_grid(cfg), r_res)
+
+    def test_integral_float_resolution_kept_as_int(self, cfg, design):
+        # as ExperimentPlan stores r_res=3.0; numpy's linspace rejects a float count
+        grid = resonance_grid(design, subcarrier_grid(cfg), np.float64(3.0))
+        assert grid.values.shape == (3,)
 
     @pytest.mark.parametrize("values", [[15.1e9, 14.9e9], [14.9e9, math.nan, 15.1e9], [14.9e9, math.inf], [math.nan]])
     def test_rejects_descending_or_non_finite(self, cfg, design, values):

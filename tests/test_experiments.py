@@ -93,8 +93,8 @@ class TestPlanValidation:
         assert {type(plan.trials), type(plan.seed), type(plan.r_res)} == {int}
 
     def test_rejected_before_any_output(self, tmp_path, small_cfg, small_design):
-        plan = ExperimentPlan(kind="multipath-mc", out_dir=tmp_path / "mc", axis=(1.5,), trials=2, r_res=51)
-        with pytest.raises(ValueError):
+        plan = ExperimentPlan(kind="multipath-mc", out_dir=tmp_path / "mc", axis=(1.0, 1.5), trials=2, r_res=51)
+        with pytest.raises(ValueError, match=r"^l_path must be an integer >= 1, got 1\.5$"):  # MultipathSpec's rule
             run_plan(plan, small_cfg, small_design)
         assert not (tmp_path / "mc" / "multipath_mc.csv").exists()
 
@@ -133,7 +133,7 @@ class TestPlanValidation:
         monkeypatch.setattr("dmasim.experiments.effective_channel", no_solve)
         monkeypatch.setattr("dmasim.experiments.multipath_channel", no_solve)
         trials = {"trials": 2} if kind == "multipath-mc" else {}
-        with pytest.raises(ValueError, match="resolution"):
+        with pytest.raises(ValueError, match="^r_res must be an integer >= 1, got 0$"):
             plan = ExperimentPlan(kind=kind, out_dir=tmp_path / "out", axis=(1.0,), r_res=0, **trials)
             run_plan(plan, small_cfg, small_design)
         assert not (tmp_path / "out").exists()
@@ -384,6 +384,10 @@ class TestCli:
             (["sweep-tuning"], "K = inf\n"),
             (["sweep-tuning"], "K = 64.9\n"),
             (["multipath-mc", "--seed", "-1", "--trials", "2", "--k", "8"], None),
+            # an SNR past the float range: inf, which the successive solve rejects, and no numpy warning
+            (["multipath-mc", "--axis", "1", "--trials", "2", "--k", "8", "--r", "1e-160"], None),
+            (["multipath-mc", "--axis", "1", "--trials", "2", "--k", "8", "--p-in-tot", "1e308"], None),
+            (["multipath-mc", "--axis", "1", "--trials", "2", "--k", "8", "--t-temp", "1e-320"], None),
         ],
     )
     def test_failed_run_writes_nothing(self, tmp_path, capsys, argv, config):
@@ -395,6 +399,13 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("dmasim: error:")
         assert not (tmp_path / "out").exists()
+
+    def test_overflowing_snr_of_an_ignored_distance_is_only_noted(self, tmp_path, capsys):
+        # validate-approx reads only gains, so an SNR the file's r overflows must not stop it or warn
+        (tmp_path / "near.cfg").write_text("r = 1e-160\n")
+        argv = ["validate-approx", "--config", str(tmp_path / "near.cfg"), "--n-slot", "8", "--r-res", "51"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == "dmasim: note: validate-approx ignores the config keys r\n"
 
     def test_removed_coupling_key_is_unknown(self, tmp_path, capsys):
         cfg_path = tmp_path / "coupl.cfg"
