@@ -6,9 +6,10 @@ inputs always give identical configurations. The center-frequency beamformer
 ranks by distance 4 cyclic rows per element around the resonance its target
 angle inverts to, and every row only where those 4 cannot certify the pick.
 The successive beamformer scores only the rows that two exact bounds from the
-objective's tangent plane at each interval's anchor leave, so it picks exactly
-what the exhaustive scan picks, with an O(n_slot * r_res * k) worst case. Its
-weight table and interval reach are computed from the grid's own fields on its
+objective's tangent plane at each interval's anchor leave, the first taken
+over the chord between the interval's end rows, so it picks exactly what the
+exhaustive scan picks, with an O(n_slot * r_res * k) worst case. Its weight
+table, interval ends and reach are computed from the grid's own fields on its
 first successive solve and kept on the grid for every later one.
 """
 
@@ -54,24 +55,27 @@ class ResonanceGrid:
 
     @cached_property
     def successive_table(self) -> tuple:
-        """The weight table in whole PRUNE_STEP-row intervals, each interval's anchor weights and reach.
+        """The weight table in whole PRUNE_STEP-row intervals, each interval's end and anchor rows, and its reach.
 
         The (intervals * PRUNE_STEP, k) table holds one row per grid value,
-        then copies of the last row up to a whole number of intervals. Each
-        interval's anchor is its row ANCHOR_ROW, a real row's weights even
-        where a short last interval puts it on a copy; reach[j, k] is the
-        largest |weights[r, k] - anchor_w[j, k]| over the interval's rows r.
+        then copies of the last row up to a whole number of intervals.
+        ends[j] holds interval j's first, anchor (its row ANCHOR_ROW, a real
+        row's weights even on a short last interval's copy) and last rows.
+        reach[j, k] is the largest distance |weights[r, k] - first_k -
+        offset_r / (PRUNE_STEP - 1) * (last_k - first_k)| of a row r of the
+        interval from the chord between its end rows.
         Computed on first use: the center-frequency beamformer never reads it.
         """
         intervals = -(-self.r_res // PRUNE_STEP)
         values = self.values[np.minimum(np.arange(intervals * PRUNE_STEP), self.r_res - 1)]
         weights = normalized_polarizability(self.subcarriers.frequencies[None, :], values[:, None], self.design)
         blocks = weights.reshape(intervals, PRUNE_STEP, -1)
-        anchor_w = blocks[:, ANCHOR_ROW]
-        reach = np.zeros(anchor_w.shape)
+        ends = blocks[:, [0, ANCHOR_ROW, PRUNE_STEP - 1]]
+        first, span = ends[:, 0], ends[:, 2] - ends[:, 0]
+        reach = np.zeros(span.shape)
         for offset in range(PRUNE_STEP):
-            np.maximum(reach, np.abs(blocks[:, offset] - anchor_w), out=reach)
-        return weights, anchor_w, reach
+            np.maximum(reach, np.abs(blocks[:, offset] - first - offset / (PRUNE_STEP - 1) * span), out=reach)
+        return weights, ends, reach
 
 
 def resonance_grid(design: DmaDesign, subcarriers: SubcarrierGrid, r_res: int = DEFAULT_R_RES) -> ResonanceGrid:
@@ -128,28 +132,43 @@ def center_frequency_beamformer(channels: ChannelSet, grid: ResonanceGrid) -> Re
 
 
 def _score(amp: np.ndarray, snr: np.ndarray) -> np.ndarray:
-    """Successive objective mean_k log2(1 + snr_k * amp_k^2) of each row of amp."""
-    return np.mean(np.log2(1.0 + snr[None, :] * amp**2), axis=1)
+    """Successive objective mean_k log2(1 + snr_k * amp_k^2) of each row of amp, summed as np.mean sums."""
+    return np.add.reduce(np.log2(1.0 + snr[None, :] * amp**2), axis=1) / snr.size
 
 
-def _tangent_plane(a: np.ndarray, running: np.ndarray, snr: np.ndarray, arg: np.ndarray, reach: np.ndarray) -> tuple:
-    """Slopes, scales and interval rises of the successive objective's tangent planes at the rows arg was taken at.
+def _circle_arg(w: np.ndarray, a: np.ndarray, running: np.ndarray, snr: np.ndarray) -> tuple:
+    """u and the log's argument 1 + snr_k |w_k a_k + running_k|^2 at weights w, by the circle identity.
 
-    On the weight circle |w|^2 = -Im w, so z_k = |w a_k + running_k|^2 equals
-    |running_k|^2 + Re(w conj(u_k)) with u_k = 2 running_k conj(a_k) - j |a_k|^2:
-    affine in (Re w, Im w). Each term log2(1 + snr_k z_k) is concave in z_k
-    (snr_k >= 0), so its tangent at row r_i lies above it, and for every row r
-    objective(r) <= objective(r_i) + sum_k slope_ik Re((w_rk - w_ik) conj(u_k))
-    when arg[i] holds 1 + snr_k z_k at row r_i. Returns slope (one row per
-    plane), u, and per plane the scale sum_k slope_ik (|a_k| + |running_k|)^2,
-    which bounds the size of each term of that sum (|w| <= 1), and the rise
-    sum_k slope_ik reach_ik |u_k|, which bounds the sum itself for every row
-    with |w_rk - w_ik| <= reach_ik.
+    On the circle |w|^2 = -Im w, so |w a_k + running_k|^2 = |running_k|^2 + Re(w conj(u_k))
+    with u_k = 2 running_k conj(a_k) - j |a_k|^2, affine in (Re w, Im w); this
+    form rounds within ~1e-15 (1 + snr_k (|a_k| + |running_k|)^2) of the direct one.
     """
+    u = 2.0 * running * np.conj(a) - 1j * np.abs(a) ** 2
+    return u, (1.0 + snr * np.abs(running) ** 2) + (w * np.conj(snr * u)).real
+
+
+def _interval_planes(a: np.ndarray, running: np.ndarray, snr: np.ndarray, ends: np.ndarray, reach: np.ndarray) -> tuple:
+    """Each interval's tangent plane of the successive objective at its anchor, with the plane's cut and bound.
+
+    Each log2(1 + snr_k z_k) is concave in z_k = |w a_k + running_k|^2, affine
+    in w (_circle_arg), so objective(r) <= objective(r_i) + P_i(r) - P_i(r_i)
+    for every row r and interval i with anchor row r_i; P_i(r) = sum_k slope_ik
+    Re(w_rk conj(u_k)) is row r's (Re, Im) weights dotted with v[i]. Where
+    P_i(r) < cut[i], row r scores below the floor, the best anchor objective,
+    by more than PRUNE_RTOL (1 + |floor| + scale_i), scale_i = sum_k slope_ik (|a_k| +
+    |running_k|)^2 bounding each term of P_i (|w| <= 1). P_i is affine, so on
+    interval i it is at most bound[i], its larger value at the end rows plus
+    sum_k slope_ik reach_ik |u_k|: each row lies within reach_ik of their chord.
+    """
+    u, arg = _circle_arg(ends[:, 1], a, running, snr)
+    anchor_score = np.add.reduce(np.log2(arg), axis=1) / snr.size  # np.mean's sum, without its wrappers
+    floor = anchor_score.max()  # a real row's objective to rounding, so the grid maximum is at least this
     slope = snr / (arg * (math.log(2.0) * snr.size))
-    spread = np.abs(a)
-    u = 2.0 * running * np.conj(a) - 1j * spread**2
-    return slope, u, slope @ (spread + np.abs(running)) ** 2, (slope * reach) @ np.abs(u)
+    v = (slope * u).view(np.float64)  # (intervals, 2k): each plane's (Re, Im) gradient pairs
+    plane = (ends.view(np.float64) @ v[:, :, None])[:, :, 0]  # at each interval's first, anchor and last rows
+    scale = slope @ (np.abs(a) + np.abs(running)) ** 2
+    cut = floor - PRUNE_RTOL * (1.0 + abs(floor) + scale) - anchor_score + plane[:, 1]
+    return v, cut, np.maximum(plane[:, 0], plane[:, 2]) + (slope * reach) @ np.abs(u)
 
 
 def successive_beamformer(channels: ChannelSet, snr, grid: ResonanceGrid) -> ResonanceConfiguration:
@@ -163,21 +182,21 @@ def successive_beamformer(channels: ChannelSet, snr, grid: ResonanceGrid) -> Res
 
     Two exact bounds prune the scan without changing its result; a row is
     dropped only when a bound puts it below the floor, the best objective of
-    the interval anchors, by a margin. Both come from the objective's tangent
-    plane at each interval's own anchor (_tangent_plane): the objective is
-    concave in each |.|^2, which is affine in the weight on its circle. First,
-    every row of interval i lies within reach_ik of its anchor, so it scores
-    at most the anchor's objective plus the plane's rise. Second, every row
-    from the first to the last interval that bound keeps is tested against
-    its own interval's plane in one stacked real product of PRUNE_STEP-row
-    items (2k floats a row, few enough for one BLAS thread), which drops
-    the rows of a dropped interval between them too. Each interval's
-    margin scales with the size of the terms its plane sums (the scale of
-    _tangent_plane): their product's rounding, about 2k * 1e-16 of that size,
-    and the circle identity's, |w|^2 + Im w ~ 1e-16, stay far below
-    PRUNE_RTOL of it. The survivors are scored with the exhaustive scan's
-    expression, so the first maximum is the exhaustive scan's; the table's
-    padding rows copy the last grid row, so they can tie it but never precede it.
+    the interval anchors, by a margin. Both use the objective's tangent plane
+    at each interval's own anchor (_interval_planes): the objective is concave
+    in each |.|^2, which is affine in the weight on its circle. First, the
+    plane is affine, so on an interval it is at most its larger value at the
+    interval's end rows plus its rise over the reach about their chord.
+    Second, every row from the first to the last interval that bound keeps
+    is tested against its own interval's plane in one stacked real product of
+    PRUNE_STEP-row items (2k floats a row, few enough for one BLAS thread),
+    which drops the rows of a dropped interval between them too. Each
+    interval's margin scales with the size of the terms its plane sums: their
+    product's rounding, about 2k * 1e-16 of that size, and the circle
+    identity's, ~1e-15, stay far below PRUNE_RTOL of it. The survivors are
+    scored with the exhaustive scan's expression, so the first maximum is the
+    exhaustive scan's; the table's padding rows copy the last grid row, so
+    they can tie it but never precede it.
     """
     snr = np.asarray(snr, dtype=float)
     freq = channels.grid.frequencies
@@ -189,23 +208,17 @@ def successive_beamformer(channels: ChannelSet, snr, grid: ResonanceGrid) -> Res
         raise ValueError("snr list must have one entry per subcarrier")
     if not np.all(np.isfinite(snr) & (snr >= 0.0)):
         raise ValueError("snr list must be finite and non-negative")
-    weights, anchor_w, reach = grid.successive_table
+    weights, ends, reach = grid.successive_table
     blocks = weights.view(np.float64).reshape(reach.shape[0], PRUNE_STEP, -1)  # interleaved (Re, Im) rows, no copy
     running = np.zeros(freq.size, dtype=complex)
     chosen = np.empty(grid.design.n_slot)
     for n in range(grid.design.n_slot):
         a = channels.h_att[n] * channels.h[:, n]
-        arg = 1.0 + snr * np.abs(anchor_w * a + running) ** 2  # the log's argument at each anchor
-        anchor_score = np.mean(np.log2(arg), axis=1)
-        floor = anchor_score.max()  # objective of a real row, so the grid maximum is at least this
-        slope, u, scale, rise = _tangent_plane(a, running, snr, arg, reach)
-        cut = floor - PRUNE_RTOL * (1.0 + abs(floor) + scale)  # per interval
-        live = np.flatnonzero(~(anchor_score + rise < cut))
+        v, cut, bound = _interval_planes(a, running, snr, ends, reach)
+        live = np.flatnonzero(~(bound < cut))
         lo, hi = live[0], live[-1] + 1
-        v = (slope[lo:hi] * u).view(np.float64)  # (hi - lo, 2k): each plane's (Re, Im) gradient pairs
-        plane = (blocks[lo:hi] @ v[:, :, None])[:, :, 0]
-        cut = (cut - anchor_score)[lo:hi, None] + plane[:, ANCHOR_ROW, None]  # plane offset at its anchor
-        rows = np.flatnonzero(~(plane < cut)) + lo * PRUNE_STEP  # ascending
+        plane = (blocks[lo:hi] @ v[lo:hi, :, None])[:, :, 0]
+        rows = np.flatnonzero(~(plane < cut[lo:hi, None])) + lo * PRUNE_STEP  # ascending
         contrib = weights[rows] * a
         best = int(np.argmax(_score(np.abs(contrib + running), snr)))  # first maximum = lowest row
         chosen[n] = grid.values[rows[best]]

@@ -37,6 +37,8 @@ class ChannelSet:
             raise ValueError("leakage taper must hold one entry per channel element")
         if self.h.shape[0] != self.grid.k:
             raise ValueError("channel must hold one row per subcarrier")
+        if not (np.isfinite(self.h).all() and np.isfinite(self.h_att).all()):
+            raise ValueError("channel must be finite")
 
     @property
     def n_slot(self) -> int:

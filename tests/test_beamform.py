@@ -26,7 +26,7 @@ from dmasim import (
     successive_beamformer,
     tuning_range,
 )
-from dmasim.beamform import ANCHOR_ROW, PRUNE_RTOL, PRUNE_STEP, _tangent_plane
+from dmasim.beamform import ANCHOR_ROW, PRUNE_RTOL, PRUNE_STEP, _circle_arg, _interval_planes
 from dmasim.experiments import _gamma_axis
 
 
@@ -285,31 +285,43 @@ class TestCenterFrequencyBeamformer:
         assert np.all((res.f_r >= f_r_min) & (res.f_r <= f_r_max))
 
 
-def _check_interval_planes(design, l_path, element):
-    # each interval's plane, one real product per row, is the objective's tangent plane at the interval's anchor:
-    # above every row, equal at its anchor; its interval bound is above every row of the interval and, since the
-    # scan tests every row between its first and last kept interval, above the plane on every row of the interval
+def _scan_state(design, l_path, element, snr_scale=1.0):
+    """The successive scan at one element on a 1001-row grid: snr, grid, weights, the element's tap, the running sum."""
     cfg = ScenarioConfig()
     if l_path == 0:
         channels = effective_channel(cfg, design)
     else:
         channels = multipath_channel(MultipathSpec(l_path=l_path, seed=l_path), cfg, design)
-    snr = snr_profile(cfg)
+    snr = snr_profile(cfg) * snr_scale
     grid = resonance_grid(design, channels.grid, 1001)  # 15 whole 64-row intervals and a short one of 41 rows
-    table, anchor_w, reach = grid.successive_table
     weights = normalized_polarizability(channels.grid.frequencies[None, :], grid.values[:, None], design)
-    starts = np.arange(reach.shape[0]) * PRUNE_STEP
-    anchors = starts + ANCHOR_ROW  # the short interval's too: 991 of its rows 960-1000
-    assert np.array_equal(table[: grid.r_res], weights) and np.all(table[grid.r_res :] == weights[-1])
-    assert np.array_equal(anchor_w, weights[anchors])
     taps = channels.h_att * channels.h
     picks = np.searchsorted(grid.values, exhaustive_successive(channels, snr, grid))
     running = np.sum(weights[picks[:element]] * taps[:, :element].T, axis=0)  # the earlier elements' selections
-    a = taps[:, element]
+    return snr, grid, weights, taps[:, element], running
+
+
+def _check_interval_planes(design, l_path, element):
+    # each interval's plane, one real product per row, is the objective's tangent plane at the interval's anchor:
+    # above every row, equal at its anchor; its interval bound, the plane's larger end-row value plus its rise over
+    # the reach about the end rows' chord, is above every row of the interval and above the plane on each of them
+    snr, grid, weights, a, running = _scan_state(design, l_path, element)
+    table, ends, reach = grid.successive_table
+    blocks = table.reshape(reach.shape[0], PRUNE_STEP, -1)
+    starts = np.arange(reach.shape[0]) * PRUNE_STEP
+    anchors = starts + ANCHOR_ROW  # the short interval's too: 991 of its rows 960-1000
+    assert np.array_equal(table[: grid.r_res], weights) and np.all(table[grid.r_res :] == weights[-1])
+    assert np.array_equal(ends, blocks[:, [0, ANCHOR_ROW, PRUNE_STEP - 1]])
+    assert np.array_equal(ends[:, 1], weights[anchors])
+    first, last = ends[:, None, 0], ends[:, None, 2]
+    chord = np.arange(PRUNE_STEP)[:, None] / (PRUNE_STEP - 1) * (last - first)  # from the first row, per row offset
+    assert np.array_equal(reach, np.max(np.abs(blocks - first - chord), axis=1))
     z = np.abs(weights * a + running) ** 2
     exact = np.mean(np.log2(1.0 + snr * z), axis=1)
-    slope, u, scale, rise = _tangent_plane(a, running, snr, 1.0 + snr * z[anchors], reach)
-    flat, v = weights.view(np.float64), (slope * u).view(np.float64)
+    floor = np.max(exact[anchors])
+    scale = (snr / ((1.0 + snr * z[anchors]) * math.log(2.0) * snr.size)) @ (np.abs(a) + np.abs(running)) ** 2
+    v, cut, bound = _interval_planes(a, running, snr, ends, reach)
+    flat = weights.view(np.float64)
     for i, (r0, lo) in enumerate(zip(anchors, starts)):
         plane = exact[r0] + (flat - flat[r0]) @ v[i]
         tangent = np.mean(np.log2(1.0 + snr * z[r0]) + snr / ((1.0 + snr * z[r0]) * math.log(2.0)) * (z - z[r0]), axis=1)
@@ -318,10 +330,22 @@ def _check_interval_planes(design, l_path, element):
         np.testing.assert_allclose(plane, tangent, rtol=0, atol=tol)
         assert np.all(plane >= exact - tol)
         assert np.max(plane - exact) > 1e3 * tol  # not equal to the objective everywhere
+        shift = exact[r0] - flat[r0] @ v[i]  # from a row's plane product to its plane value
+        assert shift + cut[i] == pytest.approx(floor - PRUNE_RTOL * (1.0 + abs(floor) + scale[i]), rel=0, abs=tol)
         rows = slice(lo, lo + PRUNE_STEP)
-        assert np.array_equal(reach[i], np.max(np.abs(weights[rows] - weights[r0]), axis=0))
-        assert exact[r0] + rise[i] >= np.max(exact[rows]) - tol
-        assert np.all(plane[rows] <= exact[r0] + rise[i] + tol)
+        assert shift + bound[i] >= np.max(exact[rows]) - tol
+        assert np.all(plane[rows] <= shift + bound[i] + tol)
+
+
+def _live_intervals(channels, snr, grid, picks):
+    """Per element of the scan that picks the resonances picks: its row and the intervals its interval bound keeps."""
+    table, ends, reach = grid.successive_table
+    taps = channels.h_att * channels.h
+    running = np.zeros(channels.k, dtype=complex)
+    for n, row in enumerate(np.searchsorted(grid.values, picks)):
+        _, cut, bound = _interval_planes(taps[:, n], running, snr, ends, reach)
+        yield row, np.flatnonzero(~(bound < cut))
+        running = running + table[row] * taps[:, n]
 
 
 class TestSuccessiveBeamformer:
@@ -435,32 +459,49 @@ class TestSuccessiveBeamformer:
     def test_interval_planes_bound_every_row(self, l_path, tune_exp, element):
         _check_interval_planes(DmaDesign(n_slot=16, b_tune=10.0**tune_exp), l_path, element)
 
+    @settings(deadline=None)
+    @given(
+        l_path=st.sampled_from((0, 1, 4)),  # 0: line of sight
+        tune_exp=st.floats(8.0, 9.9),
+        snr_exp=st.floats(-3.0, 3.0),
+        element=st.integers(0, 15),
+    )
+    def test_circle_arg_matches_direct_expression(self, l_path, tune_exp, snr_exp, element):
+        # the anchors take the log's argument through the circle identity, far inside the bounds' margin PRUNE_RTOL
+        design = DmaDesign(n_slot=16, b_tune=10.0**tune_exp)
+        snr, _, weights, a, running = _scan_state(design, l_path, element, 10.0**snr_exp)
+        direct = 1.0 + snr * np.abs(weights * a + running) ** 2
+        size = 1.0 + snr * (np.abs(a) + np.abs(running)) ** 2
+        assert np.all(np.abs(_circle_arg(weights, a, running, snr)[1] - direct) <= 1e-12 * size)
+
     def test_split_live_intervals(self):
-        # at b_tune = 0.3 Gamma elements 18, 53 and 61 keep intervals on both sides of dropped ones, so the scan's
-        # one plane product spans the dropped ones; 53 picks from its last run of kept intervals, 18 and 61 from
-        # their first, so scoring any one run alone would lose a maximum
-        design = DmaDesign(n_slot=64, b_tune=0.3 * DmaDesign().gamma)
+        # at b_tune = 3 Gamma elements 59, 60, 61 and 63 keep intervals on both sides of dropped ones, so the scan's
+        # one plane product spans the dropped ones; 59, 61 and 63 pick past their first run of kept intervals, 60
+        # before its last, so scoring any one run alone would lose a maximum
+        design = DmaDesign(n_slot=64, b_tune=3.0 * DmaDesign().gamma)
         cfg = ScenarioConfig()
         channels = effective_channel(cfg, design)
         snr = snr_profile(cfg)
         grid = resonance_grid(design, channels.grid, 4001)
         picks = exhaustive_successive(channels, snr, grid)
-        table, anchor_w, reach = grid.successive_table
-        taps = channels.h_att * channels.h
-        running = np.zeros(cfg.k, dtype=complex)
         split = []  # per split element: (its pick lies past its first run, before its last run)
-        for n, row in enumerate(np.searchsorted(grid.values, picks)):
-            arg = 1.0 + snr * np.abs(anchor_w * taps[:, n] + running) ** 2
-            anchor_score = np.mean(np.log2(arg), axis=1)
-            _, _, scale, rise = _tangent_plane(taps[:, n], running, snr, arg, reach)
-            floor = anchor_score.max()
-            live = np.flatnonzero(anchor_score + rise >= floor - PRUNE_RTOL * (1.0 + abs(floor) + scale))
+        for row, live in _live_intervals(channels, snr, grid, picks):
             gaps = np.flatnonzero(np.diff(live) > 1)
             if gaps.size:
                 split.append((row // PRUNE_STEP > live[gaps[0]], row // PRUNE_STEP < live[gaps[-1] + 1]))
-            running = running + table[row] * taps[:, n]
         assert any(past for past, _ in split) and any(before for _, before in split)
         assert np.array_equal(successive_beamformer(channels, snr, grid).f_r, picks)
+
+    def test_row_test_spans_few_intervals(self):
+        # at b_tune = 0.47 Gamma a bound from the plane's rise about each interval's anchor leaves a row-test product
+        # over a mean of 21.5 of the 63 intervals per element; the chord between the end rows leaves 5.1
+        design = DmaDesign(n_slot=256, b_tune=0.47 * DmaDesign().gamma)
+        cfg = ScenarioConfig()
+        channels = effective_channel(cfg, design)
+        snr = snr_profile(cfg)
+        grid = resonance_grid(design, channels.grid, 4001)
+        picks = successive_beamformer(channels, snr, grid).f_r
+        assert np.mean([live[-1] + 1 - live[0] for _, live in _live_intervals(channels, snr, grid, picks)]) <= 8
 
     def test_result_independent_of_solve_order(self, cfg):
         # Monte-Carlo trials share one grid; no trial may see what an earlier one left on it

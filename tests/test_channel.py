@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,6 +192,19 @@ class TestEffectiveChannel:
         # one row would broadcast over all 8 subcarriers in the successive scan
         with pytest.raises(ValueError, match="^channel must hold one row per subcarrier$"):
             ChannelSet(h=np.ones((1, 4), complex), h_att=np.ones(4), grid=subcarrier_grid(ScenarioConfig(k=8)))
+
+    @pytest.mark.parametrize(
+        "field,bad", [("h", math.nan), ("h", math.inf), ("h", complex(0.0, -math.inf)), ("h_att", math.nan)]
+    )
+    def test_rejects_non_finite(self, field, bad):
+        # unchecked, one NaN in h gave every algorithm a capacity of nan
+        channels = effective_channel(ScenarioConfig(k=8), DmaDesign(n_slot=4))
+        values = getattr(channels, field).copy()
+        values.flat[1] = bad
+        with pytest.raises(ValueError, match="^channel must be finite$"):
+            ChannelSet(**{"h": channels.h, "h_att": channels.h_att, "grid": channels.grid, field: values})
+        with pytest.raises(ValueError, match="^channel must be finite$"):
+            replace(channels, **{field: values})  # as a validation sweep swaps in each design's taper
 
     def test_immutable(self, cfg, design):
         channels = effective_channel(cfg, design)
