@@ -3,7 +3,7 @@
 Models frequency-selective Lorentzian elements fed by a leaky waveguide,
 evaluates link-level SNR and spectral efficiency over an OFDM grid, provides
 two resonance-configuration algorithms, and a closed-form beamforming-gain
-approximation with numerical oracles.
+approximation; the test suite holds it to numerical oracles (tests/oracles.py).
 """
 
 from types import ModuleType as _ModuleType
@@ -31,7 +31,6 @@ from .element import (
     linear_phase_approx,
     lorentzian_weight,
     normalized_polarizability,
-    polarizability_phase,
     tuning_range,
 )
 from .channel import (
@@ -52,12 +51,9 @@ from .beamform import (
 )
 from .approx import (
     ApproxBreakdown,
-    angular_fill,
     fill_penalty,
-    fill_penalty_mc_stderr,
     gain_breakdown,
     leakage_penalty,
-    leakage_penalty_exact,
     phase_fill_ratio,
     power_normalized_gain,
     squint_gain_from_phase,

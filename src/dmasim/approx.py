@@ -1,8 +1,9 @@
 """Closed-form beamforming-gain approximation and its diagnostic factors.
 
 The per-subcarrier gain factorizes into a beam-squint term, a tuning-fill
-penalty, and a leakage penalty. Each factor has an independent numerical
-oracle in this module or in the test suite.
+penalty, and a leakage penalty. Each factor has one form here. The test
+suite holds each to an independent numerical oracle: the squint term to its
+explicit complex sum, the two penalties to the functions in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .element import normalized_polarizability, tuning_range
-from .params import C_LIGHT, DmaDesign, ScenarioConfig, _freeze, leakage_constant, radiated_fraction, waveguide_beta
+from .params import C_LIGHT, DmaDesign, ScenarioConfig, _freeze, radiated_fraction, waveguide_beta
 
 
 @dataclass(frozen=True, eq=False)  # compared by identity: array fields have no truth value
@@ -72,11 +73,6 @@ def phase_fill_ratio(design: DmaDesign) -> float:
     return float(abs(hi - lo) / math.pi)
 
 
-def angular_fill(design: DmaDesign) -> float:
-    """Angular weight fill xi = pi * phase_fill_ratio, in [0, pi]."""
-    return math.pi * phase_fill_ratio(design)
-
-
 def fill_penalty(xi: float) -> float:
     """Gain fraction |(2*sin(xi) + 2*xi)/(2*pi)|^2 retained with angular fill xi."""
     if not 0.0 <= xi <= math.pi:
@@ -92,25 +88,10 @@ def leakage_penalty(lambda_frac: float) -> float:
     return (4.0 / log_term) * math.tanh(log_term / 4.0)
 
 
-def leakage_penalty_exact(design: DmaDesign) -> float:
-    """Finite-aperture taper penalty: with q = exp(-alpha_g*d_x) and m = 0..n_slot-1,
-    (sum_m q^m)^2 / (n_slot * sum_m q^(2m)).
-
-    Equals 1 when the taper vanishes (Cauchy-Schwarz equality) and approaches
-    leakage_penalty(lambda_frac) as the element count grows.
-    """
-    n = design.n_slot
-    a = leakage_constant(design) * design.d_x
-    if a == 0.0:
-        return 1.0
-    # closed geometric forms: numerator ((1-q^n)/(1-q))^2, denominator n*(1-q^2n)/(1-q^2)
-    return (math.tanh(n * a / 2.0) / math.tanh(a / 2.0)) / n
-
-
 def gain_breakdown(cfg: ScenarioConfig, design: DmaDesign) -> ApproxBreakdown:
     """All three factors and their product for every subcarrier."""
     f_k = squint_gain_from_phase(squint_phase_profile(cfg, design), design.n_slot)
-    w = fill_penalty(angular_fill(design))
+    w = fill_penalty(math.pi * phase_fill_ratio(design))  # angular fill xi in [0, pi]
     a = leakage_penalty(design.lambda_frac)
     return ApproxBreakdown(squint_gain=f_k, fill_penalty=w, leakage_penalty=a, product=f_k * w * a)
 
@@ -124,30 +105,3 @@ def power_normalized_gain(breakdown: ApproxBreakdown, design: DmaDesign) -> np.n
     when comparing against normalized simulated gains.
     """
     return 2.0 * radiated_fraction(design) * breakdown.product
-
-
-def fill_penalty_mc_stderr(xi: float, samples: int, seed: int) -> tuple[float, float]:
-    """Monte-Carlo oracle for fill_penalty, with its delta-method standard error.
-
-    Channel phases are sampled uniformly on the unit circle; each one is
-    served by the feasible weight of least phase error: the conjugate weight
-    when reachable, otherwise the outermost feasible weight on the matching
-    half-plane. Returns the squared modulus of the mean aligned response and
-    its standard error.
-    """
-    if not 0.0 <= xi <= math.pi:
-        raise ValueError("angular fill must lie in [0, pi]")
-    rng = np.random.default_rng(seed)
-    theta = rng.uniform(0.0, 2.0 * math.pi, samples)
-    h = np.exp(1j * theta)
-    # reachable when the conjugate phase -theta falls within [-pi/2-xi, -pi/2+xi]
-    offset = np.mod(theta - math.pi / 2.0 + math.pi, 2.0 * math.pi) - math.pi
-    reachable = np.abs(offset) <= xi
-    clip_hi = np.exp(1j * (-math.pi / 2.0 + xi))  # real part of h >= 0
-    clip_lo = np.exp(1j * (-math.pi / 2.0 - xi))  # real part of h < 0
-    product = np.where(reachable, 1.0 + 0j, h * np.where(h.real >= 0.0, clip_hi, clip_lo))
-    mx, my = float(np.mean(product.real)), float(np.mean(product.imag))
-    cov = np.cov(np.stack([product.real, product.imag]), ddof=1) / samples
-    grad = np.array([2.0 * mx, 2.0 * my])
-    variance = float(grad @ cov @ grad)
-    return mx * mx + my * my, math.sqrt(max(variance, 0.0))

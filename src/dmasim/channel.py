@@ -69,7 +69,7 @@ class MultipathSpec:
 
 def array_response(phi_t: float, f, design: DmaDesign) -> np.ndarray:
     """Array response exp(j*n*(2*pi*f/c)*d_x*sin(phi_t)): (n_slot,) for a scalar f, (k, n_slot) for k frequencies."""
-    if abs(phi_t) >= math.pi / 2:
+    if not abs(phi_t) < math.pi / 2:
         raise ValueError("steering angle must satisfy |phi_t| < pi/2")
     n = np.arange(design.n_slot)
     step = (2 * math.pi * np.asarray(f, dtype=float) / C_LIGHT) * design.d_x * math.sin(phi_t)

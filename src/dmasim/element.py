@@ -1,4 +1,4 @@
-"""Tunable Lorentzian DMA element: polarizability, phase forms, and tuning range.
+"""Tunable Lorentzian DMA element: polarizability, its linear phase model, and tuning range.
 
 The normalized polarizability is the canonical beamforming weight. It always
 lies on the circle of radius 1/2 centered at -j/2 in the complex plane; that
@@ -57,14 +57,6 @@ def normalized_polarizability(f, f_r, design: DmaDesign):
     """
     x = _detuning(f, f_r, design)
     return 1.0 / (x + 1j)
-
-
-def polarizability_phase(f, f_r, design: DmaDesign):
-    """Resonance phase arctan(x) in (-pi/2, pi/2).
-
-    The argument of the normalized weight itself is this value minus pi/2.
-    """
-    return np.arctan(_detuning(f, f_r, design))
 
 
 def linear_phase_approx(f, f_r, design: DmaDesign):

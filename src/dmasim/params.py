@@ -75,6 +75,8 @@ class ScenarioConfig:
         )
         if self.k % 2 != 0:
             raise ValueError(f"k must be even, got {self.k}")
+        if self.b >= 2 * self.f_t:
+            raise ValueError("signal bandwidth must keep subcarrier frequencies positive")
         if abs(self.phi_t) >= math.pi / 2:
             raise ValueError("steering angle must satisfy |phi_t| < pi/2")
         if not 0 < self.g_dma <= 1:
@@ -112,7 +114,12 @@ class DmaDesign:
     def __post_init__(self):
         _require_finite(self)
         _require_counts(self, n_slot=1)
-        _require_positive(self, d_x="element spacing", q="quality factor", f_t="design carrier")
+        _require_positive(
+            self, d_x="element spacing", q="quality factor", f_t="design carrier",
+            eps_r="substrate permittivity factor", f_c10="waveguide cutoff",
+        )
+        if not 0 < self.gamma < math.inf:  # q far from f_t overflows or underflows it
+            raise ValueError("damping factor 2*pi*f_t/q must be finite and positive")
         if self.b_tune < 0:
             raise ValueError("tuning bandwidth must be non-negative")
         if self.b_tune >= 2 * self.f_t:
@@ -174,7 +181,7 @@ def waveguide_beta(f, design: DmaDesign):
     cutoff f_c10.
     """
     f = np.asarray(f, dtype=float)
-    if np.any(f <= design.f_c10):
+    if not np.all(f > design.f_c10):
         raise ValueError("frequency at or below waveguide cutoff")
     return (2 * math.pi * design.eps_r / C_LIGHT) * np.sqrt(f * f - design.f_c10**2)
 
@@ -187,7 +194,10 @@ def leakage_constant(design: DmaDesign) -> float:
     """
     if design.n_slot < 2:
         raise ValueError("leakage design undefined for a single element")
-    return -math.log(1.0 - design.lambda_frac) / (2.0 * design.d_x * (design.n_slot - 1))
+    alpha = -math.log(1.0 - design.lambda_frac) / (2.0 * design.d_x * (design.n_slot - 1))
+    if math.isinf(alpha):
+        raise ValueError("element spacing too small: the leakage constant overflows")
+    return alpha
 
 
 def radiated_fraction(design: DmaDesign) -> float:
@@ -204,7 +214,7 @@ def radiated_fraction(design: DmaDesign) -> float:
 
 def path_loss(f: float, r: float) -> float:
     """Free-space path loss (c / (4*pi*r*f))^2, linear."""
-    if np.any(np.asarray(f) <= 0) or r <= 0:
+    if not (np.all(np.asarray(f) > 0) and r > 0):
         raise ValueError("frequency and distance must be positive")
     return (C_LIGHT / (4 * math.pi * r * np.asarray(f, dtype=float))) ** 2
 

@@ -32,20 +32,17 @@ EXPORTED = {
     "ResonanceGrid",
     "ScenarioConfig",
     "SubcarrierGrid",
-    "angular_fill",
     "array_response",
     "center_frequency_beamformer",
     "channel_phase_step",
     "dma_weight_matrix",
     "effective_channel",
     "fill_penalty",
-    "fill_penalty_mc_stderr",
     "gain_breakdown",
     "gain_profile",
     "gain_spectrum",
     "leakage_constant",
     "leakage_penalty",
-    "leakage_penalty_exact",
     "leakage_vector",
     "linear_phase_approx",
     "load_config",
@@ -56,7 +53,6 @@ EXPORTED = {
     "override_fields",
     "path_loss",
     "phase_fill_ratio",
-    "polarizability_phase",
     "power_normalized_gain",
     "radiated_fraction",
     "resonance_grid",
@@ -248,7 +244,6 @@ SCALAR_IN_SCALAR_OUT = {
     "waveguide_beta": lambda f: dmasim.waveguide_beta(f, _DESIGN),
     "path_loss": lambda f: dmasim.path_loss(f, 100.0),
     "normalized_polarizability": lambda f: dmasim.normalized_polarizability(f, 15.2e9, _DESIGN),
-    "polarizability_phase": lambda f: dmasim.polarizability_phase(f, 15.2e9, _DESIGN),
     "linear_phase_approx": lambda f: dmasim.linear_phase_approx(f, 15.2e9, _DESIGN),
     "lorentzian_weight": lambda f: dmasim.lorentzian_weight(f / 1e10),
     "channel_phase_step": lambda f: dmasim.channel_phase_step(f, dmasim.ScenarioConfig(), _DESIGN),

@@ -6,13 +6,10 @@ import pytest
 from dmasim import (
     C_LIGHT,
     DmaDesign,
-    angular_fill,
     channel_phase_step,
     fill_penalty,
-    fill_penalty_mc_stderr,
     gain_breakdown,
     leakage_penalty,
-    leakage_penalty_exact,
     override_fields,
     phase_fill_ratio,
     power_normalized_gain,
@@ -22,6 +19,7 @@ from dmasim import (
     subcarrier_grid,
     waveguide_beta,
 )
+from oracles import fill_penalty_mc_stderr, leakage_penalty_exact
 
 
 class TestSquintPhase:
@@ -108,10 +106,11 @@ class TestPhaseFill:
         assert wide > 0.99
         assert wide > phase_fill_ratio(design) > phase_fill_ratio(override_fields(design, b_tune=1e8))
 
-    def test_quarter_linewidth_frozen(self, design):
+    def test_quarter_linewidth_frozen(self, cfg, design):
         d = override_fields(design, b_tune=design.gamma / 4.0)
         assert phase_fill_ratio(d) == pytest.approx(0.63908976192010006, rel=1e-12)
-        assert angular_fill(d) == pytest.approx(2.0077597010326363, rel=1e-12)
+        # the breakdown's fill penalty takes the angular fill pi * phase_fill_ratio
+        assert gain_breakdown(cfg, d).fill_penalty == pytest.approx(fill_penalty(2.0077597010326363), rel=1e-12)
 
     def test_default_design_frozen(self, design):
         assert phase_fill_ratio(design) == pytest.approx(0.95229022359956081, rel=1e-12)
@@ -166,13 +165,16 @@ class TestLeakagePenaltyExact:
         assert leakage_penalty_exact(design) == pytest.approx(expected, rel=1e-12)
         assert leakage_penalty_exact(design) == pytest.approx(0.78747978728803448, rel=1e-12)
 
-    def test_matches_direct_sum(self, rng):
+    def test_matches_direct_sum(self):
         for n in (2, 7, 33):
             design = DmaDesign(n_slot=n, lambda_frac=0.7)
-            q = math.exp(-design.d_x * (-math.log(0.3) / (2 * design.d_x * (n - 1))))
-            powers = q ** np.arange(n)
+            a = -math.log(0.3) / (2 * (n - 1))  # alpha_g * d_x, the per-element taper exponent
+            powers = math.exp(-a) ** np.arange(n)
             direct = powers.sum() ** 2 / (n * (powers**2).sum())
+            # the closed geometric forms: numerator ((1-q^n)/(1-q))^2, denominator n*(1-q^2n)/(1-q^2)
+            closed = (math.tanh(n * a / 2.0) / math.tanh(a / 2.0)) / n
             assert leakage_penalty_exact(design) == pytest.approx(direct, rel=1e-12)
+            assert leakage_penalty_exact(design) == pytest.approx(closed, rel=1e-12)
 
     def test_close_to_asymptotic_form_at_default_size(self):
         # the defining 32-term sum sits 5.5e-3 below the large-aperture form

@@ -153,6 +153,7 @@ class TestCenterFrequencyBeamformer:
         with pytest.raises(ValueError):
             ResonanceGrid(values=np.array([]), design=design, subcarriers=two_point_grid())
 
+    @pytest.mark.exactness
     @settings(deadline=None)
     @given(
         kind=st.sampled_from(("los", "multipath", "synthetic")),
@@ -230,6 +231,7 @@ class TestCenterFrequencyBeamformer:
         channels = make_channelset(np.exp(-1j * zeta)[None, :], sub)
         assert np.array_equal(center_frequency_beamformer(channels, grid).f_r, dense_center_frequency(channels, grid).f_r)
 
+    @pytest.mark.exactness
     @pytest.mark.parametrize("l_path", [0, 4])  # 0: line of sight
     def test_matches_dense_scan_at_benchmark_sizes(self, l_path):
         # 256 slots x 4001 rows at each point of the default tuning axis
@@ -424,6 +426,7 @@ class TestSuccessiveBeamformer:
         f_r_min, f_r_max = tuning_range(design)
         assert np.all((a.f_r >= f_r_min) & (a.f_r <= f_r_max))
 
+    @pytest.mark.exactness
     @settings(deadline=None)
     @given(
         r_res=st.sampled_from((1, 2, 7, 8, 9, 63, 64, 65, 1001, 2001, 4001)),
@@ -454,11 +457,13 @@ class TestSuccessiveBeamformer:
         # the 9th element at the default tuning bandwidth
         _check_interval_planes(DmaDesign(n_slot=16), l_path, element=8)
 
+    @pytest.mark.exactness
     @settings(deadline=None)
     @given(l_path=st.sampled_from((0, 1, 4)), tune_exp=st.floats(8.0, 9.9), element=st.integers(0, 15))  # 0: LOS
     def test_interval_planes_bound_every_row(self, l_path, tune_exp, element):
         _check_interval_planes(DmaDesign(n_slot=16, b_tune=10.0**tune_exp), l_path, element)
 
+    @pytest.mark.exactness
     @settings(deadline=None)
     @given(
         l_path=st.sampled_from((0, 1, 4)),  # 0: line of sight
@@ -474,6 +479,7 @@ class TestSuccessiveBeamformer:
         size = 1.0 + snr * (np.abs(a) + np.abs(running)) ** 2
         assert np.all(np.abs(_circle_arg(weights, a, running, snr)[1] - direct) <= 1e-12 * size)
 
+    @pytest.mark.exactness
     def test_split_live_intervals(self):
         # at b_tune = 3 Gamma elements 59, 60, 61 and 63 keep intervals on both sides of dropped ones, so the scan's
         # one plane product spans the dropped ones; 59, 61 and 63 pick past their first run of kept intervals, 60
@@ -553,6 +559,7 @@ class TestSuccessiveBeamformer:
         with pytest.raises(ValueError, match="snr list must be finite and non-negative"):
             successive_beamformer(channels, snr, resonance_grid(DmaDesign(n_slot=8), channels.grid, 201))
 
+    @pytest.mark.exactness
     def test_zero_snr_matches_exhaustive_scan(self):
         cfg = ScenarioConfig(k=8)
         channels = effective_channel(cfg, DmaDesign(n_slot=8))

@@ -13,10 +13,9 @@ from dmasim import (
     lorentzian_weight,
     normalized_polarizability,
     override_fields,
-    polarizability_phase,
     tuning_range,
 )
-from dmasim.element import _resonance_at_angle
+from dmasim.element import _detuning, _resonance_at_angle
 
 designs = st.builds(
     DmaDesign,
@@ -81,9 +80,11 @@ class TestNormalizedPolarizability:
 
     @given(design=designs, f=freqs, f_r=freqs)
     def test_amplitude_phase_form(self, design, f, f_r):
-        psi = polarizability_phase(f, f_r, design)
-        expected = math.cos(psi) * cmath.exp(1j * (psi - math.pi / 2))
-        assert cmath.isclose(normalized_polarizability(f, f_r, design), expected, rel_tol=0, abs_tol=1e-12)
+        # on the circle through 0 and -j the amplitude is cos(psi) with psi = arg w + pi/2 = arctan(x)
+        w = normalized_polarizability(f, f_r, design)
+        psi = cmath.phase(w) + math.pi / 2
+        assert cmath.isclose(w, math.cos(psi) * cmath.exp(1j * (psi - math.pi / 2)), rel_tol=0, abs_tol=1e-12)
+        assert psi == pytest.approx(math.atan(_detuning(f, f_r, design)), rel=0, abs=1e-12)
 
     def test_peak_amplitude_and_monotone_falloff(self, design):
         f = 15e9
@@ -94,14 +95,16 @@ class TestNormalizedPolarizability:
 
 
 class TestPolarizabilityPhase:
+    # the phase is the weight's own argument, arctan(x) - pi/2 in (-pi, 0)
     def test_zero_at_resonance(self, design):
-        assert polarizability_phase(15e9, 15e9, design) == 0.0
+        assert np.angle(normalized_polarizability(15e9, 15e9, design)) == -math.pi / 2
 
     def test_limit_for_remote_resonance(self, design):
-        assert polarizability_phase(15e9, 1e14, design) == pytest.approx(math.pi / 2, abs=1e-6)
+        assert np.angle(normalized_polarizability(15e9, 1e14, design)) == pytest.approx(0.0, abs=1e-6)
 
     def test_frozen_value(self, design):
-        assert polarizability_phase(15e9, 15.1e9, design) == pytest.approx(0.92889181057792501, rel=1e-12)
+        phase = np.angle(normalized_polarizability(15e9, 15.1e9, design))
+        assert phase == pytest.approx(0.92889181057792501 - math.pi / 2, rel=1e-12)
 
 
 class TestLinearPhaseApprox:
@@ -119,7 +122,7 @@ class TestLinearPhaseApprox:
     def _max_error(design, delta):
         f_r = design.f_t
         f = f_r + np.linspace(-delta, delta, 2001)
-        true = polarizability_phase(f, f_r, design) - math.pi / 2
+        true = np.angle(normalized_polarizability(f, f_r, design))
         return float(np.max(np.abs(true - linear_phase_approx(f, f_r, design))))
 
     def test_second_order_convergence_in_the_small_offset_regime(self, design):

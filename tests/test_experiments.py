@@ -388,6 +388,9 @@ class TestCli:
             (["multipath-mc", "--axis", "1", "--trials", "2", "--k", "8", "--r", "1e-160"], None),
             (["multipath-mc", "--axis", "1", "--trials", "2", "--k", "8", "--p-in-tot", "1e308"], None),
             (["multipath-mc", "--axis", "1", "--trials", "2", "--k", "8", "--t-temp", "1e-320"], None),
+            # past the float range: the leakage constant, and the subcarriers at or below 0 Hz, each with no numpy warning
+            (["sweep-tuning", "--axis", "1e9", "--k", "8", "--d-x", "1e-320"], None),
+            (["sweep-tuning", "--axis", "1e9", "--k", "8", "--b", "1e308"], None),
         ],
     )
     def test_failed_run_writes_nothing(self, tmp_path, capsys, argv, config):

@@ -10,6 +10,7 @@ from dmasim import (
     DmaDesign,
     ScenarioConfig,
     SubcarrierGrid,
+    array_response,
     leakage_constant,
     load_config,
     noise_power,
@@ -117,6 +118,11 @@ class TestLeakageConstant:
     def test_single_element_rejected(self):
         with pytest.raises(ValueError):
             leakage_constant(DmaDesign(n_slot=1))
+
+    def test_overflow_rejected(self):
+        # a denormal spacing puts alpha_g past the float range; the taper would be 0 * inf = NaN at the feed
+        with pytest.raises(ValueError, match="^element spacing too small: the leakage constant overflows$"):
+            leakage_constant(DmaDesign(n_slot=8, d_x=1e-320))
 
     @given(
         lam=st.floats(1e-6, 1 - 1e-6),
@@ -241,6 +247,7 @@ class TestValidation:
             {"t_temp": -1.0},
             {"g_dma": 0.0},
             {"g_dma": 1.5},
+            {"b": 30e9},  # the lowest subcarrier f_t - b/2 would sit at 0 Hz
         ],
     )
     def test_scenario_invariants(self, kwargs):
@@ -259,11 +266,39 @@ class TestValidation:
             {"lambda_frac": 1e-17},  # 1 - lambda rounds to 1: nothing would radiate
             {"f_c10": 20e9},
             {"n_slot": 2.5},  # unchecked, a 3-element channel beside a 1.5-element leakage design
+            {"eps_r": 0.0},
+            {"eps_r": -1.0},
+            {"f_c10": 0.0},
+            {"f_c10": -1e9},  # the waveguide reads f_c10 only squared: unchecked, the mirror of 1e9
+            {"q": 1e-300},  # the damping factor 2*pi*f_t/q overflows to inf
+            {"q": 1e300, "f_t": 1e-300, "f_c10": 1e-301, "b_tune": 0.0},  # and underflows to 0
         ],
     )
     def test_design_invariants(self, kwargs):
         with pytest.raises(ValueError):
             DmaDesign(**kwargs)
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            pytest.param(lambda: path_loss(15e9, math.nan), "frequency and distance must be positive", id="path_loss-r"),
+            pytest.param(lambda: path_loss(math.nan, 100.0), "frequency and distance must be positive", id="path_loss-f"),
+            pytest.param(lambda: waveguide_beta(math.nan, DmaDesign()), "frequency at or below waveguide cutoff", id="beta"),
+            pytest.param(
+                lambda: waveguide_beta(np.array([15e9, math.nan]), DmaDesign()),
+                "frequency at or below waveguide cutoff",
+                id="beta-array",
+            ),
+            pytest.param(
+                lambda: array_response(math.nan, 15e9, DmaDesign(n_slot=2)),
+                r"steering angle must satisfy \|phi_t\| < pi/2",
+                id="array_response",
+            ),
+        ],
+    )
+    def test_nan_fails_the_range_checks(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
     @pytest.mark.parametrize("cls,field,low", [(ScenarioConfig, "k", 2), (DmaDesign, "n_slot", 1)])
     def test_counts_must_be_integral(self, cls, field, low):
