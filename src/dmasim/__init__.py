@@ -37,7 +37,6 @@ from .channel import (
     ChannelSet,
     MultipathSpec,
     array_response,
-    channel_phase_step,
     effective_channel,
     leakage_vector,
     multipath_channel,

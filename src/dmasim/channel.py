@@ -1,5 +1,6 @@
 """Per-subcarrier channel vectors: wireless array response, waveguide phase
-advance, leakage taper, and an optional seeded multipath extension.
+advance and leakage taper. Every channel is one ray sum: the line-of-sight
+channel is its one-ray case, and the seeded multipath extension draws its rays.
 
 Channel construction is pure; a ChannelSet keeps read-only copies of its
 arrays, so it is immutable after construction and safe to share across workers.
@@ -21,18 +22,17 @@ from .params import (
 class ChannelSet:
     """Effective channel h, leakage taper h_att, and the subcarrier grid.
 
-    For the line-of-sight model every h entry has unit modulus and `phases`
-    holds the unwrapped per-element channel phase; multipath channels leave
-    `phases` as None.
+    For the line-of-sight model every h entry has unit modulus.
     """
 
     h: np.ndarray  # (k, n_slot) complex
     h_att: np.ndarray  # (n_slot,) real taper in (0, 1], first entry 1, flat across subcarriers
     grid: SubcarrierGrid
-    phases: np.ndarray | None = None  # (k, n_slot) unwrapped phase [rad]
+    # not a field: only benchmark/run.py's patch tracer reads it, and it goes with that tracer (ROADMAP item 12)
+    phases = None
 
     def __post_init__(self):
-        _freeze(self, "h", "h_att", "phases", dtype=None)  # h is complex
+        _freeze(self, "h", "h_att", dtype=None)  # h is complex
         if self.h_att.shape != self.h.shape[1:]:
             raise ValueError("leakage taper must hold one entry per channel element")
         if self.h.shape[0] != self.grid.k:
@@ -91,25 +91,9 @@ def leakage_vector(design: DmaDesign) -> np.ndarray:
     return np.exp(-n * design.d_x * leakage_constant(design))
 
 
-def channel_phase_step(f_k, cfg: ScenarioConfig, design: DmaDesign):
-    """Per-element phase increment of the effective channel [rad/element].
-
-    Combines the wireless advance (2*pi*f/c)*d_x*sin(phi_t) with the waveguide
-    advance -d_x*beta_g(f); element n carries n times this value.
-    """
-    f_k = np.asarray(f_k, dtype=float)
-    wireless = (2 * math.pi * f_k / C_LIGHT) * design.d_x * math.sin(cfg.phi_t)
-    return wireless - design.d_x * waveguide_beta(f_k, design)
-
-
 def effective_channel(cfg: ScenarioConfig, design: DmaDesign) -> ChannelSet:
-    """Line-of-sight channel: elementwise array response times waveguide advance, per subcarrier."""
-    grid = cfg.subcarriers
-    # named factors: numpy may swap the operands of a large temporary, which moves the last bit
-    wireless = array_response(cfg.phi_t, grid.frequencies, design)
-    guide = waveguide_phase_vector(grid.frequencies, design)
-    phases = channel_phase_step(grid.frequencies, cfg, design)[:, None] * np.arange(design.n_slot)
-    return ChannelSet(h=wireless * guide, h_att=leakage_vector(design), grid=grid, phases=phases)
+    """Line-of-sight channel: the one-ray case of the ray sum, unit gain at the steering angle and no delay."""
+    return _ray_channel((1.0,), (cfg.phi_t,), (0.0,), cfg, design)
 
 
 def multipath_channel(spec: MultipathSpec, cfg: ScenarioConfig, design: DmaDesign) -> ChannelSet:
@@ -118,7 +102,6 @@ def multipath_channel(spec: MultipathSpec, cfg: ScenarioConfig, design: DmaDesig
     h[k] = (sum_l g_l * a(phi_l, f_k) * exp(-j*2*pi*f_k*tau_l)) (.) h_dma[k];
     the leakage taper is unchanged. Identical seeds give bit-identical output.
     """
-    grid = cfg.subcarriers
     rng = np.random.default_rng(spec.seed)
     l_path = spec.l_path
     scale = math.sqrt(1.0 / (2.0 * l_path))
@@ -129,13 +112,19 @@ def multipath_channel(spec: MultipathSpec, cfg: ScenarioConfig, design: DmaDesig
         gains[0] = 1.0 / math.sqrt(l_path)
         angles[0] = cfg.phi_t
         delays[0] = 0.0
+    return _ray_channel(gains, angles, delays, cfg, design)
 
+
+def _ray_channel(gains, angles, delays, cfg: ScenarioConfig, design: DmaDesign) -> ChannelSet:
+    """The channel of the given rays, on the scenario's subcarriers; every channel is built here."""
+    grid = cfg.subcarriers
     freq = grid.frequencies
-    rays = np.zeros((grid.k, design.n_slot), dtype=complex)
-    # named factors: numpy may swap the operands of a large temporary, which moves the last bit
-    for g, phi, tau in zip(gains, angles, delays):
-        wireless = array_response(phi, freq, design)
-        rays += g * wireless * np.exp(-2j * math.pi * freq * tau)[:, None]
-    guide = waveguide_phase_vector(freq, design)
-    return ChannelSet(h=rays * guide, h_att=leakage_vector(design), grid=grid, phases=None)
-
+    # past the float range the phases are NaN, which the ChannelSet's finiteness check reports as one error
+    with np.errstate(over="ignore", invalid="ignore"):
+        rays = np.zeros((grid.k, design.n_slot), dtype=complex)
+        # named factors: numpy may swap the operands of a large temporary, which moves the last bit
+        for g, phi, tau in zip(gains, angles, delays):
+            wireless = array_response(phi, freq, design)
+            rays += g * wireless * np.exp(-2j * math.pi * freq * tau)[:, None]
+        guide = waveguide_phase_vector(freq, design)
+        return ChannelSet(h=rays * guide, h_att=leakage_vector(design), grid=grid)

@@ -1,14 +1,25 @@
-"""Independent numerical oracles for the factors of dmasim's gain approximation.
+"""Independent numerical oracles for dmasim's channel and the factors of its gain approximation.
 
-dmasim computes each factor once, in closed form; each oracle here reaches the
-same quantity another way, and the tests hold the closed forms to them.
+dmasim computes each quantity once; each oracle here reaches the same quantity
+another way, and the tests hold dmasim to them.
 """
 
 import math
 
 import numpy as np
 
-from dmasim import DmaDesign, leakage_constant
+from dmasim import C_LIGHT, DmaDesign, ScenarioConfig, leakage_constant, waveguide_beta
+
+
+def channel_phase_step(f_k, cfg: ScenarioConfig, design: DmaDesign):
+    """Per-element phase increment of the effective channel [rad/element].
+
+    Combines the wireless advance (2*pi*f/c)*d_x*sin(phi_t) with the waveguide
+    advance -d_x*beta_g(f); element n carries n times this value.
+    """
+    f_k = np.asarray(f_k, dtype=float)
+    wireless = (2 * math.pi * f_k / C_LIGHT) * design.d_x * math.sin(cfg.phi_t)
+    return wireless - design.d_x * waveguide_beta(f_k, design)
 
 
 def leakage_penalty_exact(design: DmaDesign) -> float:

@@ -6,7 +6,6 @@ import pytest
 from dmasim import (
     C_LIGHT,
     DmaDesign,
-    channel_phase_step,
     fill_penalty,
     gain_breakdown,
     leakage_penalty,
@@ -19,7 +18,7 @@ from dmasim import (
     subcarrier_grid,
     waveguide_beta,
 )
-from oracles import fill_penalty_mc_stderr, leakage_penalty_exact
+from oracles import channel_phase_step, fill_penalty_mc_stderr, leakage_penalty_exact
 
 
 class TestSquintPhase:

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmasim import (
     ChannelSet,
@@ -10,7 +12,6 @@ from dmasim import (
     MultipathSpec,
     ScenarioConfig,
     array_response,
-    channel_phase_step,
     effective_channel,
     leakage_vector,
     multipath_channel,
@@ -19,6 +20,7 @@ from dmasim import (
     waveguide_phase_vector,
 )
 from dmasim.channel import ANGLE_MAX, DELAY_MAX
+from oracles import channel_phase_step
 
 
 def reference_effective_h(cfg, design, grid):
@@ -170,7 +172,8 @@ class TestEffectiveChannel:
 
     def test_wrapped_angle_matches_closed_form_phase(self, cfg, design):
         channels = effective_channel(cfg, design)
-        wrapped = np.mod(channels.phases + math.pi, 2 * math.pi) - math.pi
+        phases = channel_phase_step(channels.grid.frequencies, cfg, design)[:, None] * np.arange(design.n_slot)
+        wrapped = np.mod(phases + math.pi, 2 * math.pi) - math.pi
         err = np.abs(np.angle(channels.h) - wrapped)
         err = np.minimum(err, 2 * math.pi - err)  # both representations of +-pi
         assert float(err.max()) < 1e-9
@@ -222,12 +225,24 @@ class TestEffectiveChannel:
 
 
 class TestMultipathChannel:
-    def test_pinned_single_path_reduces_to_los(self, cfg, design):
-        spec = MultipathSpec(l_path=1, seed=3, pin_first_to_los=True)
-        got = multipath_channel(spec, cfg, design)
+    @pytest.mark.exactness
+    @settings(deadline=None)
+    @given(
+        half_k=st.integers(1, 32),
+        n_slot=st.integers(1, 64),
+        b_exp=st.floats(6.0, 9.9),  # 10**9.9 Hz keeps every subcarrier above the 10 GHz cutoff
+        phi_t=st.floats(-1.5, 1.5),
+        d_x_exp=st.floats(-4.0, -1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_pinned_single_path_reduces_to_los(self, half_k, n_slot, b_exp, phi_t, d_x_exp, seed):
+        # the line-of-sight channel is the one-ray case of the ray sum, to the sign of every zero
+        cfg = ScenarioConfig(k=2 * half_k, b=10.0**b_exp, phi_t=phi_t)
+        design = DmaDesign(n_slot=n_slot, d_x=10.0**d_x_exp)
+        got = multipath_channel(MultipathSpec(l_path=1, seed=seed, pin_first_to_los=True), cfg, design)
         expected = effective_channel(cfg, design)
-        np.testing.assert_allclose(got.h, expected.h, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(got.h_att, expected.h_att)
+        assert_bitwise_equal(got.h, expected.h)
+        assert np.array_equal(got.h_att, expected.h_att)
 
     def test_fixed_seed_is_bit_identical(self, cfg, design):
         spec = MultipathSpec(l_path=4, seed=11)

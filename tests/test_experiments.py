@@ -18,7 +18,7 @@ from dmasim.experiments import (
 )
 from dmasim.metrics import run_beamformer
 from dmasim.channel import effective_channel
-from dmasim.params import save_config
+from dmasim.params import _CONFIG_KEYS, save_config
 
 
 @pytest.fixture
@@ -391,6 +391,9 @@ class TestCli:
             # past the float range: the leakage constant, and the subcarriers at or below 0 Hz, each with no numpy warning
             (["sweep-tuning", "--axis", "1e9", "--k", "8", "--d-x", "1e-320"], None),
             (["sweep-tuning", "--axis", "1e9", "--k", "8", "--b", "1e308"], None),
+            # past the float range: the element phases, which the channel's finiteness check reports with no numpy warning
+            (["sweep-tuning", "--axis", "1e9", "--k", "8", "--eps-r", "1e308"], None),
+            (["sweep-tuning", "--axis", "1e9", "--k", "8", "--d-x", "1e308"], None),
         ],
     )
     def test_failed_run_writes_nothing(self, tmp_path, capsys, argv, config):
@@ -402,6 +405,40 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("dmasim: error:")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "start",
+        [
+            ["sweep-tuning", "--axis", "1e9", "--k", "8", "--n-slot", "8", "--r-res", "51"],
+            ["multipath-mc", "--axis", "2", "--trials", "2", "--k", "8", "--n-slot", "8", "--r-res", "51"],
+            ["validate-approx", "--axis", "1e9", "--n-slot", "8", "--r-res", "51"],
+        ],
+    )
+    def test_extreme_setting_ends_in_one_of_three_ways(self, tmp_path, capsys, start):
+        # every config-key flag at every float extreme: a finite table, one error line, or a usage error
+        values = ["1e308", "-1e308", "1e-308", "-1e-308", "5e-324", "0", "-0", "1e300", "1e-300", "1e30", "1e-30"]
+        values += ["nan", "inf", "-inf", "1", "2", "3"]
+        flags = ["--" + key.lower().replace("_", "-") for key in _CONFIG_KEYS]
+        bad = []
+        for i, (flag, value) in enumerate((f, v) for f in flags for v in values):
+            out = tmp_path / f"out{i}"
+            try:
+                code = main([*start, f"{flag}={value}", "--out", str(out)])
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # a traceback, or a numpy warning, which this suite raises as an error
+                code = repr(exc)
+            err = capsys.readouterr().err.splitlines()
+            if code == 0:
+                cells = [cell for path in out.glob("*.csv") for row in csv.reader(path.read_text().splitlines()[2:]) for cell in row]
+                ended = bool(cells) and not [cell for cell in cells if cell.lstrip("+-").lower() in ("nan", "inf")]
+            elif code == 1:
+                ended = len(err) == 1 and err[0].startswith("dmasim: error:") and not out.exists()
+            else:
+                ended = code == 2 and err[0].startswith("usage: dmasim") and not out.exists()
+            if not ended:
+                bad.append((flag, value, code, err))
+        assert bad == []
 
     def test_overflowing_snr_of_an_ignored_distance_is_only_noted(self, tmp_path, capsys):
         # validate-approx reads only gains, so an SNR the file's r overflows must not stop it or warn
