@@ -109,43 +109,20 @@ def _gamma_axis(design: DmaDesign) -> tuple:
     return tuple(design.gamma * s for s in (0.25, 0.5, 1.0, 2.0, 4.0))
 
 
-def _validation_sweep(cfg: ScenarioConfig, designs: list, field: str, penalty: str, r_res: int) -> list[list]:
-    """Rows [design.<field>, simulated g_sum, approximate g_sum, breakdown.<penalty>, rel_err]."""
-    narrow = override_fields(cfg, b=VALIDATE_B, k=VALIDATE_NARROW_K)
-    base = effective_channel(narrow, designs[0]) if designs else None  # the sweeps move b_tune or lambda_frac, not h
-    rows = []
+def validation_points(cfg: ScenarioConfig, designs: list, r_res: int) -> list[tuple]:
+    """(design, center-frequency GainSpectrum, ApproxBreakdown, power-normalized approximate gain) per design.
+
+    All designs share one LOS channel, built from designs[0], each with its own leakage taper: the fields a
+    validation study moves, b_tune and lambda_frac, stay out of h.
+    """
+    base = effective_channel(cfg, designs[0])
+    points = []
     for d in designs:
         channels = replace(base, h_att=leakage_vector(d))
-        _, spectrum = run_beamformer("center-frequency", channels, narrow, resonance_grid(d, channels.grid, r_res))
-        breakdown = gain_breakdown(narrow, d)
-        approx_sum = float(np.sum(power_normalized_gain(breakdown, d)))
-        rel_err = abs(approx_sum - spectrum.g_sum) / spectrum.g_sum
-        rows.append([getattr(d, field), spectrum.g_sum, approx_sum, getattr(breakdown, penalty), rel_err])
-    return rows
-
-
-def validation_tuning_sweep(cfg: ScenarioConfig, design: DmaDesign, axis, r_res: int) -> list[list]:
-    """Sum-gain comparison, simulated vs approximate, across the tuning bandwidth."""
-    return _validation_sweep(cfg, _overrides(design, "b_tune", axis), "b_tune", "fill_penalty", r_res)
-
-
-def validation_lambda_sweep(cfg: ScenarioConfig, design: DmaDesign, axis, r_res: int) -> list[list]:
-    """Sum-gain comparison across the fractional radiated power, wide tuning."""
-    designs = _overrides(design, "lambda_frac", axis, b_tune=VALIDATE_WIDE_TUNING)
-    return _validation_sweep(cfg, designs, "lambda_frac", "leakage_penalty", r_res)
-
-
-def validation_per_subcarrier(cfg: ScenarioConfig, design: DmaDesign, r_res: int) -> list[list]:
-    """Per-subcarrier gain, simulated vs approximate, wide tuning bandwidth."""
-    sub_cfg = override_fields(cfg, b=VALIDATE_B, k=VALIDATE_SUBCARRIER_K)
-    d = override_fields(design, b_tune=VALIDATE_WIDE_TUNING)
-    channels = effective_channel(sub_cfg, d)
-    _, spectrum = run_beamformer("center-frequency", channels, sub_cfg, resonance_grid(d, channels.grid, r_res))
-    breakdown = gain_breakdown(sub_cfg, d)
-    approx = power_normalized_gain(breakdown, d)
-    flat = [breakdown.fill_penalty, breakdown.leakage_penalty, d.b_tune]
-    freqs = channels.grid.frequencies
-    return [[k, float(f_k), spectrum.gain[k], approx[k], breakdown.squint_gain[k], *flat] for k, f_k in enumerate(freqs)]
+        _, spectrum = run_beamformer("center-frequency", channels, cfg, resonance_grid(d, channels.grid, r_res))
+        breakdown = gain_breakdown(cfg, d)
+        points.append((d, spectrum, breakdown, power_normalized_gain(breakdown, d)))
+    return points
 
 
 # A runner takes (plan, scenario, design) and returns {file name: (header, rows)}.
@@ -155,19 +132,40 @@ _ALG_SUFFIX = {"center-frequency": "cf", "successive": "succ"}
 _SPECTRUM_COLUMN = {"capacity": "se", "rate": "rate", "g_sum": "g_sum"}
 
 
+def _sum_rows(points: list[tuple], field: str, penalty: str) -> list[list]:
+    """Rows [design.<field>, simulated g_sum, approximate g_sum, breakdown.<penalty>, rel_err]."""
+    rows = []
+    for d, spectrum, breakdown, approx in points:
+        approx_sum = float(np.sum(approx))
+        rel_err = abs(approx_sum - spectrum.g_sum) / spectrum.g_sum
+        rows.append([getattr(d, field), spectrum.g_sum, approx_sum, getattr(breakdown, penalty), rel_err])
+    return rows
+
+
 def _validate_approx(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign) -> _Tables:
+    """The tuning and lambda sweeps share one 50 MHz channel of few subcarriers; the wide design alone gets many."""
+    tuning = _overrides(design, "b_tune", plan.axis or _gamma_axis(design))
+    wide = override_fields(design, b_tune=VALIDATE_WIDE_TUNING)
+    narrow = override_fields(cfg, b=VALIDATE_B, k=VALIDATE_NARROW_K)
+    swept = validation_points(narrow, tuning + _overrides(wide, "lambda_frac", DEFAULT_LAMBDA_AXIS), plan.r_res)
+    sub_cfg = override_fields(cfg, b=VALIDATE_B, k=VALIDATE_SUBCARRIER_K)
+    [(_, spectrum, breakdown, approx)] = validation_points(sub_cfg, [wide], plan.r_res)
+    flat = [breakdown.fill_penalty, breakdown.leakage_penalty, wide.b_tune]
     return {
         "tuning_sweep.csv": (
             ["b_tune", "g_cf_sum", "g_approx_sum", "fill_penalty", "rel_err"],
-            validation_tuning_sweep(cfg, design, plan.axis or _gamma_axis(design), plan.r_res),
+            _sum_rows(swept[: len(tuning)], "b_tune", "fill_penalty"),
         ),
         "lambda_sweep.csv": (
             ["lambda", "g_cf_sum", "g_approx_sum", "leakage_penalty", "rel_err"],
-            validation_lambda_sweep(cfg, design, DEFAULT_LAMBDA_AXIS, plan.r_res),
+            _sum_rows(swept[len(tuning) :], "lambda_frac", "leakage_penalty"),
         ),
         "per_subcarrier.csv": (
             ["k", "f_k", "sim_gain", "approx_gain", "squint_gain", "fill_penalty", "leakage_penalty", "b_tune"],
-            validation_per_subcarrier(cfg, design, plan.r_res),
+            [
+                [k, float(f_k), spectrum.gain[k], approx[k], breakdown.squint_gain[k], *flat]
+                for k, f_k in enumerate(sub_cfg.subcarriers.frequencies)
+            ],
         ),
     }
 
@@ -205,10 +203,11 @@ def _sweep_spacing(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign)
     """Fixed aperture length: each spacing gets round(aperture / d_x) elements."""
     lam = wavelength(design.f_t)
     aperture = design.n_slot * design.d_x
-    points = [
-        override_fields(design, d_x=float(d_x), n_slot=max(1, round(aperture / d_x)))
-        for d_x in plan.axis or (lam / 4.0, lam / 3.0, lam / 2.0)
-    ]
+    points = []  # each spacing's design is built first, so a zero spacing fails before the division
+    for spaced in _overrides(design, "d_x", plan.axis or (lam / 4.0, lam / 3.0, lam / 2.0)):
+        if not math.isfinite(ratio := aperture / spaced.d_x):
+            raise ValueError("aperture length over element spacing must be finite")
+        points.append(override_fields(spaced, n_slot=max(1, round(ratio))))
     rows = []
     for d in points:
         spectra = _both_algorithms(cfg, d, plan.r_res)

@@ -6,6 +6,7 @@ identities are checked at tight tolerances; trend criteria run the same
 experiment pipelines the CLI exposes.
 """
 
+import csv
 import math
 import time
 from pathlib import Path
@@ -29,14 +30,7 @@ from dmasim import (
     successive_beamformer,
     wavelength,
 )
-from dmasim.experiments import (
-    DEFAULT_LAMBDA_AXIS,
-    ExperimentPlan,
-    run_plan,
-    validation_lambda_sweep,
-    validation_per_subcarrier,
-    validation_tuning_sweep,
-)
+from dmasim.experiments import ExperimentPlan, run_plan
 from oracles import fill_penalty_mc_stderr, leakage_penalty_exact
 
 
@@ -125,20 +119,18 @@ def test_criterion_05_linear_phase_convergence_order():
     )
 
 
-def test_criterion_06_gain_approximation_validation():
+def test_criterion_06_gain_approximation_validation(tmp_path: Path):
     cfg = ScenarioConfig()
-    design = DmaDesign()
-    axis = tuple(design.gamma * s for s in (0.25, 0.5, 1.0, 2.0, 4.0))
+    plan = ExperimentPlan(kind="validate-approx", out_dir=tmp_path, r_res=1001)  # tuning axis Gamma/4 .. 4*Gamma
+    tables = {}
+    for path in run_plan(plan, cfg, DmaDesign()):
+        lines = path.read_text().splitlines()[1:]  # after the timestamp comment
+        tables[path.name] = [{name: float(v) for name, v in row.items()} for row in csv.DictReader(lines)]
 
-    tuning = validation_tuning_sweep(cfg, design, axis, r_res=1001)
-    tuning_err = max(row[4] for row in tuning)
-
-    lam = validation_lambda_sweep(cfg, design, DEFAULT_LAMBDA_AXIS, r_res=1001)
-    lambda_err = max(row[4] for row in lam)
-
-    sub = validation_per_subcarrier(cfg, design, r_res=1001)
-    region = [row for row in sub if abs(row[1] - cfg.f_t) <= row[7] / 4.0]
-    sub_err = max(abs(row[3] - row[2]) / row[2] for row in region)
+    tuning_err = max(row["rel_err"] for row in tables["tuning_sweep.csv"])
+    lambda_err = max(row["rel_err"] for row in tables["lambda_sweep.csv"])
+    region = [row for row in tables["per_subcarrier.csv"] if abs(row["f_k"] - cfg.f_t) <= row["b_tune"] / 4.0]
+    sub_err = max(abs(row["approx_gain"] - row["sim_gain"]) / row["sim_gain"] for row in region)
 
     ok = tuning_err <= 0.15 and lambda_err <= 0.05 and sub_err <= 0.10
     report(

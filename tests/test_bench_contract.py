@@ -59,9 +59,9 @@ def test_multipath_job_builds_one_scan_table(tmp_path, capsys):
     assert calls["params.subcarrier_grid"] == 1
 
 
-def test_validation_job_builds_one_channel_per_sweep(tmp_path, capsys):
-    # the tuning and lambda sweeps each reuse one LOS channel; the per-subcarrier study builds its own.
-    # Each of the three scenarios derives one subcarrier grid for its channel, SNR and squint profiles.
+def test_validation_job_builds_one_channel_per_scenario(tmp_path, capsys):
+    # the tuning and lambda sweeps share one 50 MHz scenario and its LOS channel; the per-subcarrier study has its
+    # own. Each of the two scenarios derives one subcarrier grid for its channel, SNR and squint profiles.
     _, calls = traced_calls("approx-validate", tmp_path, capsys)
-    assert calls["channel.effective_channel"] == 3
-    assert calls["params.subcarrier_grid"] == 3
+    assert calls["channel.effective_channel"] == 2
+    assert calls["params.subcarrier_grid"] == 2

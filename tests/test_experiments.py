@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 from pathlib import Path
 
@@ -7,15 +8,7 @@ import pytest
 
 from dmasim import DmaDesign, ScenarioConfig, resonance_grid
 from dmasim.cli import _configs_from_args, build_parser, main
-from dmasim.experiments import (
-    DEFAULT_LAMBDA_AXIS,
-    ExperimentPlan,
-    _gamma_axis,
-    run_plan,
-    spectrum_rows,
-    validation_lambda_sweep,
-    validation_tuning_sweep,
-)
+from dmasim.experiments import ExperimentPlan, run_plan, spectrum_rows
 from dmasim.metrics import run_beamformer
 from dmasim.channel import effective_channel
 from dmasim.params import _CONFIG_KEYS, save_config
@@ -199,8 +192,9 @@ class TestValidateApprox:
         for path in written:
             assert path.exists() and len(path.read_text().splitlines()) > 2
 
-    def test_sweeps_reuse_the_channel_of_every_design(self, monkeypatch, cfg, design):
-        # each sweep builds one channel: b_tune and lambda_frac, the fields they move, must stay out of h
+    def test_sweeps_reuse_the_channel_of_every_design(self, monkeypatch, tmp_path, cfg, design):
+        # both 50 MHz sweeps solve on one scenario and one channel: b_tune and lambda_frac, the fields they move,
+        # must stay out of h; the per-subcarrier study solves on its own scenario
         solved = []
 
         def record(alg, channels, scenario, grid):
@@ -208,9 +202,11 @@ class TestValidateApprox:
             return run_beamformer(alg, channels, scenario, grid)
 
         monkeypatch.setattr("dmasim.experiments.run_beamformer", record)
-        validation_tuning_sweep(cfg, design, _gamma_axis(design), 51)
-        validation_lambda_sweep(cfg, design, DEFAULT_LAMBDA_AXIS, 51)
-        assert len({(d.b_tune, d.lambda_frac) for _, _, d in solved}) == 10
+        run_plan(ExperimentPlan(kind="validate-approx", out_dir=tmp_path, r_res=51), cfg, design)
+        narrow, wide = solved[:10], solved[10:]
+        assert len({(d.b_tune, d.lambda_frac) for _, _, d in narrow}) == 10
+        assert len({id(scenario) for _, scenario, _ in narrow}) == 1 and narrow[0][1].k == 16
+        assert len(wide) == 1 and wide[0][1].k == 64
         for channels, scenario, d in solved:
             fresh = effective_channel(scenario, d)
             assert np.array_equal(channels.h, fresh.h) and np.array_equal(channels.h_att, fresh.h_att)
@@ -394,6 +390,10 @@ class TestCli:
             # past the float range: the element phases, which the channel's finiteness check reports with no numpy warning
             (["sweep-tuning", "--axis", "1e9", "--k", "8", "--eps-r", "1e308"], None),
             (["sweep-tuning", "--axis", "1e9", "--k", "8", "--d-x", "1e308"], None),
+            # an aperture length, or its ratio to a spacing, past the float range, and a zero spacing
+            (["sweep-spacing", "--axis", "0.005,0.01", "--k", "8", "--d-x=1e308"], None),
+            (["sweep-spacing", "--axis", "1e-310", "--k", "8"], None),
+            (["sweep-spacing", "--axis", "0,0.01", "--k", "8"], None),
         ],
     )
     def test_failed_run_writes_nothing(self, tmp_path, capsys, argv, config):
@@ -412,18 +412,30 @@ class TestCli:
             ["sweep-tuning", "--axis", "1e9", "--k", "8", "--n-slot", "8", "--r-res", "51"],
             ["multipath-mc", "--axis", "2", "--trials", "2", "--k", "8", "--n-slot", "8", "--r-res", "51"],
             ["validate-approx", "--axis", "1e9", "--n-slot", "8", "--r-res", "51"],
+            ["sweep-bandwidth", "--axis", "1e8", "--k", "8", "--n-slot", "8", "--r-res", "51"],
+            ["sweep-lambda", "--axis", "0.3", "--k", "8", "--n-slot", "8", "--r-res", "51"],
+            ["sweep-angle", "--axis", "0.3", "--k", "8", "--n-slot", "8", "--r-res", "51"],
+            ["sweep-spacing", "--axis", "0.005,0.01", "--k", "8", "--n-slot", "8", "--r-res", "51"],
+            ["sweep-damping", "--axis", "100", "--k", "8", "--n-slot", "8", "--r-res", "51"],
+            ["max-rate", "--axis", "1e9", "--k", "8", "--n-slot", "8", "--r-res", "51"],
         ],
     )
     def test_extreme_setting_ends_in_one_of_three_ways(self, tmp_path, capsys, start):
-        # every config-key flag at every float extreme: a finite table, one error line, or a usage error
+        # every config key at every float extreme, set by its flag and by a one-line config file:
+        # a finite table, one error line (after a note, for a key the kind ignores), or a usage error
         values = ["1e308", "-1e308", "1e-308", "-1e-308", "5e-324", "0", "-0", "1e300", "1e-300", "1e30", "1e-30"]
         values += ["nan", "inf", "-inf", "1", "2", "3"]
-        flags = ["--" + key.lower().replace("_", "-") for key in _CONFIG_KEYS]
         bad = []
-        for i, (flag, value) in enumerate((f, v) for f in flags for v in values):
-            out = tmp_path / f"out{i}"
+        for i, (key, value, route) in enumerate(itertools.product(_CONFIG_KEYS, values, ("flag", "file"))):
+            out, flag = tmp_path / f"out{i}", "--" + key.lower().replace("_", "-")
+            if route == "flag":
+                argv = [*start, f"{flag}={value}"]
+            else:  # the file's value is the one read, so a flag setting the same key goes
+                (tmp_path / f"{i}.cfg").write_text(f"{key} = {value}\n")
+                at = start.index(flag) if flag in start else len(start)
+                argv = [*start[:at], *start[at + 2 :], "--config", str(tmp_path / f"{i}.cfg")]
             try:
-                code = main([*start, f"{flag}={value}", "--out", str(out)])
+                code = main([*argv, "--out", str(out)])
             except SystemExit as exc:
                 code = exc.code
             except Exception as exc:  # a traceback, or a numpy warning, which this suite raises as an error
@@ -433,11 +445,12 @@ class TestCli:
                 cells = [cell for path in out.glob("*.csv") for row in csv.reader(path.read_text().splitlines()[2:]) for cell in row]
                 ended = bool(cells) and not [cell for cell in cells if cell.lstrip("+-").lower() in ("nan", "inf")]
             elif code == 1:
+                err = err[1:] if err and err[0].startswith("dmasim: note:") else err
                 ended = len(err) == 1 and err[0].startswith("dmasim: error:") and not out.exists()
             else:
                 ended = code == 2 and err[0].startswith("usage: dmasim") and not out.exists()
             if not ended:
-                bad.append((flag, value, code, err))
+                bad.append((route, key, value, code, err))
         assert bad == []
 
     def test_overflowing_snr_of_an_ignored_distance_is_only_noted(self, tmp_path, capsys):
