@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelSet
+from .channel import ChannelSet, leakage_vector
 from .element import ResonanceConfiguration, _resonance_at_angle, lorentzian_weight, normalized_polarizability, tuning_range
 from .params import DmaDesign, SubcarrierGrid, _count, _freeze
 
@@ -176,9 +176,9 @@ def successive_beamformer(channels: ChannelSet, snr, grid: ResonanceGrid) -> Res
 
     Element n picks the grid resonance maximizing
     mean_k log2(1 + snr_k * |U_n(f_k, f_r) + sum_{m<n} U_m(f_k, f_r_m)|^2)
-    with U_n = weight * taper * channel; earlier selections stay frozen. The
-    channel must have the grid's subcarriers and its design's element count,
-    and every snr_k must be finite and non-negative.
+    with U_n = weight * taper * channel and taper = leakage_vector(grid.design);
+    earlier selections stay frozen. The channel must have the grid's subcarriers
+    and its design's element count, and every snr_k must be finite and non-negative.
 
     Two exact bounds prune the scan without changing its result; a row is
     dropped only when a bound puts it below the floor, the best objective of
@@ -210,10 +210,11 @@ def successive_beamformer(channels: ChannelSet, snr, grid: ResonanceGrid) -> Res
         raise ValueError("snr list must be finite and non-negative")
     weights, ends, reach = grid.successive_table
     blocks = weights.view(np.float64).reshape(reach.shape[0], PRUNE_STEP, -1)  # interleaved (Re, Im) rows, no copy
+    taper = leakage_vector(grid.design)
     running = np.zeros(freq.size, dtype=complex)
     chosen = np.empty(grid.design.n_slot)
     for n in range(grid.design.n_slot):
-        a = channels.h_att[n] * channels.h[:, n]
+        a = taper[n] * channels.h[:, n]
         v, cut, bound = _interval_planes(a, running, snr, ends, reach)
         live = np.flatnonzero(~(bound < cut))
         lo, hi = live[0], live[-1] + 1

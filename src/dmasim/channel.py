@@ -1,6 +1,6 @@
-"""Per-subcarrier channel vectors: wireless array response, waveguide phase
-advance and leakage taper. Every channel is one ray sum: the line-of-sight
-channel is its one-ray case, and the seeded multipath extension draws its rays.
+"""Per-subcarrier channel vectors: wireless array response and waveguide phase
+advance; the design's leakage taper is applied at scoring. Every channel is one
+ray sum: line of sight is its one-ray case, seeded multipath draws its rays.
 
 Channel construction is pure; a ChannelSet keeps read-only copies of its
 arrays, so it is immutable after construction and safe to share across workers.
@@ -20,24 +20,22 @@ from .params import (
 
 @dataclass(frozen=True, eq=False)  # compared by identity: array fields have no truth value
 class ChannelSet:
-    """Effective channel h, leakage taper h_att, and the subcarrier grid.
+    """Effective channel h and the subcarrier grid; the leakage taper is the design's (leakage_vector).
 
     For the line-of-sight model every h entry has unit modulus.
     """
 
     h: np.ndarray  # (k, n_slot) complex
-    h_att: np.ndarray  # (n_slot,) real taper in (0, 1], first entry 1, flat across subcarriers
     grid: SubcarrierGrid
-    # not a field: only benchmark/run.py's patch tracer reads it, and it goes with that tracer (ROADMAP item 12)
+    # not fields: only benchmark/run.py's patch tracer reads them, and they go with that tracer (ROADMAP item 12)
+    h_att = None
     phases = None
 
     def __post_init__(self):
-        _freeze(self, "h", "h_att", dtype=None)  # h is complex
-        if self.h_att.shape != self.h.shape[1:]:
-            raise ValueError("leakage taper must hold one entry per channel element")
+        _freeze(self, "h", dtype=None)  # h is complex
         if self.h.shape[0] != self.grid.k:
             raise ValueError("channel must hold one row per subcarrier")
-        if not (np.isfinite(self.h).all() and np.isfinite(self.h_att).all()):
+        if not np.isfinite(self.h).all():
             raise ValueError("channel must be finite")
 
     @property
@@ -99,8 +97,8 @@ def effective_channel(cfg: ScenarioConfig, design: DmaDesign) -> ChannelSet:
 def multipath_channel(spec: MultipathSpec, cfg: ScenarioConfig, design: DmaDesign) -> ChannelSet:
     """Seeded ray-sum channel combined with the waveguide phase advance.
 
-    h[k] = (sum_l g_l * a(phi_l, f_k) * exp(-j*2*pi*f_k*tau_l)) (.) h_dma[k];
-    the leakage taper is unchanged. Identical seeds give bit-identical output.
+    h[k] = (sum_l g_l * a(phi_l, f_k) * exp(-j*2*pi*f_k*tau_l)) (.) h_dma[k].
+    Identical seeds give bit-identical output.
     """
     rng = np.random.default_rng(spec.seed)
     l_path = spec.l_path
@@ -127,4 +125,4 @@ def _ray_channel(gains, angles, delays, cfg: ScenarioConfig, design: DmaDesign) 
             wireless = array_response(phi, freq, design)
             rays += g * wireless * np.exp(-2j * math.pi * freq * tau)[:, None]
         guide = waveguide_phase_vector(freq, design)
-        return ChannelSet(h=rays * guide, h_att=leakage_vector(design), grid=grid)
+        return ChannelSet(h=rays * guide, grid=grid)

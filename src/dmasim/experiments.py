@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .approx import gain_breakdown, power_normalized_gain
 from .beamform import DEFAULT_R_RES, resonance_grid
-from .channel import MultipathSpec, effective_channel, leakage_vector, multipath_channel
+from .channel import MultipathSpec, effective_channel, multipath_channel
 from .metrics import ALGORITHMS, GainSpectrum, run_beamformer
 from .params import DmaDesign, ScenarioConfig, _require_counts, override_fields, wavelength
 
@@ -112,13 +112,12 @@ def _gamma_axis(design: DmaDesign) -> tuple:
 def validation_points(cfg: ScenarioConfig, designs: list, r_res: int) -> list[tuple]:
     """(design, center-frequency GainSpectrum, ApproxBreakdown, power-normalized approximate gain) per design.
 
-    All designs share one LOS channel, built from designs[0], each with its own leakage taper: the fields a
-    validation study moves, b_tune and lambda_frac, stay out of h.
+    All designs are scored on one LOS channel, built from designs[0], each with its own leakage taper: the
+    fields a validation study moves, b_tune and lambda_frac, stay out of h.
     """
-    base = effective_channel(cfg, designs[0])
+    channels = effective_channel(cfg, designs[0])
     points = []
     for d in designs:
-        channels = replace(base, h_att=leakage_vector(d))
         _, spectrum = run_beamformer("center-frequency", channels, cfg, resonance_grid(d, channels.grid, r_res))
         breakdown = gain_breakdown(cfg, d)
         points.append((d, spectrum, breakdown, power_normalized_gain(breakdown, d)))

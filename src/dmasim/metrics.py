@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamform import ResonanceGrid, center_frequency_beamformer, successive_beamformer
-from .channel import ChannelSet
+from .channel import ChannelSet, leakage_vector
 from .element import ResonanceConfiguration, dma_weight_matrix
 from .params import DmaDesign, ScenarioConfig, _freeze, noise_power, path_loss, radiated_fraction
 
@@ -39,7 +39,7 @@ def snr_profile(cfg: ScenarioConfig) -> np.ndarray:
 
 
 def gain_profile(channels: ChannelSet, weights: np.ndarray, design: DmaDesign) -> np.ndarray:
-    """Normalized gain M_k * |h[k]^T (weights[k] (.) h_att)|^2 for every subcarrier; shape (k,).
+    """Normalized gain M_k * |h[k]^T (weights[k] (.) leakage_vector(design))|^2 for every subcarrier; shape (k,).
 
     A subcarrier whose weight vector is identically zero transmits nothing
     and scores gain 0 (its normalization constant is undefined).
@@ -47,7 +47,7 @@ def gain_profile(channels: ChannelSet, weights: np.ndarray, design: DmaDesign) -
     weights = np.asarray(weights)
     if weights.shape != channels.h.shape:
         raise ValueError("weights must be shaped (k, n_slot) like the channel")
-    tapered = weights * channels.h_att
+    tapered = weights * leakage_vector(design)
     norm_sq = np.sum(np.abs(tapered) ** 2, axis=1)
     silent = norm_sq == 0.0
     m_k = radiated_fraction(design) / np.where(silent, 1.0, norm_sq)

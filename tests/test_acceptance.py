@@ -222,16 +222,17 @@ def test_criterion_10_grid_scan_complexity_scales_linearly():
         grid = resonance_grid(design, channels.grid, r_res)
         return lambda: successive_beamformer(channels, rho, grid)
 
-    def center_solves(n_slot, r_res, reps=200):
+    def center_solve(n_slot, r_res):
         design = DmaDesign(n_slot=n_slot)
         channels = effective_channel(cfg, design)
         grid = resonance_grid(design, channels.grid, r_res)
-        return lambda: [center_frequency_beamformer(channels, grid) for _ in range(reps)]
+        return lambda: center_frequency_beamformer(channels, grid)
 
-    def ratio(small, large, blocks=5):
-        # the sizes alternate block by block, so a spell of host load slows both alike
+    def ratio(small, large, solves):
+        # the sizes alternate solve by solve, so a spell of host load slows both alike, and the least of many
+        # single solves is one that no spell reached
         best = [math.inf, math.inf]
-        for _ in range(blocks):
+        for _ in range(solves):
             for i, run in enumerate((small, large)):
                 start = time.perf_counter()
                 run()
@@ -239,8 +240,8 @@ def test_criterion_10_grid_scan_complexity_scales_linearly():
         return best[1] / best[0]
 
     # 4x the n_slot * r_res work must cost at most 2x linear, i.e. 8x time
-    succ_ratio = ratio(successive_solve(32, 1000), successive_solve(64, 2000))
-    cf_ratio = ratio(center_solves(32, 1000), center_solves(64, 2000))
+    succ_ratio = ratio(successive_solve(32, 1000), successive_solve(64, 2000), 5)
+    cf_ratio = ratio(center_solve(32, 1000), center_solve(64, 2000), 1000)
     ok = 1.0 <= succ_ratio <= 8.0 and 1.0 <= cf_ratio <= 8.0
     report(
         10,

@@ -197,9 +197,9 @@ def test_config_fields_are_pinned():
     assert design_fields == ["n_slot", "d_x", "q", "f_t", "b_tune", "lambda_frac", "eps_r", "f_c10"]
     assert [f.name for f in dataclasses.fields(dmasim.MultipathSpec)] == ["l_path", "seed", "pin_first_to_los"]
     assert [f.name for f in dataclasses.fields(dmasim.SubcarrierGrid)] == ["frequencies"]
-    # no phase table: the benchmark's patch tracer still reads the attribute, which is always None
-    assert [f.name for f in dataclasses.fields(dmasim.ChannelSet)] == ["h", "h_att", "grid"]
-    assert dmasim.ChannelSet.phases is None
+    # no phase table and no taper (the design's): the benchmark's patch tracer still reads both attributes, always None
+    assert [f.name for f in dataclasses.fields(dmasim.ChannelSet)] == ["h", "grid"]
+    assert dmasim.ChannelSet.phases is None and dmasim.ChannelSet.h_att is None
 
 
 # The value types: each builder gets one writable base array and passes views
@@ -217,7 +217,7 @@ RECORDS = {
     "ApproxBreakdown": (float, lambda v: dmasim.ApproxBreakdown(squint_gain=v, fill_penalty=1.0, leakage_penalty=1.0, product=v[1:])),
     "ChannelSet": (
         complex,
-        lambda v: dmasim.ChannelSet(h=v.reshape(2, 4), h_att=v.real[:4], grid=dmasim.subcarrier_grid(dmasim.ScenarioConfig(k=2))),
+        lambda v: dmasim.ChannelSet(h=v.reshape(2, 4), grid=dmasim.subcarrier_grid(dmasim.ScenarioConfig(k=2))),
     ),
 }
 

@@ -15,6 +15,7 @@ from dmasim import (
     SubcarrierGrid,
     center_frequency_beamformer,
     effective_channel,
+    leakage_vector,
     lorentzian_weight,
     multipath_channel,
     normalized_polarizability,
@@ -27,14 +28,12 @@ from dmasim import (
     tuning_range,
 )
 from dmasim.beamform import ANCHOR_ROW, PRUNE_RTOL, PRUNE_STEP, _circle_arg, _interval_planes
+from dmasim.element import _resonance_at_angle
 from dmasim.experiments import _gamma_axis
 
 
-def make_channelset(h, grid, h_att=None):
-    h = np.asarray(h, dtype=complex)
-    if h_att is None:
-        h_att = np.ones(h.shape[1])
-    return ChannelSet(h=h, h_att=np.asarray(h_att, dtype=float), grid=grid)
+def make_channelset(h, grid):
+    return ChannelSet(h=np.asarray(h, dtype=complex), grid=grid)
 
 
 def dense_center_frequency(channels, grid):
@@ -54,10 +53,11 @@ def exhaustive_successive(channels, snr, grid):
     snr = np.asarray(snr, dtype=float)
     freq = channels.grid.frequencies
     weights = normalized_polarizability(freq[None, :], grid.values[:, None], design)
+    taper = leakage_vector(design)
     running = np.zeros(freq.size, dtype=complex)
     chosen = np.empty(design.n_slot)
     for n in range(design.n_slot):
-        contrib = weights * (channels.h_att[n] * channels.h[:, n])[None, :]
+        contrib = weights * (taper[n] * channels.h[:, n])[None, :]
         objective = np.mean(np.log2(1.0 + snr[None, :] * np.abs(contrib + running[None, :]) ** 2), axis=1)
         best = int(np.argmax(objective))  # first maximum = lower resonant frequency
         chosen[n] = grid.values[best]
@@ -203,9 +203,34 @@ class TestCenterFrequencyBeamformer:
             zeta = psi[-1] + (2 * math.pi - arc) / 2 + rng.normal(0.0, 1e-13, n_slot)
             h[kc, moved] = np.exp(-1j * zeta[moved])
         h[:, rng.random(n_slot) < 0.15] = 0.0  # silent elements
-        channels = make_channelset(h, channels.grid, channels.h_att)
+        channels = make_channelset(h, channels.grid)
         res = center_frequency_beamformer(channels, grid)
         assert np.array_equal(res.f_r, dense_center_frequency(channels, grid).f_r)
+
+    @pytest.mark.exactness
+    @settings(deadline=None)
+    @given(
+        l_path=st.sampled_from((0, 4)),  # 0: line of sight
+        tune=st.sampled_from((0.25, 1.0, 4.0)),
+        r_res=st.sampled_from((2, 3, 5, 17, 101, 1001)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_picks_bracket_the_grid_free_resonance(self, l_path, tune, r_res, seed):
+        # the r_res -> infinity limit takes the resonance each target angle inverts to; the grid's pick is one of the
+        # two grid values around it, or an end value when the limit lies outside the tuning range
+        cfg = ScenarioConfig(k=8)
+        design = DmaDesign(n_slot=16, b_tune=tune * DmaDesign().gamma)
+        if l_path == 0:
+            channels = effective_channel(cfg, design)
+        else:
+            channels = multipath_channel(MultipathSpec(l_path=l_path, seed=seed), cfg, design)
+        grid = resonance_grid(design, channels.grid, r_res)
+        zeta = np.angle(np.conj(channels.h[channels.grid.center_index]))
+        pos = np.searchsorted(grid.values, _resonance_at_angle(channels.grid.f_center, zeta, design))
+        bracket = grid.values[np.clip([pos - 1, pos], 0, r_res - 1)]
+        ends = grid.values[[0, -1], None]
+        picks = center_frequency_beamformer(channels, grid).f_r
+        assert np.all((picks == bracket).any(axis=0) | (picks == ends).any(axis=0))
 
     def test_sub_hz_far_target_tie(self):
         # every grid weight sits within ~1e-15 of the same distance from a target at the origin point:
@@ -297,7 +322,7 @@ def _scan_state(design, l_path, element, snr_scale=1.0):
     snr = snr_profile(cfg) * snr_scale
     grid = resonance_grid(design, channels.grid, 1001)  # 15 whole 64-row intervals and a short one of 41 rows
     weights = normalized_polarizability(channels.grid.frequencies[None, :], grid.values[:, None], design)
-    taps = channels.h_att * channels.h
+    taps = leakage_vector(design) * channels.h
     picks = np.searchsorted(grid.values, exhaustive_successive(channels, snr, grid))
     running = np.sum(weights[picks[:element]] * taps[:, :element].T, axis=0)  # the earlier elements' selections
     return snr, grid, weights, taps[:, element], running
@@ -342,7 +367,7 @@ def _check_interval_planes(design, l_path, element):
 def _live_intervals(channels, snr, grid, picks):
     """Per element of the scan that picks the resonances picks: its row and the intervals its interval bound keeps."""
     table, ends, reach = grid.successive_table
-    taps = channels.h_att * channels.h
+    taps = leakage_vector(grid.design) * channels.h
     running = np.zeros(channels.k, dtype=complex)
     for n, row in enumerate(np.searchsorted(grid.values, picks)):
         _, cut, bound = _interval_planes(taps[:, n], running, snr, ends, reach)
@@ -369,13 +394,14 @@ class TestSuccessiveBeamformer:
         res = successive_beamformer(channels, rho, grid)
 
         freqs = channels.grid.frequencies
+        taper = leakage_vector(d2)
         running = np.zeros(2, dtype=complex)
         for n in range(2):
             best_idx, best_val = 0, -float("inf")
             for i, f_r in enumerate(grid.values):
                 u = np.array(
                     [
-                        normalized_polarizability(f, f_r, d2) * channels.h_att[n] * channels.h[k, n]
+                        normalized_polarizability(f, f_r, d2) * taper[n] * channels.h[k, n]
                         for k, f in enumerate(freqs)
                     ]
                 )
@@ -386,7 +412,7 @@ class TestSuccessiveBeamformer:
             f_star = grid.values[best_idx]
             running += np.array(
                 [
-                    normalized_polarizability(f, f_star, d2) * channels.h_att[n] * channels.h[k, n]
+                    normalized_polarizability(f, f_star, d2) * taper[n] * channels.h[k, n]
                     for k, f in enumerate(freqs)
                 ]
             )
@@ -406,15 +432,16 @@ class TestSuccessiveBeamformer:
         grid = resonance_grid(d4, channels.grid, 31)
         res = successive_beamformer(channels, rho, grid)
         freqs = channels.grid.frequencies
+        taper = leakage_vector(d4)
         running = np.zeros(4, dtype=complex)
         for n in range(4):
             def objective(f_r):
-                u = normalized_polarizability(freqs, f_r, d4) * channels.h_att[n] * channels.h[:, n]
+                u = normalized_polarizability(freqs, f_r, d4) * taper[n] * channels.h[:, n]
                 return float(np.mean(np.log2(1 + rho * np.abs(u + running) ** 2)))
 
             best = objective(res.f_r[n])
             assert all(best >= objective(f_r) - 1e-12 for f_r in grid.values)
-            running += normalized_polarizability(freqs, res.f_r[n], d4) * channels.h_att[n] * channels.h[:, n]
+            running += normalized_polarizability(freqs, res.f_r[n], d4) * taper[n] * channels.h[:, n]
 
     def test_deterministic_and_in_range(self, cfg, design):
         channels = effective_channel(cfg, design)

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -182,32 +181,25 @@ class TestEffectiveChannel:
         assert channel_phase_step(15e9, cfg, design) == pytest.approx(-2.9959291406900788, rel=1e-12)
 
     def test_taper_stored_once(self, cfg, design):
-        channels = effective_channel(cfg, design)
-        assert channels.h_att.shape == (design.n_slot,)
-        np.testing.assert_array_equal(channels.h_att, leakage_vector(design))
-
-    def test_rejects_per_subcarrier_taper(self, cfg, design):
-        channels = effective_channel(cfg, design)
-        with pytest.raises(ValueError):
-            ChannelSet(h=channels.h, h_att=np.ones(channels.h.shape), grid=channels.grid)
+        # the design holds the taper: lambda_frac moves the (n_slot,) taper and stays out of h, so one h serves both
+        other = override_fields(design, lambda_frac=0.5)
+        assert leakage_vector(design).shape == (design.n_slot,)
+        assert not np.array_equal(leakage_vector(other), leakage_vector(design))
+        assert_bitwise_equal(effective_channel(cfg, other).h, effective_channel(cfg, design).h)
 
     def test_rejects_rows_other_than_subcarriers(self):
         # one row would broadcast over all 8 subcarriers in the successive scan
         with pytest.raises(ValueError, match="^channel must hold one row per subcarrier$"):
-            ChannelSet(h=np.ones((1, 4), complex), h_att=np.ones(4), grid=subcarrier_grid(ScenarioConfig(k=8)))
+            ChannelSet(h=np.ones((1, 4), complex), grid=subcarrier_grid(ScenarioConfig(k=8)))
 
-    @pytest.mark.parametrize(
-        "field,bad", [("h", math.nan), ("h", math.inf), ("h", complex(0.0, -math.inf)), ("h_att", math.nan)]
-    )
-    def test_rejects_non_finite(self, field, bad):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)], ids=["h-nan", "h-inf", "h--infj"])
+    def test_rejects_non_finite(self, bad):
         # unchecked, one NaN in h gave every algorithm a capacity of nan
         channels = effective_channel(ScenarioConfig(k=8), DmaDesign(n_slot=4))
-        values = getattr(channels, field).copy()
-        values.flat[1] = bad
+        h = channels.h.copy()
+        h.flat[1] = bad
         with pytest.raises(ValueError, match="^channel must be finite$"):
-            ChannelSet(**{"h": channels.h, "h_att": channels.h_att, "grid": channels.grid, field: values})
-        with pytest.raises(ValueError, match="^channel must be finite$"):
-            replace(channels, **{field: values})  # as a validation sweep swaps in each design's taper
+            ChannelSet(h=h, grid=channels.grid)
 
     def test_immutable(self, cfg, design):
         channels = effective_channel(cfg, design)
@@ -242,7 +234,6 @@ class TestMultipathChannel:
         got = multipath_channel(MultipathSpec(l_path=1, seed=seed, pin_first_to_los=True), cfg, design)
         expected = effective_channel(cfg, design)
         assert_bitwise_equal(got.h, expected.h)
-        assert np.array_equal(got.h_att, expected.h_att)
 
     def test_fixed_seed_is_bit_identical(self, cfg, design):
         spec = MultipathSpec(l_path=4, seed=11)

@@ -193,8 +193,8 @@ class TestValidateApprox:
             assert path.exists() and len(path.read_text().splitlines()) > 2
 
     def test_sweeps_reuse_the_channel_of_every_design(self, monkeypatch, tmp_path, cfg, design):
-        # both 50 MHz sweeps solve on one scenario and one channel: b_tune and lambda_frac, the fields they move,
-        # must stay out of h; the per-subcarrier study solves on its own scenario
+        # both 50 MHz sweeps solve on one scenario and one channel object: b_tune and lambda_frac, the fields they
+        # move, must stay out of h, and each design brings its own taper; the per-subcarrier study solves on its own
         solved = []
 
         def record(alg, channels, scenario, grid):
@@ -206,10 +206,10 @@ class TestValidateApprox:
         narrow, wide = solved[:10], solved[10:]
         assert len({(d.b_tune, d.lambda_frac) for _, _, d in narrow}) == 10
         assert len({id(scenario) for _, scenario, _ in narrow}) == 1 and narrow[0][1].k == 16
+        assert len({id(channels) for channels, _, _ in narrow}) == 1
         assert len(wide) == 1 and wide[0][1].k == 64
         for channels, scenario, d in solved:
-            fresh = effective_channel(scenario, d)
-            assert np.array_equal(channels.h, fresh.h) and np.array_equal(channels.h_att, fresh.h_att)
+            assert np.array_equal(channels.h, effective_channel(scenario, d).h)
 
 
 class TestSweepKinds:
@@ -532,17 +532,19 @@ class TestCli:
         assert (plan.trials, plan.seed, plan.pin_los) == (7, 3, True)
 
 
-def test_readme_library_example_runs():
-    import dmasim as d
+def test_readme_library_example_runs(capsys):
+    import re
 
-    cfg = d.ScenarioConfig(b=1e9)
-    design = d.DmaDesign()
-    channels = d.effective_channel(cfg, design)
-    grid = d.resonance_grid(design, channels.grid)
-    res, spectrum = d.run_beamformer("successive", channels, cfg, grid)
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"## Library example.*?```python\n(.*?)```", text, re.S).group(1)
+    scope = {}
+    exec(block, scope)
+    cfg, channels, grid, spectrum, approx = (scope[n] for n in ("cfg", "channels", "grid", "spectrum", "approx"))
+    kc = cfg.k // 2
     assert spectrum.capacity > 0 and spectrum.rate == cfg.b * spectrum.capacity
-    approx = d.power_normalized_gain(d.gain_breakdown(cfg, design), design)
     assert approx.shape == (cfg.k,)
+    printed = [float(v) for v in capsys.readouterr().out.split()]
+    assert printed == [spectrum.capacity, spectrum.rate, spectrum.gain[kc], approx[kc]]
     # the approximation models the center-frequency configuration
-    _, cf_spectrum = d.run_beamformer("center-frequency", channels, cfg, grid)
-    assert cf_spectrum.gain[cfg.k // 2] == pytest.approx(approx[cfg.k // 2], rel=0.10)
+    _, cf_spectrum = run_beamformer("center-frequency", channels, cfg, grid)
+    assert cf_spectrum.gain[kc] == pytest.approx(approx[kc], rel=0.10)

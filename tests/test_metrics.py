@@ -11,6 +11,7 @@ from dmasim import (
     gain_breakdown,
     gain_profile,
     gain_spectrum,
+    leakage_vector,
     noise_power,
     override_fields,
     path_loss,
@@ -43,10 +44,11 @@ class TestSnr:
 
 
 def loop_oracle_gain(channels, weights, design):
-    """gain_profile written out one subcarrier at a time, M_k = radiated_fraction / ||w_k (.) h_att||^2."""
+    """gain_profile written out one subcarrier at a time, M_k = radiated_fraction / ||w_k (.) taper||^2."""
+    taper = leakage_vector(design)
     gains = []
     for k in range(channels.k):
-        tapered = weights[k] * channels.h_att
+        tapered = weights[k] * taper
         m_k = radiated_fraction(design) / np.sum(np.abs(tapered) ** 2)
         gains.append(m_k * abs(np.sum(channels.h[k] * tapered)) ** 2)
     return np.array(gains)
@@ -54,11 +56,11 @@ def loop_oracle_gain(channels, weights, design):
 
 class TestNormalization:
     def test_single_element_resonant_weight(self):
-        # one element: M_k cancels any taper and channel phase, leaving Lambda
+        # one element: M_k cancels any weight scale and channel phase, leaving Lambda
         design = DmaDesign(n_slot=1)
         grid = SubcarrierGrid(frequencies=np.array([14.5e9, 15e9]))
-        channels = ChannelSet(h=np.exp(1j * np.array([[0.3], [2.1]])), h_att=np.array([0.4]), grid=grid)
-        gain = gain_profile(channels, np.full((2, 1), -1j), design)
+        channels = ChannelSet(h=np.exp(1j * np.array([[0.3], [2.1]])), grid=grid)
+        gain = gain_profile(channels, np.full((2, 1), -0.4j), design)
         np.testing.assert_allclose(gain, design.lambda_frac, rtol=1e-12)
 
     def test_weight_scaling_homogeneity(self, cfg, design):
@@ -77,7 +79,7 @@ class TestNormalization:
             gain_profile(channels, weights, design), loop_oracle_gain(channels, weights, design), rtol=1e-12
         )
         # matched taper-compensated weights radiate exactly the design fraction of the channel energy
-        matched = np.conj(channels.h) / channels.h_att
+        matched = np.conj(channels.h) / leakage_vector(design)
         energy = np.sum(np.abs(channels.h) ** 2, axis=1)
         np.testing.assert_allclose(gain_profile(channels, matched, design), radiated_fraction(design) * energy, rtol=1e-12)
 
@@ -96,7 +98,7 @@ class TestBeamformingGain:
     def test_single_element_gain_is_radiated_fraction(self):
         design = DmaDesign(n_slot=1)
         grid = SubcarrierGrid(frequencies=np.array([14.5e9, 15e9]))
-        channels = ChannelSet(h=np.ones((2, 1), dtype=complex), h_att=np.ones(1), grid=grid)
+        channels = ChannelSet(h=np.ones((2, 1), dtype=complex), grid=grid)
         weights = np.full((2, 1), -1j)
         assert gain_profile(channels, weights, design)[1] == pytest.approx(design.lambda_frac, rel=1e-12)
 
@@ -191,6 +193,20 @@ class TestSpectralEfficiency:
         _, own = run_beamformer("center-frequency", channels, cfg, grid)
         _, spectrum = run_beamformer("center-frequency", channels, twin, grid)
         assert spectrum.capacity == own.capacity == pytest.approx(5.692, abs=1e-3)
+
+    @pytest.mark.parametrize("algorithm", ["center-frequency", "successive"])
+    def test_scores_with_the_grid_designs_taper(self, algorithm):
+        # lambda_frac stays out of h, so a lambda = 0.9 channel scored with a lambda = 0.5 grid and design is the
+        # 0.5 channel; mixing in the channel's own 0.9 taper read 8.771 and 9.636 bit/s/Hz for 8.895 and 9.814
+        cfg = ScenarioConfig(k=16)
+        design = DmaDesign(lambda_frac=0.5)
+        grid = resonance_grid(design, cfg.subcarriers, 1001)
+        _, mixed = run_beamformer(algorithm, effective_channel(cfg, override_fields(design, lambda_frac=0.9)), cfg, grid)
+        _, own = run_beamformer(algorithm, effective_channel(cfg, design), cfg, grid)
+        for name in ("gain", "rho", "se"):
+            assert np.array_equal(getattr(mixed, name), getattr(own, name))
+        assert (mixed.g_sum, mixed.capacity, mixed.rate) == (own.g_sum, own.capacity, own.rate)
+        assert own.capacity == pytest.approx({"center-frequency": 8.895, "successive": 9.814}[algorithm], abs=1e-3)
 
     def test_unknown_algorithm_rejected(self, cfg, design):
         channels = effective_channel(cfg, design)
