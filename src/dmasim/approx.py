@@ -67,9 +67,7 @@ def phase_fill_ratio(design: DmaDesign) -> float:
     |arg w(f_t, f_r_max) - arg w(f_t, f_r_min)| / pi; both arguments lie in
     (-pi, 0), so no wrap can occur.
     """
-    f_r_min, f_r_max = tuning_range(design)
-    hi = np.angle(normalized_polarizability(design.f_t, f_r_max, design))
-    lo = np.angle(normalized_polarizability(design.f_t, f_r_min, design))
+    lo, hi = np.angle(normalized_polarizability(design.f_t, np.array(tuning_range(design)), design))
     return float(abs(hi - lo) / math.pi)
 
 

@@ -65,6 +65,7 @@ class ResonanceGrid:
         offset_r / (PRUNE_STEP - 1) * (last_k - first_k)| of a row r of the
         interval from the chord between its end rows.
         Computed on first use: the center-frequency beamformer never reads it.
+        All three are read-only, frozen in place: every later solve reads them.
         """
         intervals = -(-self.r_res // PRUNE_STEP)
         values = self.values[np.minimum(np.arange(intervals * PRUNE_STEP), self.r_res - 1)]
@@ -75,6 +76,8 @@ class ResonanceGrid:
         reach = np.zeros(span.shape)
         for offset in range(PRUNE_STEP):
             np.maximum(reach, np.abs(blocks[:, offset] - first - offset / (PRUNE_STEP - 1) * span), out=reach)
+        for table in (weights, ends, reach):
+            table.flags.writeable = False
         return weights, ends, reach
 
 

@@ -31,11 +31,14 @@ class ResonanceConfiguration:
         _freeze(self, "f_r")
 
 
-def _detuning(f, f_r, design: DmaDesign):
-    """Normalized detuning x = 2*pi*(f_r^2 - f^2) / (Gamma*f)."""
+def _detuning(f, f_r, design: DmaDesign, out=None):
+    """Normalized detuning x = 2*pi*(f_r^2 - f^2) / (Gamma*f), written into out when given."""
     f = np.asarray(f, dtype=float)
     f_r = np.asarray(f_r, dtype=float)
-    return 2 * math.pi * (f_r * f_r - f * f) / (design.gamma * f)
+    x = np.subtract(f_r * f_r, f * f, out=out)
+    x *= 2 * math.pi
+    x /= design.gamma * f
+    return x
 
 
 def _resonance_at_angle(f, zeta, design: DmaDesign):
@@ -54,9 +57,13 @@ def normalized_polarizability(f, f_r, design: DmaDesign):
 
     Algebraically equal to the polarizability divided by Q_k*F, so the
     coupling factor F cancels. Peak amplitude 1 occurs exactly at f == f_r.
+    Built in the one complex array it returns, with numpy's own complex
+    division, so every weight equals 1.0 / (x + 1j) bit for bit.
     """
-    x = _detuning(f, f_r, design)
-    return 1.0 / (x + 1j)
+    w = np.empty(np.broadcast(f, f_r).shape, dtype=complex)
+    _detuning(f, f_r, design, out=w.real)
+    w.imag = 1.0
+    return np.divide(1.0, w, out=w)[()]
 
 
 def linear_phase_approx(f, f_r, design: DmaDesign):

@@ -1,4 +1,4 @@
-"""Independent numerical oracles for dmasim's channel and the factors of its gain approximation.
+"""Independent numerical oracles for dmasim's channel, its element weight and the factors of its gain approximation.
 
 dmasim computes each quantity once; each oracle here reaches the same quantity
 another way, and the tests hold dmasim to them.
@@ -20,6 +20,18 @@ def channel_phase_step(f_k, cfg: ScenarioConfig, design: DmaDesign):
     f_k = np.asarray(f_k, dtype=float)
     wireless = (2 * math.pi * f_k / C_LIGHT) * design.d_x * math.sin(cfg.phi_t)
     return wireless - design.d_x * waveguide_beta(f_k, design)
+
+
+def normalized_polarizability_exact(f, f_r, design: DmaDesign):
+    """Unit-peak weight 1/(x + j) as one expression over full-size temporaries.
+
+    element.normalized_polarizability builds the same weight in the one array
+    it returns, with the same operations in the same order, so the two agree
+    bit for bit.
+    """
+    f = np.asarray(f, dtype=float)
+    f_r = np.asarray(f_r, dtype=float)
+    return 1.0 / (2 * math.pi * (f_r * f_r - f * f) / (design.gamma * f) + 1j)
 
 
 def leakage_penalty_exact(design: DmaDesign) -> float:

@@ -549,6 +549,30 @@ class TestSuccessiveBeamformer:
             assert np.array_equal(f_r, back) and np.array_equal(f_r, alone)
             assert np.array_equal(f_r, exhaustive_successive(c, snr, shared))
 
+    def test_table_is_read_only(self, cfg):
+        # a shared grid serves every later solve: a write through its table would change them all
+        design = DmaDesign(n_slot=16)
+        channels = effective_channel(cfg, design)
+        snr = snr_profile(cfg)
+        grid = resonance_grid(design, channels.grid, 1001)
+        for part in grid.successive_table:
+            with pytest.raises(ValueError, match="read-only"):
+                part[:] = 0
+        res = successive_beamformer(channels, snr, grid)
+        assert np.array_equal(res.f_r, exhaustive_successive(channels, snr, grid))
+
+    def test_table_builds_in_the_array_it_returns(self, cfg, design):
+        # built from full-size temporaries, a fresh 1001 x 64 table peaked at 2.5 times its own size
+        resonance_grid(design, cfg.subcarriers, 1001).successive_table  # warm call
+        grid = resonance_grid(design, cfg.subcarriers, 1001)
+        tracemalloc.start()
+        try:
+            weights = grid.successive_table[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * weights.nbytes
+
     def test_rejects_grid_of_other_subcarriers(self, design):
         # a grid's table serves its own subcarriers only: equal k at another bandwidth is refused
         grid = resonance_grid(design, subcarrier_grid(ScenarioConfig(k=8, b=5e8)), 51)

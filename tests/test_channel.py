@@ -18,7 +18,7 @@ from dmasim import (
     subcarrier_grid,
     waveguide_phase_vector,
 )
-from dmasim.channel import ANGLE_MAX, DELAY_MAX
+from dmasim.channel import ANGLE_MAX, DELAY_MAX, L_PATH_MAX
 from oracles import channel_phase_step
 
 
@@ -260,6 +260,13 @@ class TestMultipathChannel:
     def test_rejects_empty_path_list(self):
         with pytest.raises(ValueError):
             MultipathSpec(l_path=0)
+
+    def test_rejects_path_count_past_bound(self):
+        # unchecked, --axis 1e9 draws 1e9 gains, angles and delays at once: gigabytes before any other check
+        assert MultipathSpec(l_path=L_PATH_MAX).l_path == 1024
+        for l_path in (L_PATH_MAX + 1, 1e9):
+            with pytest.raises(ValueError, match=f"^l_path must be at most 1024, got {int(l_path)}$"):
+                MultipathSpec(l_path=l_path)
 
     @pytest.mark.parametrize(
         "kwargs,message",

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dmasim import (
     DmaDesign,
@@ -16,6 +16,7 @@ from dmasim import (
     tuning_range,
 )
 from dmasim.element import _detuning, _resonance_at_angle
+from oracles import normalized_polarizability_exact
 
 designs = st.builds(
     DmaDesign,
@@ -92,6 +93,27 @@ class TestNormalizedPolarizability:
         amps = np.abs(normalized_polarizability(f, f + offsets, design))
         assert amps[0] == 1.0
         assert np.all(np.diff(amps) < 0)
+
+    @pytest.mark.exactness
+    @pytest.mark.parametrize("layout", ["0-d", "1-D", "columns", "rows"])
+    @given(design=designs, pairs=st.lists(st.tuples(freqs, freqs | st.just(0.0)), min_size=1, max_size=8))
+    # q = 1 at f_t = 3 * 2**32 makes Gamma 2**32 fl(3 fl(2 pi)): with m = 2**32 the pairs (m, 2m), (4m, 2m) and
+    # (2m, 2m) detune by exactly 1, -1 and 0, so |x| = 1 meets the complex division's branch point
+    @example(design=DmaDesign(q=1.0, f_t=3 * 2**32), pairs=[(2.0**32, 2.0**33), (2.0**34, 2.0**33), (2.0**33, 2.0**33)])
+    # q = 1e300: the pairs detune by -1e300, about 1e300 and 3e300, where 1/x leaves the normal range
+    @example(design=DmaDesign(q=1e300), pairs=[(15e9, 0.0), (15e9, 15e9 * math.sqrt(2.0)), (15e9, 30e9)])
+    def test_one_array_form_equals_exact_expression(self, layout, design, pairs):
+        f, f_r = (np.array(v) for v in zip(*pairs))
+        cases = {
+            "0-d": pairs,
+            "1-D": [(f, f_r)],
+            "columns": [(f[:, None], f_r[None, :])],  # (k, n_slot), as dma_weight_matrix
+            "rows": [(f[None, :], f_r[:, None])],  # (r_res, k), as the successive table
+        }[layout]
+        for a, b in cases:
+            got, want = normalized_polarizability(a, b, design), normalized_polarizability_exact(a, b, design)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.array_equal(np.atleast_1d(got).view(np.int64), np.atleast_1d(want).view(np.int64))
 
 
 class TestPolarizabilityPhase:

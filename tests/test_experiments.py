@@ -380,6 +380,8 @@ class TestCli:
             (["sweep-tuning"], "K = inf\n"),
             (["sweep-tuning"], "K = 64.9\n"),
             (["multipath-mc", "--seed", "-1", "--trials", "2", "--k", "8"], None),
+            # a path count past the bound, such as a tuning value given to the path axis: rejected before any draw
+            (["multipath-mc", "--axis", "1e9", "--k", "8"], None),
             # an SNR past the float range: inf, which the successive solve rejects, and no numpy warning
             (["multipath-mc", "--axis", "1", "--trials", "2", "--k", "8", "--r", "1e-160"], None),
             (["multipath-mc", "--axis", "1", "--trials", "2", "--k", "8", "--p-in-tot", "1e308"], None),
