@@ -45,8 +45,8 @@ class ResonanceGrid:
     def __post_init__(self):
         _freeze(self, "values")
         v = self.values  # NaN fails every comparison; an infinity in an ascending list sits at an end
-        if not (v.size and math.isfinite(v[0]) and math.isfinite(v[-1]) and (v[1:] >= v[:-1]).all()):
-            raise ValueError("resonance grid needs at least one point, all finite and ascending")
+        if not (v.ndim == 1 and v.size and math.isfinite(v[0]) and math.isfinite(v[-1]) and (v[1:] >= v[:-1]).all()):
+            raise ValueError("resonance grid values must be a non-empty list, all finite and ascending")
 
     @property
     def r_res(self) -> int:

@@ -33,6 +33,8 @@ class ChannelSet:
 
     def __post_init__(self):
         _freeze(self, "h", dtype=None)  # h is complex
+        if self.h.ndim != 2:
+            raise ValueError("channel must be shaped (k, n_slot)")
         if self.h.shape[0] != self.grid.k:
             raise ValueError("channel must hold one row per subcarrier")
         if not np.isfinite(self.h).all():

@@ -73,6 +73,14 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
     return path
 
 
+def read_body(path) -> str:
+    """A file _write_csv wrote, after its `# generated` line: the header and rows, their \r\n row ends kept."""
+    stamp, _, body = Path(path).read_bytes().decode("utf-8").partition("\n")  # bytes: no newline translation
+    if not stamp.startswith("# generated "):
+        raise ValueError(f"{path} does not start with a '# generated' line")
+    return body
+
+
 SPECTRUM_HEADER = ["scenario_id", "algorithm", "k", "f_k", "gain", "rho", "se_k"]
 
 
@@ -96,12 +104,12 @@ def _both_algorithms(cfg: ScenarioConfig, design: DmaDesign, r_res: int) -> dict
     return {alg: run_beamformer(alg, channels, cfg, grid)[1] for alg in ALGORITHMS}
 
 
-def _overrides(obj, field: str, axis, **fixed) -> list:
+def _overrides(obj, field: str, axis) -> list:
     """One copy of a config per axis value with `field` set to it.
 
     Building every copy up front validates the whole axis before any solve.
     """
-    return [override_fields(obj, **fixed, **{field: float(v)}) for v in axis]
+    return [override_fields(obj, **{field: float(v)}) for v in axis]
 
 
 def _gamma_axis(design: DmaDesign) -> tuple:
@@ -127,8 +135,12 @@ def validation_points(cfg: ScenarioConfig, designs: list, r_res: int) -> list[tu
 # A runner takes (plan, scenario, design) and returns {file name: (header, rows)}.
 _Tables = dict[str, tuple[list[str], list[list]]]
 
-_ALG_SUFFIX = {"center-frequency": "cf", "successive": "succ"}
 _SPECTRUM_COLUMN = {"capacity": "se", "rate": "rate", "g_sum": "g_sum"}
+
+
+def _per_algorithm(quantity: str) -> list[str]:
+    """The quantity's column of each algorithm, `<quantity>_<suffix>`, in ALGORITHMS order."""
+    return [f"{quantity}_{suffix}" for suffix in ALGORITHMS.values()]
 
 
 def _sum_rows(points: list[tuple], field: str, penalty: str) -> list[list]:
@@ -150,13 +162,14 @@ def _validate_approx(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesig
     sub_cfg = override_fields(cfg, b=VALIDATE_B, k=VALIDATE_SUBCARRIER_K)
     [(_, spectrum, breakdown, approx)] = validation_points(sub_cfg, [wide], plan.r_res)
     flat = [breakdown.fill_penalty, breakdown.leakage_penalty, wide.b_tune]
+    g_cf = f"g_{ALGORITHMS['center-frequency']}_sum"  # validation scores only the center-frequency beamformer
     return {
         "tuning_sweep.csv": (
-            ["b_tune", "g_cf_sum", "g_approx_sum", "fill_penalty", "rel_err"],
+            ["b_tune", g_cf, "g_approx_sum", "fill_penalty", "rel_err"],
             _sum_rows(swept[: len(tuning)], "b_tune", "fill_penalty"),
         ),
         "lambda_sweep.csv": (
-            ["lambda", "g_cf_sum", "g_approx_sum", "leakage_penalty", "rel_err"],
+            ["lambda", g_cf, "g_approx_sum", "leakage_penalty", "rel_err"],
             _sum_rows(swept[len(tuning) :], "lambda_frac", "leakage_penalty"),
         ),
         "per_subcarrier.csv": (
@@ -189,7 +202,7 @@ class _Sweep:
             spectra = _both_algorithms(point_cfg, point_design, plan.r_res)
             values = [getattr(spectra[alg], name) for name in self.reported for alg in ALGORITHMS]
             rows.append([getattr(point, self.field)] + values)
-        header = [self.column] + [f"{_SPECTRUM_COLUMN[n]}_{_ALG_SUFFIX[a]}" for n in self.reported for a in ALGORITHMS]
+        header = [self.column] + [c for name in self.reported for c in _per_algorithm(_SPECTRUM_COLUMN[name])]
         tables = {self.file: (header, rows)}
         if self.spectra:
             grid_freqs = cfg.subcarriers.frequencies
@@ -211,7 +224,7 @@ def _sweep_spacing(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign)
     for d in points:
         spectra = _both_algorithms(cfg, d, plan.r_res)
         rows.append([d.d_x, d.n_slot] + [spectra[alg].capacity for alg in ALGORITHMS])
-    return {"sweep_spacing.csv": (["d_x", "n_slot", "se_cf", "se_succ"], rows)}
+    return {"sweep_spacing.csv": (["d_x", "n_slot", *_per_algorithm("se")], rows)}
 
 
 def _max_rate(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign) -> _Tables:
@@ -222,7 +235,7 @@ def _max_rate(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign) -> _
     for d in designs:
         spectra = [_both_algorithms(point, d, plan.r_res) for point in points]
         rows.append([d.b_tune] + [max(s[alg].rate for s in spectra) for alg in ALGORITHMS])
-    return {"max_rate.csv": (["b_tune", "d_max_cf", "d_max_succ"], rows)}
+    return {"max_rate.csv": (["b_tune", *_per_algorithm("d_max")], rows)}
 
 
 def _multipath_mc(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign) -> _Tables:

@@ -78,7 +78,7 @@ def resonance_spectrum(
     return gain_spectrum(channels, weights, cfg, design)
 
 
-ALGORITHMS = ("center-frequency", "successive")  # the names run_beamformer accepts
+ALGORITHMS = {"center-frequency": "cf", "successive": "succ"}  # each name run_beamformer accepts: its CSV suffix
 
 
 def run_beamformer(

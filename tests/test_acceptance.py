@@ -7,6 +7,7 @@ experiment pipelines the CLI exposes.
 """
 
 import csv
+import io
 import math
 import time
 from pathlib import Path
@@ -30,7 +31,7 @@ from dmasim import (
     successive_beamformer,
     wavelength,
 )
-from dmasim.experiments import ExperimentPlan, run_plan
+from dmasim.experiments import ExperimentPlan, read_body, run_plan
 from oracles import fill_penalty_mc_stderr, leakage_penalty_exact
 
 
@@ -124,8 +125,8 @@ def test_criterion_06_gain_approximation_validation(tmp_path: Path):
     plan = ExperimentPlan(kind="validate-approx", out_dir=tmp_path, r_res=1001)  # tuning axis Gamma/4 .. 4*Gamma
     tables = {}
     for path in run_plan(plan, cfg, DmaDesign()):
-        lines = path.read_text().splitlines()[1:]  # after the timestamp comment
-        tables[path.name] = [{name: float(v) for name, v in row.items()} for row in csv.DictReader(lines)]
+        rows = csv.DictReader(io.StringIO(read_body(path)))
+        tables[path.name] = [{name: float(v) for name, v in row.items()} for row in rows]
 
     tuning_err = max(row["rel_err"] for row in tables["tuning_sweep.csv"])
     lambda_err = max(row["rel_err"] for row in tables["lambda_sweep.csv"])
@@ -259,9 +260,8 @@ def test_criterion_11_multipath_monte_carlo_gap(tmp_path: Path):
     )
     (csv_path,) = run_plan(plan, cfg, design)
     stats: dict[tuple[float, str], tuple[float, float]] = {}
-    for line in csv_path.read_text().splitlines()[2:]:
-        l_path, algorithm, mean_se, stderr_se, _ = line.split(",")
-        stats[(float(l_path), algorithm)] = (float(mean_se), float(stderr_se))
+    for row in csv.DictReader(io.StringIO(read_body(csv_path))):
+        stats[(float(row["l_path"]), row["algorithm"])] = (float(row["mean_se"]), float(row["stderr_se"]))
     gaps = [stats[(l, "successive")][0] - stats[(l, "center-frequency")][0] for l in (1.0, 2.0, 4.0)]
     succ4, cf4 = stats[(4.0, "successive")], stats[(4.0, "center-frequency")]
     ok = succ4[0] > cf4[0] and gaps[0] < gaps[1] < gaps[2]

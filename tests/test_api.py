@@ -12,7 +12,7 @@ import pytest
 
 import dmasim
 from dmasim.cli import build_parser, main
-from dmasim.experiments import KINDS
+from dmasim.experiments import KINDS, read_body
 from dmasim.params import _CONFIG_KEYS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -81,7 +81,7 @@ def test_exported_names_are_pinned():
 def test_readme_names_resolve():
     # every dotted dmasim reference in the README names something that exists
     names = set(re.findall(r"\bdmasim(?:\.[A-Za-z_]\w*)+", README.read_text(encoding="utf-8")))
-    assert "dmasim.save_config" in names
+    assert {"dmasim.save_config", "dmasim.metrics.ALGORITHMS", "dmasim.experiments.read_body"} <= names
     for name in sorted(names):
         pkgutil.resolve_name(name)
 
@@ -165,7 +165,7 @@ def _bodies(argv: list[str], out: Path) -> dict:
     """Run one CLI job; return {file name: CSV body without the timestamp line}."""
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([*argv, "--out", str(out)]) == 0, argv
-    return {path.name: path.read_bytes().split(b"\n", 1)[1] for path in sorted(out.glob("*.csv"))}
+    return {path.name: read_body(path) for path in sorted(out.glob("*.csv"))}
 
 
 @pytest.mark.parametrize("kind", KINDS)

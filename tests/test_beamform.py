@@ -91,10 +91,14 @@ class TestResonanceGrid:
         grid = resonance_grid(design, subcarrier_grid(cfg), np.float64(3.0))
         assert grid.values.shape == (3,)
 
-    @pytest.mark.parametrize("values", [[15.1e9, 14.9e9], [14.9e9, math.nan, 15.1e9], [14.9e9, math.inf], [math.nan]])
+    @pytest.mark.parametrize(
+        "values",
+        [[15.1e9, 14.9e9], [14.9e9, math.nan, 15.1e9], [14.9e9, math.inf], [math.nan], 15e9, np.full((2, 3), 15e9), [[15e9]]],
+    )
     def test_rejects_descending_or_non_finite(self, cfg, design, values):
-        # the center-frequency search places each element among ascending rows
-        with pytest.raises(ValueError, match="finite and ascending"):
+        # the center-frequency search places each element among ascending rows; unchecked, a 0-d or
+        # multi-dimensional list ended in an IndexError or a TypeError
+        with pytest.raises(ValueError, match="^resonance grid values must be a non-empty list, all finite and ascending$"):
             ResonanceGrid(values=np.array(values), design=design, subcarriers=subcarrier_grid(cfg))
 
     def test_compares_by_identity(self, cfg, design):

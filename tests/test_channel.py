@@ -192,6 +192,12 @@ class TestEffectiveChannel:
         with pytest.raises(ValueError, match="^channel must hold one row per subcarrier$"):
             ChannelSet(h=np.ones((1, 4), complex), grid=subcarrier_grid(ScenarioConfig(k=8)))
 
+    @pytest.mark.parametrize("shape", [(8,), (8, 4, 1)])
+    def test_rejects_h_of_other_than_two_dimensions(self, shape):
+        # unchecked, either shape ended in an IndexError inside a solve
+        with pytest.raises(ValueError, match=r"^channel must be shaped \(k, n_slot\)$"):
+            ChannelSet(h=np.ones(shape, complex), grid=subcarrier_grid(ScenarioConfig(k=8)))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)], ids=["h-nan", "h-inf", "h--infj"])
     def test_rejects_non_finite(self, bad):
         # unchecked, one NaN in h gave every algorithm a capacity of nan

@@ -1,4 +1,5 @@
 import csv
+import io
 import itertools
 import math
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 from dmasim import DmaDesign, ScenarioConfig, resonance_grid
 from dmasim.cli import _configs_from_args, build_parser, main
-from dmasim.experiments import ExperimentPlan, run_plan, spectrum_rows
+from dmasim.experiments import SPECTRUM_HEADER, ExperimentPlan, _write_csv, read_body, run_plan, spectrum_rows
 from dmasim.metrics import run_beamformer
 from dmasim.channel import effective_channel
 from dmasim.params import _CONFIG_KEYS, save_config
@@ -24,13 +25,16 @@ def small_design():
     return DmaDesign(n_slot=8)
 
 
+def table(path) -> list[dict]:
+    """A written CSV's rows, each {column: cell}."""
+    return list(csv.DictReader(io.StringIO(read_body(path))))
+
+
 def parse_spectrum_csv(path) -> tuple[list[dict], dict]:
     """Read a spectrum CSV back: (per-subcarrier dicts, summary dict)."""
     per_k: list[dict] = []
     summary: dict = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line for line in handle if not line.startswith("#")]
-    for row in csv.DictReader(lines):
+    for row in table(path):
         if row["k"] == "summary":
             summary = {
                 "scenario_id": row["scenario_id"],
@@ -42,12 +46,6 @@ def parse_spectrum_csv(path) -> tuple[list[dict], dict]:
         else:
             per_k.append({**row, "k": int(row["k"]), **{c: float(row[c]) for c in ("f_k", "gain", "rho", "se_k")}})
     return per_k, summary
-
-
-def body(path):
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# generated ")
-    return "\n".join(lines[1:])
 
 
 class TestPlanValidation:
@@ -140,7 +138,7 @@ class TestDeterminism:
         ]
         first = run_plan(plans[0], small_cfg, small_design)
         second = run_plan(plans[1], small_cfg, small_design)
-        assert body(first[0]) == body(second[0])
+        assert read_body(first[0]) == read_body(second[0])
 
     def test_multipath_seeded_rerun(self, tmp_path, small_cfg, small_design):
         out = []
@@ -148,7 +146,7 @@ class TestDeterminism:
             plan = ExperimentPlan(
                 kind="multipath-mc", out_dir=tmp_path / sub, axis=(1.0, 2.0), trials=3, seed=9, r_res=51
             )
-            out.append(body(run_plan(plan, small_cfg, small_design)[0]))
+            out.append(read_body(run_plan(plan, small_cfg, small_design)[0]))
         assert out[0] == out[1]
 
 
@@ -158,13 +156,7 @@ class TestSpectrumSchema:
         grid = resonance_grid(small_design, channels.grid)
         _, spectrum = run_beamformer("center-frequency", channels, small_cfg, grid)
         rows = spectrum_rows("s1", "center-frequency", channels.grid.frequencies, spectrum)
-        path = tmp_path / "spectrum.csv"
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("# generated test\n")
-            handle.write("scenario_id,algorithm,k,f_k,gain,rho,se_k\n")
-            for row in rows:
-                handle.write(",".join(str(v) for v in row) + "\n")
-        per_k, summary = parse_spectrum_csv(path)
+        per_k, summary = parse_spectrum_csv(_write_csv(tmp_path / "spectrum.csv", SPECTRUM_HEADER, rows))
         assert len(per_k) == small_cfg.k
         assert per_k[3]["gain"] == spectrum.gain[3]
         assert summary["g_sum"] == spectrum.g_sum
@@ -190,7 +182,7 @@ class TestValidateApprox:
         names = sorted(p.name for p in written)
         assert names == ["lambda_sweep.csv", "per_subcarrier.csv", "tuning_sweep.csv"]
         for path in written:
-            assert path.exists() and len(path.read_text().splitlines()) > 2
+            assert table(path)  # at least one row
 
     def test_sweeps_reuse_the_channel_of_every_design(self, monkeypatch, tmp_path, cfg, design):
         # both 50 MHz sweeps solve on one scenario and one channel object: b_tune and lambda_frac, the fields they
@@ -222,32 +214,26 @@ class TestSweepKinds:
         ],
     )
     def test_sweeps_write_one_row_per_point(self, tmp_path, small_cfg, small_design, kind, name):
-        axes = {
-            "sweep-tuning": (5e8, 1e9),
-            "sweep-lambda": (0.3, 0.6),
-            "sweep-damping": (50.0, 100.0),
-        }
+        axes = {"sweep-tuning": (5e8, 1e9), "sweep-lambda": (0.3, 0.6), "sweep-damping": (50.0, 100.0)}
         plan = ExperimentPlan(kind=kind, out_dir=tmp_path, axis=axes[kind], r_res=51)
         written = run_plan(plan, small_cfg, small_design)
-        lines = body(written[0]).splitlines()
         assert written[0].name == name
-        assert len(lines) == 1 + 2
+        assert len(table(written[0])) == 2
 
     def test_spacing_sweep_keeps_aperture(self, tmp_path, small_cfg):
         design = DmaDesign(n_slot=32, d_x=0.005)  # aperture 0.16 m
         lam = 0.02
         plan = ExperimentPlan(kind="sweep-spacing", out_dir=tmp_path, axis=(lam / 4, lam / 2), r_res=51)
         written = run_plan(plan, small_cfg, design)
-        rows = [line.split(",") for line in body(written[0]).splitlines()[1:]]
-        assert [int(r[1]) for r in rows] == [32, 16]
+        assert [int(r["n_slot"]) for r in table(written[0])] == [32, 16]
 
     def test_max_rate_rows(self, tmp_path, small_cfg, small_design):
         plan = ExperimentPlan(kind="max-rate", out_dir=tmp_path, axis=(5e8, 1e9), r_res=51)
         written = run_plan(plan, small_cfg, small_design)
-        rows = [line.split(",") for line in body(written[0]).splitlines()[1:]]
+        rows = table(written[0])
         assert len(rows) == 2
         for r in rows:
-            assert float(r[2]) >= float(r[1]) * 0.99  # successive at least matches
+            assert float(r["d_max_succ"]) >= float(r["d_max_cf"]) * 0.99  # successive at least matches
 
 
 class TestMaxRate:
@@ -256,8 +242,7 @@ class TestMaxRate:
         """(d_max_cf, d_max_succ) per tuning bandwidth 0.5, 1 and 2 x Gamma."""
         axis = tuple(design.gamma * scale for scale in (0.5, 1.0, 2.0))
         written = run_plan(ExperimentPlan(kind="max-rate", out_dir=tmp_path, axis=axis, r_res=201), cfg, design)
-        rows = [line.split(",") for line in body(written[0]).splitlines()[1:]]
-        return [(float(r[1]), float(r[2])) for r in rows]
+        return [(float(r["d_max_cf"]), float(r["d_max_succ"])) for r in table(written[0])]
 
     def test_successive_max_rate_non_decreasing_in_tuning(self, tmp_path, cfg, design):
         succ = [s for _, s in self.rates(tmp_path, cfg, design)]
@@ -272,23 +257,23 @@ class TestMultipathMc:
     def test_aggregates_mean_and_stderr(self, tmp_path, small_cfg, small_design):
         plan = ExperimentPlan(kind="multipath-mc", out_dir=tmp_path, axis=(1.0, 4.0), trials=4, seed=5, r_res=51)
         written = run_plan(plan, small_cfg, small_design)
-        rows = [line.split(",") for line in body(written[0]).splitlines()[1:]]
+        rows = table(written[0])
         assert len(rows) == 4  # two path counts x two algorithms
         for r in rows:
-            assert int(r[4]) == 4
-            assert float(r[3]) >= 0.0
+            assert int(r["trials"]) == 4
+            assert float(r["stderr_se"]) >= 0.0
 
     def test_pinned_single_path_matches_los_pipeline(self, tmp_path, small_cfg, small_design):
         plan = ExperimentPlan(
             kind="multipath-mc", out_dir=tmp_path, axis=(1.0,), trials=2, seed=1, r_res=101, pin_los=True
         )
         written = run_plan(plan, small_cfg, small_design)
-        rows = [line.split(",") for line in body(written[0]).splitlines()[1:]]
         channels = effective_channel(small_cfg, small_design)
-        for row in rows:
-            _, spectrum = run_beamformer(row[1], channels, small_cfg, resonance_grid(small_design, channels.grid, 101))
-            assert float(row[2]) == pytest.approx(spectrum.capacity, rel=1e-12)
-            assert float(row[3]) == pytest.approx(0.0, abs=1e-12)  # deterministic trials
+        grid = resonance_grid(small_design, channels.grid, 101)
+        for row in table(written[0]):
+            _, spectrum = run_beamformer(row["algorithm"], channels, small_cfg, grid)
+            assert float(row["mean_se"]) == pytest.approx(spectrum.capacity, rel=1e-12)
+            assert float(row["stderr_se"]) == pytest.approx(0.0, abs=1e-12)  # deterministic trials
 
 
 class TestCli:
@@ -319,45 +304,16 @@ class TestCli:
         assert written and all(p.exists() for p in written)
 
     def test_sweep_angle_happy_path(self, tmp_path, capsys):
-        code = main(
-            [
-                "sweep-angle",
-                "--out",
-                str(tmp_path),
-                "--axis=-0.3,0.3",
-                "--k",
-                "8",
-                "--n-slot",
-                "8",
-                "--r-res",
-                "51",
-            ]
-        )
-        assert code == 0
+        assert main(["sweep-angle", "--out", str(tmp_path), "--axis=-0.3,0.3", "--k", "8", "--n-slot", "8", "--r-res", "51"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert out == [str(tmp_path / "sweep_angle.csv")]
 
     def test_config_file_with_override(self, tmp_path, capsys):
         cfg_path = tmp_path / "scenario.cfg"
         save_config(cfg_path, ScenarioConfig(b=2e8, k=8), DmaDesign(n_slot=8, lambda_frac=0.5))
-        code = main(
-            [
-                "sweep-lambda",
-                "--config",
-                str(cfg_path),
-                "--out",
-                str(tmp_path),
-                "--axis",
-                "0.2,0.4",
-                "--r-res",
-                "51",
-                "--q",
-                "70",
-            ]
-        )
-        assert code == 0
-        text = (tmp_path / "sweep_lambda.csv").read_text()
-        assert "0.2" in text and "0.4" in text
+        argv = ["sweep-lambda", "--config", str(cfg_path), "--axis", "0.2,0.4", "--r-res", "51", "--q", "70"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        assert [float(r["lambda"]) for r in table(tmp_path / "sweep_lambda.csv")] == [0.2, 0.4]
         # the sweep sets its own Lambda, so the file's Lambda changes nothing and a note says so
         assert capsys.readouterr().err == "dmasim: note: sweep-lambda ignores the config keys Lambda\n"
 
@@ -444,7 +400,7 @@ class TestCli:
                 code = repr(exc)
             err = capsys.readouterr().err.splitlines()
             if code == 0:
-                cells = [cell for path in out.glob("*.csv") for row in csv.reader(path.read_text().splitlines()[2:]) for cell in row]
+                cells = [cell for path in out.glob("*.csv") for row in table(path) for cell in row.values()]
                 ended = bool(cells) and not [cell for cell in cells if cell.lstrip("+-").lower() in ("nan", "inf")]
             elif code == 1:
                 err = err[1:] if err and err[0].startswith("dmasim: note:") else err
@@ -520,7 +476,7 @@ class TestCli:
         for i, flags in enumerate([[], ["--config", str(kb_cfg)]]):
             out = tmp_path / str(i)
             assert main(["validate-approx", "--out", str(out), "--n-slot", "8", "--r-res", "51", *flags]) == 0
-            bodies.append({p.name: body(p) for p in sorted(out.glob("*.csv"))})
+            bodies.append({p.name: read_body(p) for p in sorted(out.glob("*.csv"))})
             notes.append(capsys.readouterr().err.splitlines())
         assert len(bodies[0]) == 3 and bodies[1] == bodies[0]
         assert notes == [[], ["dmasim: note: validate-approx ignores the config keys B, K"]]

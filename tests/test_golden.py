@@ -1,10 +1,11 @@
 """Golden CSV bodies: every experiment kind, run through the CLI at a small size.
 
-Each case pins the sha256 of every CSV body it writes (the `# generated`
-timestamp line is excluded). A refactor that keeps behaviour keeps every body
-byte for byte; re-record a hash only for an intended change of output. The
-hashes were recorded with Python 3.11 and numpy 2.4 on x86-64; the last bits
-of a float may differ on another numpy or CPU.
+Each case pins the sha256 of every CSV body it writes, as read_body returns
+it: the file after its `# generated` timestamp line, row ends included. A
+refactor that keeps behaviour keeps every body byte for byte; re-record a
+hash only for an intended change of output. The hashes were recorded with
+Python 3.11 and numpy 2.4 on x86-64; the last bits of a float may differ on
+another numpy or CPU.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from dmasim.cli import main
+from dmasim.experiments import read_body
 
 SMALL = ["--k", "8", "--n-slot", "8", "--r-res", "51"]
 MONTE_CARLO = ["--trials", "3", "--seed", "5"]  # multipath-mc takes these; the other kinds reject them
@@ -48,12 +50,7 @@ def _run(argv, out: Path) -> dict:
     """Run one CLI job; return {file name: sha256 of its body}."""
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([*argv, "--out", str(out)]) == 0
-    digests = {}
-    for path in sorted(out.glob("*.csv")):
-        header, body = path.read_bytes().split(b"\n", 1)
-        assert header.startswith(b"# generated ")
-        digests[path.name] = hashlib.sha256(body).hexdigest()
-    return digests
+    return {path.name: hashlib.sha256(read_body(path).encode()).hexdigest() for path in sorted(out.glob("*.csv"))}
 
 
 GOLDEN = {
@@ -128,3 +125,22 @@ GOLDEN = {
 @pytest.mark.parametrize("case_id", sorted(CASES))
 def test_csv_bodies_match_golden(tmp_path, case_id):
     assert _run(CASES[case_id], tmp_path) == GOLDEN[case_id]
+
+
+def test_read_body_is_the_file_after_its_timestamp_line(tmp_path):
+    # the golden hashes cover these bytes, so read_body may translate no row end
+    path = tmp_path / "max_rate.csv"
+    _run(CASES["max-rate-axis"], tmp_path)
+    data, body = path.read_bytes(), read_body(path)
+    stamp = data[: data.index(b"\n") + 1]
+    assert stamp.startswith(b"# generated ") and stamp + body.encode() == data
+    assert body.count("\r\n") == body.count("\n") == 3  # the header and two rows
+    assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN["max-rate-axis"]["max_rate.csv"]
+
+
+@pytest.mark.parametrize("data", [b"", b"b_tune,d_max_cf\r\n1.0,2.0\r\n", b"# note\nb_tune\r\n1.0\r\n"])
+def test_read_body_rejects_a_file_without_its_timestamp_line(tmp_path, data):
+    path = tmp_path / "table.csv"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match="does not start with a '# generated' line$"):
+        read_body(path)
