@@ -9,8 +9,9 @@ The successive beamformer scores only the rows that two exact bounds from the
 objective's tangent plane at each interval's anchor leave, the first taken
 over the chord between the interval's end rows, so it picks exactly what the
 exhaustive scan picks, with an O(n_slot * r_res * k) worst case. Its weight
-table, interval ends and reach are computed from the grid's own fields on its
-first successive solve and kept on the grid for every later one.
+table, interval ends and reach, and the center-frequency beamformer's row of
+achievable weights, are computed from the grid's own fields on first use and
+kept on the grid for every later solve.
 """
 
 from __future__ import annotations
@@ -80,6 +81,16 @@ class ResonanceGrid:
             table.flags.writeable = False
         return weights, ends, reach
 
+    @cached_property
+    def center_row(self) -> np.ndarray:
+        """Each row's achievable weight at the center subcarrier: the center-frequency beamformer's table.
+
+        Computed on first use and read-only, like successive_table: every later solve reads it.
+        """
+        row = normalized_polarizability(self.subcarriers.f_center, self.values, self.design)
+        row.flags.writeable = False
+        return row
+
 
 def resonance_grid(design: DmaDesign, subcarriers: SubcarrierGrid, r_res: int = DEFAULT_R_RES) -> ResonanceGrid:
     """Discretize the design's tuning range into r_res points; a single point sits at the center."""
@@ -90,6 +101,14 @@ def resonance_grid(design: DmaDesign, subcarriers: SubcarrierGrid, r_res: int = 
     else:
         values = np.linspace(f_r_min, f_r_max, r_res)
     return ResonanceGrid(values=values, design=design, subcarriers=subcarriers)
+
+
+def _check_grid(channels: ChannelSet, grid: ResonanceGrid) -> None:
+    """Reject a channel whose element count or subcarriers are not the grid's."""
+    if channels.n_slot != grid.design.n_slot:
+        raise ValueError("channel element count differs from the resonance grid design's")
+    if channels.grid is not grid.subcarriers and not np.array_equal(channels.grid.frequencies, grid.subcarriers.frequencies):
+        raise ValueError("channel subcarriers differ from the resonance grid's")
 
 
 def _nearest_rows(targets: np.ndarray, achievable: np.ndarray, rows: np.ndarray) -> tuple:
@@ -118,15 +137,14 @@ def center_frequency_beamformer(channels: ChannelSet, grid: ResonanceGrid) -> Re
     rounding, the window holds a local, hence the global, minimum and every
     row that ties it. Otherwise the element is scored on every row, so the
     inverse need only be close; on grids of 4 rows or fewer the window holds
-    every row already.
+    every row already. The channel must have the grid's subcarriers and its
+    design's element count; the achievable weights are the grid's center_row.
     """
-    if channels.n_slot != grid.design.n_slot:
-        raise ValueError("channel element count differs from the resonance grid design's")
-    f_c = channels.grid.f_center
+    _check_grid(channels, grid)
     zeta = np.angle(np.conj(channels.h[channels.grid.center_index]))  # (n_slot,)
     targets = lorentzian_weight(zeta)
-    achievable = normalized_polarizability(f_c, grid.values, grid.design)  # (r_res,)
-    pos = np.searchsorted(grid.values, _resonance_at_angle(f_c, zeta, grid.design))
+    achievable = grid.center_row  # (r_res,)
+    pos = np.searchsorted(grid.values, _resonance_at_angle(channels.grid.f_center, zeta, grid.design))
     idx, dist, least = _nearest_rows(targets, achievable, (pos[:, None] + np.arange(-2, 2)) % grid.r_res)
     full = np.flatnonzero(~(np.minimum(dist[:, 0], dist[:, -1]) > least + TIE_MARGIN))
     if full.size:
@@ -134,20 +152,18 @@ def center_frequency_beamformer(channels: ChannelSet, grid: ResonanceGrid) -> Re
     return ResonanceConfiguration(f_r=grid.values[idx])
 
 
-def _score(amp: np.ndarray, snr: np.ndarray) -> np.ndarray:
-    """Successive objective mean_k log2(1 + snr_k * amp_k^2) of each row of amp, summed as np.mean sums."""
-    return np.add.reduce(np.log2(1.0 + snr[None, :] * amp**2), axis=1) / snr.size
-
-
-def _circle_arg(w: np.ndarray, a: np.ndarray, running: np.ndarray, snr: np.ndarray) -> tuple:
+def _circle_arg(
+    w: np.ndarray, a: np.ndarray, running: np.ndarray, snr: np.ndarray, mag_a: np.ndarray, mag_running: np.ndarray
+) -> tuple:
     """u and the log's argument 1 + snr_k |w_k a_k + running_k|^2 at weights w, by the circle identity.
 
-    On the circle |w|^2 = -Im w, so |w a_k + running_k|^2 = |running_k|^2 + Re(w conj(u_k))
-    with u_k = 2 running_k conj(a_k) - j |a_k|^2, affine in (Re w, Im w); this
+    mag_a and mag_running are |a| and |running|. On the circle |w|^2 = -Im w, so
+    |w a_k + running_k|^2 = |running_k|^2 + Re(w conj(u_k)) with
+    u_k = 2 running_k conj(a_k) - j |a_k|^2, affine in (Re w, Im w); this
     form rounds within ~1e-15 (1 + snr_k (|a_k| + |running_k|)^2) of the direct one.
     """
-    u = 2.0 * running * np.conj(a) - 1j * np.abs(a) ** 2
-    return u, (1.0 + snr * np.abs(running) ** 2) + (w * np.conj(snr * u)).real
+    u = 2.0 * running * np.conj(a) - 1j * mag_a**2
+    return u, (1.0 + snr * mag_running**2) + (w * np.conj(snr * u)).real
 
 
 def _interval_planes(a: np.ndarray, running: np.ndarray, snr: np.ndarray, ends: np.ndarray, reach: np.ndarray) -> tuple:
@@ -163,13 +179,14 @@ def _interval_planes(a: np.ndarray, running: np.ndarray, snr: np.ndarray, ends: 
     interval i it is at most bound[i], its larger value at the end rows plus
     sum_k slope_ik reach_ik |u_k|: each row lies within reach_ik of their chord.
     """
-    u, arg = _circle_arg(ends[:, 1], a, running, snr)
+    mag_a, mag_running = np.abs(a), np.abs(running)
+    u, arg = _circle_arg(ends[:, 1], a, running, snr, mag_a, mag_running)
     anchor_score = np.add.reduce(np.log2(arg), axis=1) / snr.size  # np.mean's sum, without its wrappers
     floor = anchor_score.max()  # a real row's objective to rounding, so the grid maximum is at least this
     slope = snr / (arg * (math.log(2.0) * snr.size))
     v = (slope * u).view(np.float64)  # (intervals, 2k): each plane's (Re, Im) gradient pairs
     plane = (ends.view(np.float64) @ v[:, :, None])[:, :, 0]  # at each interval's first, anchor and last rows
-    scale = slope @ (np.abs(a) + np.abs(running)) ** 2
+    scale = slope @ (mag_a + mag_running) ** 2
     cut = floor - PRUNE_RTOL * (1.0 + abs(floor) + scale) - anchor_score + plane[:, 1]
     return v, cut, np.maximum(plane[:, 0], plane[:, 2]) + (slope * reach) @ np.abs(u)
 
@@ -202,29 +219,25 @@ def successive_beamformer(channels: ChannelSet, snr, grid: ResonanceGrid) -> Res
     they can tie it but never precede it.
     """
     snr = np.asarray(snr, dtype=float)
-    freq = channels.grid.frequencies
-    if channels.n_slot != grid.design.n_slot:
-        raise ValueError("channel element count differs from the resonance grid design's")
-    if not np.array_equal(freq, grid.subcarriers.frequencies):
-        raise ValueError("channel subcarriers differ from the resonance grid's")
-    if snr.shape != freq.shape:
+    _check_grid(channels, grid)
+    if snr.shape != (channels.k,):
         raise ValueError("snr list must have one entry per subcarrier")
     if not np.all(np.isfinite(snr) & (snr >= 0.0)):
         raise ValueError("snr list must be finite and non-negative")
     weights, ends, reach = grid.successive_table
     blocks = weights.view(np.float64).reshape(reach.shape[0], PRUNE_STEP, -1)  # interleaved (Re, Im) rows, no copy
-    taper = leakage_vector(grid.design)
-    running = np.zeros(freq.size, dtype=complex)
+    taps = (channels.h * leakage_vector(grid.design)).T.copy()  # row n: element n's taper * channel, contiguous
+    running = np.zeros(channels.k, dtype=complex)
     chosen = np.empty(grid.design.n_slot)
-    for n in range(grid.design.n_slot):
-        a = taper[n] * channels.h[:, n]
+    for n, a in enumerate(taps):
         v, cut, bound = _interval_planes(a, running, snr, ends, reach)
-        live = np.flatnonzero(~(bound < cut))
+        live = (~(bound < cut)).nonzero()[0]
         lo, hi = live[0], live[-1] + 1
         plane = (blocks[lo:hi] @ v[lo:hi, :, None])[:, :, 0]
-        rows = np.flatnonzero(~(plane < cut[lo:hi, None])) + lo * PRUNE_STEP  # ascending
-        contrib = weights[rows] * a
-        best = int(np.argmax(_score(np.abs(contrib + running), snr)))  # first maximum = lowest row
+        rows = (~(plane < cut[lo:hi, None])).ravel().nonzero()[0] + lo * PRUNE_STEP  # ascending
+        total = weights.take(rows, axis=0) * a + running  # each survivor's contribution plus the running sum
+        # the exhaustive scan's objective, mean_k log2(1 + snr_k |.|^2) summed as np.mean sums; first maximum = lowest row
+        best = int((np.add.reduce(np.log2(1.0 + snr * np.abs(total) ** 2), axis=1) / snr.size).argmax())
         chosen[n] = grid.values[rows[best]]
-        running = running + contrib[best]
+        running = total[best]  # the exhaustive scan's running + contribution: addition commutes exactly
     return ResonanceConfiguration(f_r=chosen)

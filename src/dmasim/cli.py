@@ -66,8 +66,8 @@ def main(argv=None) -> int:
         given = {name: getattr(args, name) for name in _PLAN_FLAGS if getattr(args, name, None) is not None}
         plan = ExperimentPlan(kind=args.kind, out_dir=args.out, axis=axis, **given)
         written = run_plan(plan, cfg, design)
-    except (ValueError, OSError) as exc:
-        print(f"dmasim: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: a size past what the host can allocate
+        print(f"dmasim: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     for path in written:
         print(path)

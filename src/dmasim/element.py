@@ -29,6 +29,8 @@ class ResonanceConfiguration:
 
     def __post_init__(self):
         _freeze(self, "f_r")
+        if self.f_r.ndim != 1:  # dma_weight_matrix lays f_r along the element axis of its (k, n_slot) table
+            raise ValueError("resonance configuration f_r must be a list of resonant frequencies, one per element")
 
 
 def _detuning(f, f_r, design: DmaDesign, out=None):

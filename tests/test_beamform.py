@@ -27,6 +27,7 @@ from dmasim import (
     successive_beamformer,
     tuning_range,
 )
+from dmasim import beamform
 from dmasim.beamform import ANCHOR_ROW, PRUNE_RTOL, PRUNE_STEP, _circle_arg, _interval_planes
 from dmasim.element import _resonance_at_angle
 from dmasim.experiments import _gamma_axis
@@ -100,6 +101,26 @@ class TestResonanceGrid:
         # multi-dimensional list ended in an IndexError or a TypeError
         with pytest.raises(ValueError, match="^resonance grid values must be a non-empty list, all finite and ascending$"):
             ResonanceGrid(values=np.array(values), design=design, subcarriers=subcarrier_grid(cfg))
+
+    def test_center_row_is_built_once_and_read_only(self, cfg, design, monkeypatch):
+        # every center-frequency solve on a grid reads the one row of achievable weights the grid keeps
+        channels = effective_channel(cfg, design)
+        grid = resonance_grid(design, channels.grid, 1001)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return normalized_polarizability(*args)
+
+        monkeypatch.setattr(beamform, "normalized_polarizability", counted)
+        picks = [center_frequency_beamformer(channels, grid).f_r for _ in range(3)]
+        assert len(calls) == 1 and all(np.array_equal(f_r, picks[0]) for f_r in picks)
+        row = grid.center_row
+        expected = normalized_polarizability(channels.grid.f_center, grid.values, design)
+        assert row.dtype == expected.dtype and row.tobytes() == expected.tobytes()  # bit for bit
+        with pytest.raises(ValueError, match="read-only"):
+            row[:] = 0
+        assert len(calls) == 1
 
     def test_compares_by_identity(self, cfg, design):
         # the value array has no truth value, so grids compare by identity and stay hashable
@@ -508,7 +529,8 @@ class TestSuccessiveBeamformer:
         snr, _, weights, a, running = _scan_state(design, l_path, element, 10.0**snr_exp)
         direct = 1.0 + snr * np.abs(weights * a + running) ** 2
         size = 1.0 + snr * (np.abs(a) + np.abs(running)) ** 2
-        assert np.all(np.abs(_circle_arg(weights, a, running, snr)[1] - direct) <= 1e-12 * size)
+        arg = _circle_arg(weights, a, running, snr, np.abs(a), np.abs(running))[1]
+        assert np.all(np.abs(arg - direct) <= 1e-12 * size)
 
     @pytest.mark.exactness
     def test_split_live_intervals(self):
@@ -577,12 +599,18 @@ class TestSuccessiveBeamformer:
             tracemalloc.stop()
         assert peak <= 1.25 * weights.nbytes
 
-    def test_rejects_grid_of_other_subcarriers(self, design):
-        # a grid's table serves its own subcarriers only: equal k at another bandwidth is refused
+    @pytest.mark.parametrize("algorithm", ["center-frequency", "successive"])
+    def test_rejects_grid_of_other_subcarriers(self, design, algorithm):
+        # a grid's tables serve its own subcarriers only: equal k at another bandwidth is refused by both algorithms,
+        # the center-frequency one although its center subcarrier is the same
         grid = resonance_grid(design, subcarrier_grid(ScenarioConfig(k=8, b=5e8)), 51)
         cfg = ScenarioConfig(k=8, b=2e9)
-        with pytest.raises(ValueError, match="subcarriers"):
-            successive_beamformer(effective_channel(cfg, design), snr_profile(cfg), grid)
+        channels = effective_channel(cfg, design)
+        with pytest.raises(ValueError, match="^channel subcarriers differ from the resonance grid's$"):
+            if algorithm == "center-frequency":
+                center_frequency_beamformer(channels, grid)
+            else:
+                successive_beamformer(channels, snr_profile(cfg), grid)
 
     @pytest.mark.parametrize("r_res", [5, 201])  # 5: shorter than one interval of any bound level
     def test_silent_element_takes_lowest_resonance(self, cfg, design, rng, r_res):

@@ -51,11 +51,12 @@ def test_traced_calls_match_job_inputs(workload, tmp_path, capsys):
 
 
 def test_multipath_job_builds_one_scan_table(tmp_path, capsys):
-    # per trial: the center-frequency row and two scored weight matrices; per job: one successive
-    # weight table and one subcarrier grid, which the scenario keeps for every channel and SNR profile
+    # per trial: two scored weight matrices; per job: one grid, which keeps its successive weight table and its
+    # center-frequency row for every trial, and one subcarrier grid, which the scenario keeps for every channel and
+    # SNR profile
     job, calls = traced_calls("mc-multipath", tmp_path, capsys)
     trials = job.succ_calls
-    assert calls["element.normalized_polarizability"] == 3 * trials + 1
+    assert calls["element.normalized_polarizability"] == 2 * trials + 2
     assert calls["params.subcarrier_grid"] == 1
 
 

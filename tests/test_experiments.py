@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dmasim import DmaDesign, ScenarioConfig, resonance_grid
+from dmasim import DmaDesign, ScenarioConfig, experiments, resonance_grid
 from dmasim.cli import _configs_from_args, build_parser, main
 from dmasim.experiments import SPECTRUM_HEADER, ExperimentPlan, _write_csv, read_body, run_plan, spectrum_rows
 from dmasim.metrics import run_beamformer
@@ -362,6 +362,26 @@ class TestCli:
         assert main(args) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("dmasim: error:")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "message,line",
+        [
+            ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)", "Unable to allocate 7.28 TiB"),
+            ("", "MemoryError"),
+        ],
+    )
+    def test_memory_error_writes_nothing(self, tmp_path, capsys, monkeypatch, message, line):
+        # a size past what the host can allocate, such as --k 1e12, ends in numpy's MemoryError; raised here by a
+        # stand-in layer, since a real allocation that large could start filling a host that overcommits memory
+        def unallocatable(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(experiments, "resonance_grid", unallocatable)
+        argv = ["sweep-tuning", "--axis", "1e9", "--k", "8", "--n-slot", "8", "--r-res", "51"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"dmasim: error: {line}")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import pytest
 
 from dmasim import (
     DmaDesign,
+    ResonanceConfiguration,
     ScenarioConfig,
     SubcarrierGrid,
     center_frequency_beamformer,
@@ -122,6 +123,15 @@ class TestBeamformingGain:
         channels = effective_channel(cfg, design)
         with pytest.raises(ValueError):
             gain_profile(channels, np.ones((2, design.n_slot)), design)
+
+    @pytest.mark.parametrize("f_r", [15e9, np.full((4, 1), 15e9)], ids=["scalar", "column"])
+    def test_resonance_configuration_must_be_a_list(self, f_r):
+        # a 0-d f_r ended in an IndexError and a (n_slot, 1) one in numpy's broadcast error
+        cfg, design = ScenarioConfig(k=8), DmaDesign(n_slot=4)
+        channels = effective_channel(cfg, design)
+        message = "^resonance configuration f_r must be a list of resonant frequencies, one per element$"
+        with pytest.raises(ValueError, match=message):
+            resonance_spectrum(channels, ResonanceConfiguration(f_r=f_r), cfg, design)
 
 
 class TestSpectralEfficiency:
