@@ -20,13 +20,13 @@ from .params import (
 
 @dataclass(frozen=True, eq=False)  # compared by identity: array fields have no truth value
 class ChannelSet:
-    """Effective channel h and the subcarrier grid; the leakage taper is the design's (leakage_vector).
+    """Effective channel h and the scenario it was built for; the leakage taper is the design's (leakage_vector).
 
     For the line-of-sight model every h entry has unit modulus.
     """
 
     h: np.ndarray  # (k, n_slot) complex
-    grid: SubcarrierGrid
+    cfg: ScenarioConfig  # its subcarriers are h's rows, its link budget the channel's SNR
     # not fields: only benchmark/run.py's patch tracer reads them, and they go with that tracer (ROADMAP item 12)
     h_att = None
     phases = None
@@ -35,10 +35,14 @@ class ChannelSet:
         _freeze(self, "h", dtype=None)  # h is complex
         if self.h.ndim != 2:
             raise ValueError("channel must be shaped (k, n_slot)")
-        if self.h.shape[0] != self.grid.k:
+        if self.h.shape[0] != self.cfg.k:
             raise ValueError("channel must hold one row per subcarrier")
         if not np.isfinite(self.h).all():
             raise ValueError("channel must be finite")
+
+    @property
+    def grid(self) -> SubcarrierGrid:
+        return self.cfg.subcarriers
 
     @property
     def n_slot(self) -> int:
@@ -133,4 +137,4 @@ def _ray_channel(gains, angles, delays, cfg: ScenarioConfig, design: DmaDesign) 
             wireless = array_response(phi, freq, design)
             rays += g * wireless * np.exp(-2j * math.pi * freq * tau)[:, None]
         guide = waveguide_phase_vector(freq, design)
-        return ChannelSet(h=rays * guide, grid=grid)
+        return ChannelSet(h=rays * guide, cfg=cfg)

@@ -9,7 +9,10 @@ from the plan seed, so ordering never depends on execution details.
 from __future__ import annotations
 
 import csv
+import errno
+import itertools
 import math
+import os
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -101,7 +104,7 @@ def spectrum_rows(scenario_id: str, algorithm: str, frequencies, spectrum: GainS
 def _both_algorithms(cfg: ScenarioConfig, design: DmaDesign, r_res: int) -> dict[str, GainSpectrum]:
     channels = effective_channel(cfg, design)
     grid = resonance_grid(design, channels.grid, r_res)
-    return {alg: run_beamformer(alg, channels, cfg, grid)[1] for alg in ALGORITHMS}
+    return {alg: run_beamformer(alg, channels, grid)[1] for alg in ALGORITHMS}
 
 
 def _overrides(obj, field: str, axis) -> list:
@@ -126,7 +129,7 @@ def validation_points(cfg: ScenarioConfig, designs: list, r_res: int) -> list[tu
     channels = effective_channel(cfg, designs[0])
     points = []
     for d in designs:
-        _, spectrum = run_beamformer("center-frequency", channels, cfg, resonance_grid(d, channels.grid, r_res))
+        _, spectrum = run_beamformer("center-frequency", channels, resonance_grid(d, channels.grid, r_res))
         breakdown = gain_breakdown(cfg, d)
         points.append((d, spectrum, breakdown, power_normalized_gain(breakdown, d)))
     return points
@@ -250,7 +253,7 @@ def _multipath_mc(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign) 
             spec = MultipathSpec(l_path=l_path, seed=child, pin_first_to_los=plan.pin_los)
             channels = multipath_channel(spec, cfg, design)
             for alg in ALGORITHMS:
-                _, spectrum = run_beamformer(alg, channels, cfg, grid)
+                _, spectrum = run_beamformer(alg, channels, grid)
                 per_alg[alg].append(spectrum.capacity)
         for alg in ALGORITHMS:
             values = np.asarray(per_alg[alg])
@@ -293,8 +296,27 @@ IGNORED = {kind: _MONTE_CARLO for kind in KINDS} | {
 def run_plan(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign) -> list[Path]:
     """Execute one experiment plan; returns the written file paths.
 
-    Every file is computed before the first is written, so a run that fails
-    leaves no output behind.
+    Every file is computed before the first is written, then written under a
+    temporary name in the output directory and renamed into place once all
+    have been written. A run that fails leaves the directory as it found it:
+    its temporary files go, and so does every directory it created.
     """
     tables = _RUNNERS[plan.kind](plan, cfg, design)
-    return [_write_csv(plan.out_dir / name, header, rows) for name, (header, rows) in tables.items()]
+    out_dir = plan.out_dir
+    created = list(itertools.takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))  # innermost first
+    staged = {out_dir / name: out_dir / f".{name}.{os.getpid()}.partial" for name in tables}
+    try:
+        for (header, rows), partial in zip(tables.values(), staged.values()):
+            _write_csv(partial, header, rows)
+        # of the renames, only one onto a directory can fail where the writes beside it did not: refuse it first
+        if clash := next((path for path in staged if path.is_dir()), None):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(clash))
+        for path, partial in staged.items():
+            os.replace(partial, path)
+    except BaseException:
+        for partial in staged.values():
+            partial.unlink(missing_ok=True)
+        for directory in created:
+            directory.rmdir()
+        raise
+    return list(staged)

@@ -55,46 +55,35 @@ def gain_profile(channels: ChannelSet, weights: np.ndarray, design: DmaDesign) -
     return np.where(silent, 0.0, gain)
 
 
-def _require_scenario_subcarriers(channels: ChannelSet, cfg: ScenarioConfig) -> None:
-    """Reject a channel built on other subcarriers than cfg's; a channel built from cfg holds that very grid."""
-    if channels.grid is not cfg.subcarriers and not np.array_equal(channels.grid.frequencies, cfg.subcarriers.frequencies):
-        raise ValueError("channel subcarriers differ from the scenario's")
-
-
-def gain_spectrum(channels: ChannelSet, weights: np.ndarray, cfg: ScenarioConfig, design: DmaDesign) -> GainSpectrum:
-    """Assemble per-subcarrier gain/SNR/SE records and their aggregates."""
-    _require_scenario_subcarriers(channels, cfg)
+def gain_spectrum(channels: ChannelSet, weights: np.ndarray, design: DmaDesign) -> GainSpectrum:
+    """Assemble per-subcarrier gain/SNR/SE records and their aggregates, under the channel's scenario."""
+    cfg = channels.cfg
     gain, rho = gain_profile(channels, weights, design), snr_profile(cfg)
     se = np.log2(1.0 + rho * gain)
     capacity = float(np.mean(se))
     return GainSpectrum(gain=gain, rho=rho, se=se, g_sum=float(np.sum(gain)), capacity=capacity, rate=cfg.b * capacity)
 
 
-def resonance_spectrum(
-    channels: ChannelSet, res: ResonanceConfiguration, cfg: ScenarioConfig, design: DmaDesign
-) -> GainSpectrum:
+def resonance_spectrum(channels: ChannelSet, res: ResonanceConfiguration, design: DmaDesign) -> GainSpectrum:
     """gain_spectrum for the weights induced by a resonance configuration."""
     weights = dma_weight_matrix(res, channels.grid.frequencies, design)
-    return gain_spectrum(channels, weights, cfg, design)
+    return gain_spectrum(channels, weights, design)
 
 
 ALGORITHMS = {"center-frequency": "cf", "successive": "succ"}  # each name run_beamformer accepts: its CSV suffix
 
 
-def run_beamformer(
-    algorithm: str, channels: ChannelSet, cfg: ScenarioConfig, grid: ResonanceGrid
-) -> tuple[ResonanceConfiguration, GainSpectrum]:
+def run_beamformer(algorithm: str, channels: ChannelSet, grid: ResonanceGrid) -> tuple[ResonanceConfiguration, GainSpectrum]:
     """Configure the aperture of grid's design with the named algorithm and score it with resonance_spectrum.
 
-    The successive objective reads the same snr_profile(cfg) that the score does.
+    The successive objective reads the same snr_profile(channels.cfg) that the score does.
     """
-    _require_scenario_subcarriers(channels, cfg)
     # positional calls: benchmark/run.py's tracer reads the grid at these argument positions
     if algorithm == "center-frequency":
         res = center_frequency_beamformer(channels, grid)
     elif algorithm == "successive":
-        res = successive_beamformer(channels, snr_profile(cfg), grid)
+        res = successive_beamformer(channels, snr_profile(channels.cfg), grid)
     else:
         raise ValueError(f"unknown beamforming algorithm {algorithm!r}")
-    return res, resonance_spectrum(channels, res, cfg, grid.design)
+    return res, resonance_spectrum(channels, res, grid.design)
 

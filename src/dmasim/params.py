@@ -265,8 +265,8 @@ def _config_value(key: str, field: str, text: str):
 def load_config(path) -> tuple[ScenarioConfig, DmaDesign]:
     """Load a flat key=value config file; '#' starts a comment.
 
-    Unknown keys are rejected and missing keys fall back to the defaults
-    above. The one f_t key sets both carriers.
+    Unknown keys and keys set twice are rejected, and missing keys fall back
+    to the defaults above. The one f_t key sets both carriers.
     """
     read: dict = {}  # field -> value
     with open(path, "r", encoding="utf-8") as handle:
@@ -280,6 +280,8 @@ def load_config(path) -> tuple[ScenarioConfig, DmaDesign]:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             field = _CONFIG_KEYS[key][0]
+            if field in read:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} set twice")
             try:
                 read[field] = _config_value(key, field, text)
             except ValueError as exc:

@@ -150,8 +150,8 @@ def test_criterion_07_wideband_spectral_efficiency_trends():
         cfg = ScenarioConfig(b=b)
         channels = effective_channel(cfg, design)
         grid = resonance_grid(design, channels.grid, 501)  # one grid per subcarrier set
-        _, s_cf = run_beamformer("center-frequency", channels, cfg, grid)
-        _, s_succ = run_beamformer("successive", channels, cfg, grid)
+        _, s_cf = run_beamformer("center-frequency", channels, grid)
+        _, s_succ = run_beamformer("successive", channels, grid)
         se_cf.append(s_cf.capacity)
         se_succ.append(s_succ.capacity)
     se_cf, se_succ = np.array(se_cf), np.array(se_succ)
@@ -179,7 +179,7 @@ def test_criterion_08_steering_angle_flatness():
         for deg in range(-60, 61, 20):
             cfg = ScenarioConfig(phi_t=math.radians(deg))
             channels = effective_channel(cfg, design)
-            _, spectrum = run_beamformer(algorithm, channels, cfg, grid)
+            _, spectrum = run_beamformer(algorithm, channels, grid)
             values.append(spectrum.capacity)
         values = np.array(values)
         variations[algorithm] = float((values.max() - values.min()) / values.mean())
@@ -201,7 +201,7 @@ def test_criterion_09_denser_spacing_wins_at_fixed_aperture():
         for d_x, n_slot in ((lam / 2, 16), (lam / 3, 24), (lam / 4, 32)):
             design = DmaDesign(n_slot=n_slot, d_x=d_x)
             channels = effective_channel(cfg, design)
-            _, spectrum = run_beamformer(algorithm, channels, cfg, resonance_grid(design, channels.grid, 501))
+            _, spectrum = run_beamformer(algorithm, channels, resonance_grid(design, channels.grid, 501))
             ses.append(spectrum.capacity)
         results[algorithm] = ses
     # listed from lambda/2 down to lambda/4: SE must rise pairwise (1% slack)

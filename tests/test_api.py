@@ -197,8 +197,9 @@ def test_config_fields_are_pinned():
     assert design_fields == ["n_slot", "d_x", "q", "f_t", "b_tune", "lambda_frac", "eps_r", "f_c10"]
     assert [f.name for f in dataclasses.fields(dmasim.MultipathSpec)] == ["l_path", "seed", "pin_first_to_los"]
     assert [f.name for f in dataclasses.fields(dmasim.SubcarrierGrid)] == ["frequencies"]
-    # no phase table and no taper (the design's): the benchmark's patch tracer still reads both attributes, always None
-    assert [f.name for f in dataclasses.fields(dmasim.ChannelSet)] == ["h", "grid"]
+    # h and the scenario it was built for; no phase table and no taper (the design's): the benchmark's patch tracer
+    # still reads both attributes, always None
+    assert [f.name for f in dataclasses.fields(dmasim.ChannelSet)] == ["h", "cfg"]
     assert dmasim.ChannelSet.phases is None and dmasim.ChannelSet.h_att is None
 
 
@@ -217,7 +218,7 @@ RECORDS = {
     "ApproxBreakdown": (float, lambda v: dmasim.ApproxBreakdown(squint_gain=v, fill_penalty=1.0, leakage_penalty=1.0, product=v[1:])),
     "ChannelSet": (
         complex,
-        lambda v: dmasim.ChannelSet(h=v.reshape(2, 4), grid=dmasim.subcarrier_grid(dmasim.ScenarioConfig(k=2))),
+        lambda v: dmasim.ChannelSet(h=v.reshape(2, 4), cfg=dmasim.ScenarioConfig(k=2)),
     ),
 }
 

@@ -12,7 +12,6 @@ from dmasim import (
     ResonanceConfiguration,
     ResonanceGrid,
     ScenarioConfig,
-    SubcarrierGrid,
     center_frequency_beamformer,
     effective_channel,
     leakage_vector,
@@ -33,8 +32,8 @@ from dmasim.element import _resonance_at_angle
 from dmasim.experiments import _gamma_axis
 
 
-def make_channelset(h, grid):
-    return ChannelSet(h=np.asarray(h, dtype=complex), grid=grid)
+def make_channelset(h, cfg):
+    return ChannelSet(h=np.asarray(h, dtype=complex), cfg=cfg)
 
 
 def dense_center_frequency(channels, grid):
@@ -66,9 +65,7 @@ def exhaustive_successive(channels, snr, grid):
     return chosen
 
 
-def two_point_grid(f_t=15e9, b=1e9):
-    freqs = np.array([f_t - b / 2, f_t])
-    return SubcarrierGrid(frequencies=freqs)
+TWO_POINT = ScenarioConfig(b=1e9, k=2)  # subcarriers 14.5 and 15 GHz, the center one at the carrier
 
 
 class TestResonanceGrid:
@@ -132,9 +129,8 @@ class TestCenterFrequencyBeamformer:
     def test_resonant_target_lands_on_carrier(self, design):
         # channel phase pi/2 makes the conjugate target exactly -j, which the
         # weight reaches at resonance; an odd grid contains f_t exactly
-        grid = two_point_grid()
         h = np.tile(np.exp(1j * math.pi / 2), (2, design.n_slot))
-        channels = make_channelset(h, grid)
+        channels = make_channelset(h, TWO_POINT)
         res = center_frequency_beamformer(channels, resonance_grid(design, channels.grid, 1001))
         np.testing.assert_array_equal(res.f_r, np.full(design.n_slot, design.f_t))
 
@@ -164,19 +160,20 @@ class TestCenterFrequencyBeamformer:
         # duplicated grid values produce an exact tie; the first (lower) wins
         def tied_grid(n_slot):
             values = np.array([14.9e9, 14.9e9, 15.1e9])
-            return ResonanceGrid(values=values, design=override_fields(design, n_slot=n_slot), subcarriers=two_point_grid())
+            design_n = override_fields(design, n_slot=n_slot)
+            return ResonanceGrid(values=values, design=design_n, subcarriers=TWO_POINT.subcarriers)
 
-        channels = make_channelset(np.ones((2, 3)), two_point_grid())
+        channels = make_channelset(np.ones((2, 3)), TWO_POINT)
         res = center_frequency_beamformer(channels, tied_grid(3))
         assert set(res.f_r) <= {14.9e9, 15.1e9}
         # a target reached equally by both duplicates resolves to index 0
         h = np.tile(np.exp(1j * math.pi / 2), (2, 1))
-        res2 = center_frequency_beamformer(make_channelset(h, two_point_grid()), tied_grid(1))
+        res2 = center_frequency_beamformer(make_channelset(h, TWO_POINT), tied_grid(1))
         assert res2.f_r[0] == 14.9e9
 
     def test_rejects_empty_grid(self, design):
         with pytest.raises(ValueError):
-            ResonanceGrid(values=np.array([]), design=design, subcarriers=two_point_grid())
+            ResonanceGrid(values=np.array([]), design=design, subcarriers=TWO_POINT.subcarriers)
 
     @pytest.mark.exactness
     @settings(deadline=None)
@@ -210,7 +207,7 @@ class TestCenterFrequencyBeamformer:
         elif kind == "multipath":
             channels = multipath_channel(MultipathSpec(l_path=1 + seed % 6, seed=seed), cfg, design)
         else:
-            channels = make_channelset(np.exp(1j * rng.uniform(-np.pi, np.pi, (cfg.k, n_slot))), subcarrier_grid(cfg))
+            channels = make_channelset(np.exp(1j * rng.uniform(-np.pi, np.pi, (cfg.k, n_slot))), cfg)
         grid = resonance_grid(design, channels.grid, r_res)
         h = channels.h.copy()
         kc = channels.grid.center_index
@@ -228,7 +225,7 @@ class TestCenterFrequencyBeamformer:
             zeta = psi[-1] + (2 * math.pi - arc) / 2 + rng.normal(0.0, 1e-13, n_slot)
             h[kc, moved] = np.exp(-1j * zeta[moved])
         h[:, rng.random(n_slot) < 0.15] = 0.0  # silent elements
-        channels = make_channelset(h, channels.grid)
+        channels = make_channelset(h, channels.cfg)
         res = center_frequency_beamformer(channels, grid)
         assert np.array_equal(res.f_r, dense_center_frequency(channels, grid).f_r)
 
@@ -263,7 +260,7 @@ class TestCenterFrequencyBeamformer:
         n_slot = 64
         design = DmaDesign(n_slot=n_slot, b_tune=5e-3)
         zeta = math.pi / 2 + np.linspace(-1e-6, 1e-6, n_slot)
-        channels = make_channelset(np.exp(-1j * zeta)[None, :], SubcarrierGrid(frequencies=np.array([design.f_t])))
+        channels = make_channelset(np.tile(np.exp(-1j * zeta), (2, 1)), TWO_POINT)  # center subcarrier: design.f_t
         grid = resonance_grid(design, channels.grid, 4001)
         res = center_frequency_beamformer(channels, grid)
         assert np.array_equal(res.f_r, dense_center_frequency(channels, grid).f_r)
@@ -275,10 +272,9 @@ class TestCenterFrequencyBeamformer:
         # the full row (the far rows before the dense ones test the right end, those after them the left end)
         design = DmaDesign(n_slot=62, q=1000.0)
         values = np.sort(np.concatenate([start + np.arange(60) * np.spacing(start), start + np.array(far)]))
-        sub = SubcarrierGrid(frequencies=np.array([15e9]))
-        grid = ResonanceGrid(values=values, design=design, subcarriers=sub)
+        grid = ResonanceGrid(values=values, design=design, subcarriers=TWO_POINT.subcarriers)
         zeta = np.angle(2 * normalized_polarizability(15e9, values, design) + 1j)  # each target on its own row
-        channels = make_channelset(np.exp(-1j * zeta)[None, :], sub)
+        channels = make_channelset(np.tile(np.exp(-1j * zeta), (2, 1)), TWO_POINT)
         assert np.array_equal(center_frequency_beamformer(channels, grid).f_r, dense_center_frequency(channels, grid).f_r)
 
     @pytest.mark.exactness
@@ -403,11 +399,10 @@ def _live_intervals(channels, snr, grid, picks):
 class TestSuccessiveBeamformer:
     def test_single_element_single_subcarrier_maximizes_gain(self, design):
         d1 = override_fields(design, n_slot=1)
-        grid_1k = SubcarrierGrid(frequencies=np.array([15e9]))
-        channels = make_channelset(np.exp(1j * 0.7) * np.ones((1, 1)), grid_1k)
+        channels = make_channelset(np.exp(1j * 0.7) * np.ones((2, 1)), TWO_POINT)
         grid = resonance_grid(d1, channels.grid, 201)
-        res = successive_beamformer(channels, np.array([5.0]), grid)
-        gains = np.abs(normalized_polarizability(15e9, grid.values, d1) * channels.h[0, 0])
+        res = successive_beamformer(channels, np.array([0.0, 5.0]), grid)  # only the 15 GHz subcarrier counts
+        gains = np.abs(normalized_polarizability(15e9, grid.values, d1) * channels.h[1, 0])
         assert res.f_r[0] == grid.values[int(np.argmax(gains))]
 
     def test_matches_stagewise_bruteforce_oracle(self, cfg, design):
@@ -619,7 +614,7 @@ class TestSuccessiveBeamformer:
         cfg4 = override_fields(cfg, k=8)
         h = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
         h[:, 2] = 0.0
-        channels = make_channelset(h, subcarrier_grid(cfg4))
+        channels = make_channelset(h, cfg4)
         rho = snr_profile(cfg4)
         grid = resonance_grid(d4, channels.grid, r_res)
         res = successive_beamformer(channels, rho, grid)
@@ -678,4 +673,4 @@ def test_rejects_channel_of_other_element_count(algorithm, channel_slots, grid_s
     channels = effective_channel(cfg, DmaDesign(n_slot=channel_slots))
     grid = resonance_grid(DmaDesign(n_slot=grid_slots), channels.grid, 51)
     with pytest.raises(ValueError, match="element count"):
-        run_beamformer(algorithm, channels, cfg, grid)
+        run_beamformer(algorithm, channels, grid)

@@ -190,13 +190,13 @@ class TestEffectiveChannel:
     def test_rejects_rows_other_than_subcarriers(self):
         # one row would broadcast over all 8 subcarriers in the successive scan
         with pytest.raises(ValueError, match="^channel must hold one row per subcarrier$"):
-            ChannelSet(h=np.ones((1, 4), complex), grid=subcarrier_grid(ScenarioConfig(k=8)))
+            ChannelSet(h=np.ones((1, 4), complex), cfg=ScenarioConfig(k=8))
 
     @pytest.mark.parametrize("shape", [(8,), (8, 4, 1)])
     def test_rejects_h_of_other_than_two_dimensions(self, shape):
         # unchecked, either shape ended in an IndexError inside a solve
         with pytest.raises(ValueError, match=r"^channel must be shaped \(k, n_slot\)$"):
-            ChannelSet(h=np.ones(shape, complex), grid=subcarrier_grid(ScenarioConfig(k=8)))
+            ChannelSet(h=np.ones(shape, complex), cfg=ScenarioConfig(k=8))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)], ids=["h-nan", "h-inf", "h--infj"])
     def test_rejects_non_finite(self, bad):
@@ -205,7 +205,7 @@ class TestEffectiveChannel:
         h = channels.h.copy()
         h.flat[1] = bad
         with pytest.raises(ValueError, match="^channel must be finite$"):
-            ChannelSet(h=h, grid=channels.grid)
+            ChannelSet(h=h, cfg=channels.cfg)
 
     def test_immutable(self, cfg, design):
         channels = effective_channel(cfg, design)
@@ -213,8 +213,9 @@ class TestEffectiveChannel:
             channels.h[0, 0] = 0
 
     def test_channels_share_the_scenarios_grid(self, cfg, design):
-        assert effective_channel(cfg, design).grid is cfg.subcarriers
-        assert multipath_channel(MultipathSpec(), cfg, design).grid is cfg.subcarriers
+        for channels in (effective_channel(cfg, design), multipath_channel(MultipathSpec(), cfg, design)):
+            assert channels.cfg is cfg
+            assert channels.grid is cfg.subcarriers
 
     def test_compares_by_identity(self, cfg, design):
         # the channel arrays have no truth value, so channel sets compare by identity and stay hashable

@@ -154,7 +154,7 @@ class TestSpectrumSchema:
     def test_round_trip(self, tmp_path, small_cfg, small_design):
         channels = effective_channel(small_cfg, small_design)
         grid = resonance_grid(small_design, channels.grid)
-        _, spectrum = run_beamformer("center-frequency", channels, small_cfg, grid)
+        _, spectrum = run_beamformer("center-frequency", channels, grid)
         rows = spectrum_rows("s1", "center-frequency", channels.grid.frequencies, spectrum)
         per_k, summary = parse_spectrum_csv(_write_csv(tmp_path / "spectrum.csv", SPECTRUM_HEADER, rows))
         assert len(per_k) == small_cfg.k
@@ -189,9 +189,9 @@ class TestValidateApprox:
         # move, must stay out of h, and each design brings its own taper; the per-subcarrier study solves on its own
         solved = []
 
-        def record(alg, channels, scenario, grid):
-            solved.append((channels, scenario, grid.design))
-            return run_beamformer(alg, channels, scenario, grid)
+        def record(alg, channels, grid):
+            solved.append((channels, channels.cfg, grid.design))
+            return run_beamformer(alg, channels, grid)
 
         monkeypatch.setattr("dmasim.experiments.run_beamformer", record)
         run_plan(ExperimentPlan(kind="validate-approx", out_dir=tmp_path, r_res=51), cfg, design)
@@ -271,7 +271,7 @@ class TestMultipathMc:
         channels = effective_channel(small_cfg, small_design)
         grid = resonance_grid(small_design, channels.grid, 101)
         for row in table(written[0]):
-            _, spectrum = run_beamformer(row["algorithm"], channels, small_cfg, grid)
+            _, spectrum = run_beamformer(row["algorithm"], channels, grid)
             assert float(row["mean_se"]) == pytest.approx(spectrum.capacity, rel=1e-12)
             assert float(row["stderr_se"]) == pytest.approx(0.0, abs=1e-12)  # deterministic trials
 
@@ -363,6 +363,33 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("dmasim: error:")
         assert not (tmp_path / "out").exists()
+
+    def test_failed_write_keeps_an_earlier_run(self, tmp_path, capsys):
+        # the second file's name is taken by a directory: the first file must not be replaced before that is known
+        out = tmp_path / "out"
+        (out / "lambda_sweep.csv").mkdir(parents=True)
+        (out / "tuning_sweep.csv").write_bytes(b"an earlier run\r\n")
+        assert main(["validate-approx", "--n-slot", "8", "--r-res", "51", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"dmasim: error: [Errno 21] Is a directory: '{out / 'lambda_sweep.csv'}'"]
+        assert (out / "tuning_sweep.csv").read_bytes() == b"an earlier run\r\n"
+        assert sorted(p.name for p in out.iterdir()) == ["lambda_sweep.csv", "tuning_sweep.csv"]  # no temporary file
+
+    def test_failed_write_removes_the_directory_it_created(self, tmp_path, capsys, monkeypatch):
+        writes = []
+
+        def second_write_fails(path, header, rows):
+            writes.append(path)
+            if len(writes) == 2:
+                raise OSError("disk full")
+            return _write_csv(path, header, rows)
+
+        monkeypatch.setattr(experiments, "_write_csv", second_write_fails)
+        out = tmp_path / "fresh" / "out"
+        assert main(["validate-approx", "--n-slot", "8", "--r-res", "51", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["dmasim: error: disk full"]
+        assert len(writes) == 2 and writes[0].parent == out
+        assert not (tmp_path / "fresh").exists()
 
     @pytest.mark.parametrize(
         "message,line",
@@ -524,5 +551,5 @@ def test_readme_library_example_runs(capsys):
     printed = [float(v) for v in capsys.readouterr().out.split()]
     assert printed == [spectrum.capacity, spectrum.rate, spectrum.gain[kc], approx[kc]]
     # the approximation models the center-frequency configuration
-    _, cf_spectrum = run_beamformer("center-frequency", channels, cfg, grid)
+    _, cf_spectrum = run_beamformer("center-frequency", channels, grid)
     assert cf_spectrum.gain[kc] == pytest.approx(approx[kc], rel=0.10)

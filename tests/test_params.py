@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -200,6 +201,13 @@ class TestConfigFile:
         path = tmp_path / "bad.cfg"
         path.write_text("frequency = 1\n")
         with pytest.raises(ValueError, match="unknown config key"):
+            load_config(path)
+
+    def test_key_set_twice_rejected(self, tmp_path):
+        # the later line used to win silently
+        path = tmp_path / "twice.cfg"
+        path.write_text("K = 8\n# again\nK = 16\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: config key 'K' set twice$"):
             load_config(path)
 
     def test_invalid_values_rejected(self, tmp_path):
