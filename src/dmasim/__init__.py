@@ -13,7 +13,6 @@ from .params import (
     K_BOLTZ,
     DmaDesign,
     ScenarioConfig,
-    SubcarrierGrid,
     leakage_constant,
     load_config,
     noise_power,

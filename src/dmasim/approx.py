@@ -38,14 +38,12 @@ def squint_phase_profile(cfg: ScenarioConfig, design: DmaDesign) -> np.ndarray:
     """Per-element phase offset between each subcarrier and the center one; shape (k,).
 
     -d_x * [ (2*pi*delta/c)*sin(phi_t)
-             + (2*pi*eps_r/c)*(sqrt((f_c+delta)^2 - f_c10^2) - sqrt(f_c^2 - f_c10^2)) ]
-    with delta = f_k - f_center. Zero at the center subcarrier.
+             + (2*pi*eps_r/c)*(sqrt((f_t+delta)^2 - f_c10^2) - sqrt(f_t^2 - f_c10^2)) ]
+    with delta = f_k - f_t. Zero at the center subcarrier, which sits exactly on the carrier.
     """
-    grid = cfg.subcarriers
-    f_c = grid.f_center
-    delta = grid.frequencies - f_c
+    delta = cfg.frequencies - cfg.f_t
     wireless = (2 * math.pi * delta / C_LIGHT) * math.sin(cfg.phi_t)
-    guided = waveguide_beta(grid.frequencies, design) - waveguide_beta(f_c, design)
+    guided = waveguide_beta(cfg.frequencies, design) - waveguide_beta(cfg.f_t, design)
     return -design.d_x * (wireless + guided)
 
 

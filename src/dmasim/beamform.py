@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import ChannelSet, leakage_vector
 from .element import ResonanceConfiguration, _resonance_at_angle, lorentzian_weight, normalized_polarizability, tuning_range
-from .params import DmaDesign, SubcarrierGrid, _count, _freeze
+from .params import DmaDesign, ScenarioConfig, _count, _freeze
 
 PRUNE_STEP = 64  # rows per interval of the successive scan, each with its own tangent plane
 ANCHOR_ROW = (PRUNE_STEP - 1) // 2  # each interval's anchor: its middle row, the padding's copy in a short last one
@@ -41,7 +41,7 @@ class ResonanceGrid:
 
     values: np.ndarray  # ascending [Hz]
     design: DmaDesign  # the elements it configures: their count and damping
-    subcarriers: SubcarrierGrid  # the only frequencies the successive table serves
+    cfg: ScenarioConfig  # its frequencies are the only ones the successive table serves
 
     def __post_init__(self):
         _freeze(self, "values")
@@ -70,7 +70,7 @@ class ResonanceGrid:
         """
         intervals = -(-self.r_res // PRUNE_STEP)
         values = self.values[np.minimum(np.arange(intervals * PRUNE_STEP), self.r_res - 1)]
-        weights = normalized_polarizability(self.subcarriers.frequencies[None, :], values[:, None], self.design)
+        weights = normalized_polarizability(self.cfg.frequencies[None, :], values[:, None], self.design)
         blocks = weights.reshape(intervals, PRUNE_STEP, -1)
         ends = blocks[:, [0, ANCHOR_ROW, PRUNE_STEP - 1]]
         first, span = ends[:, 0], ends[:, 2] - ends[:, 0]
@@ -87,12 +87,12 @@ class ResonanceGrid:
 
         Computed on first use and read-only, like successive_table: every later solve reads it.
         """
-        row = normalized_polarizability(self.subcarriers.f_center, self.values, self.design)
+        row = normalized_polarizability(self.cfg.f_t, self.values, self.design)
         row.flags.writeable = False
         return row
 
 
-def resonance_grid(design: DmaDesign, subcarriers: SubcarrierGrid, r_res: int = DEFAULT_R_RES) -> ResonanceGrid:
+def resonance_grid(design: DmaDesign, cfg: ScenarioConfig, r_res: int = DEFAULT_R_RES) -> ResonanceGrid:
     """Discretize the design's tuning range into r_res points; a single point sits at the center."""
     r_res = _count("r_res", r_res, 1)
     f_r_min, f_r_max = tuning_range(design)
@@ -100,14 +100,15 @@ def resonance_grid(design: DmaDesign, subcarriers: SubcarrierGrid, r_res: int = 
         values = np.array([(f_r_min + f_r_max) / 2.0])
     else:
         values = np.linspace(f_r_min, f_r_max, r_res)
-    return ResonanceGrid(values=values, design=design, subcarriers=subcarriers)
+    return ResonanceGrid(values=values, design=design, cfg=cfg)
 
 
 def _check_grid(channels: ChannelSet, grid: ResonanceGrid) -> None:
     """Reject a channel whose element count or subcarriers are not the grid's."""
     if channels.n_slot != grid.design.n_slot:
         raise ValueError("channel element count differs from the resonance grid design's")
-    if channels.grid is not grid.subcarriers and not np.array_equal(channels.grid.frequencies, grid.subcarriers.frequencies):
+    f_channel, f_grid = channels.cfg.frequencies, grid.cfg.frequencies
+    if f_channel is not f_grid and not np.array_equal(f_channel, f_grid):
         raise ValueError("channel subcarriers differ from the resonance grid's")
 
 
@@ -141,10 +142,10 @@ def center_frequency_beamformer(channels: ChannelSet, grid: ResonanceGrid) -> Re
     design's element count; the achievable weights are the grid's center_row.
     """
     _check_grid(channels, grid)
-    zeta = np.angle(np.conj(channels.h[channels.grid.center_index]))  # (n_slot,)
+    zeta = np.angle(np.conj(channels.h[channels.k // 2]))  # (n_slot,); row k//2 is the carrier's
     targets = lorentzian_weight(zeta)
     achievable = grid.center_row  # (r_res,)
-    pos = np.searchsorted(grid.values, _resonance_at_angle(channels.grid.f_center, zeta, grid.design))
+    pos = np.searchsorted(grid.values, _resonance_at_angle(channels.cfg.f_t, zeta, grid.design))
     idx, dist, least = _nearest_rows(targets, achievable, (pos[:, None] + np.arange(-2, 2)) % grid.r_res)
     full = np.flatnonzero(~(np.minimum(dist[:, 0], dist[:, -1]) > least + TIE_MARGIN))
     if full.size:

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import (
-    C_LIGHT, DmaDesign, ScenarioConfig, SubcarrierGrid, _freeze, _require_counts, leakage_constant, waveguide_beta
-)
+from .params import C_LIGHT, DmaDesign, ScenarioConfig, _freeze, _require_counts, leakage_constant, waveguide_beta
 
 
 @dataclass(frozen=True, eq=False)  # compared by identity: array fields have no truth value
@@ -26,7 +24,7 @@ class ChannelSet:
     """
 
     h: np.ndarray  # (k, n_slot) complex
-    cfg: ScenarioConfig  # its subcarriers are h's rows, its link budget the channel's SNR
+    cfg: ScenarioConfig  # its frequencies are h's rows, its link budget the channel's SNR
     # not fields: only benchmark/run.py's patch tracer reads them, and they go with that tracer (ROADMAP item 12)
     h_att = None
     phases = None
@@ -39,10 +37,6 @@ class ChannelSet:
             raise ValueError("channel must hold one row per subcarrier")
         if not np.isfinite(self.h).all():
             raise ValueError("channel must be finite")
-
-    @property
-    def grid(self) -> SubcarrierGrid:
-        return self.cfg.subcarriers
 
     @property
     def n_slot(self) -> int:
@@ -127,11 +121,10 @@ def multipath_channel(spec: MultipathSpec, cfg: ScenarioConfig, design: DmaDesig
 
 def _ray_channel(gains, angles, delays, cfg: ScenarioConfig, design: DmaDesign) -> ChannelSet:
     """The channel of the given rays, on the scenario's subcarriers; every channel is built here."""
-    grid = cfg.subcarriers
-    freq = grid.frequencies
+    freq = cfg.frequencies
     # past the float range the phases are NaN, which the ChannelSet's finiteness check reports as one error
     with np.errstate(over="ignore", invalid="ignore"):
-        rays = np.zeros((grid.k, design.n_slot), dtype=complex)
+        rays = np.zeros((cfg.k, design.n_slot), dtype=complex)
         # named factors: numpy may swap the operands of a large temporary, which moves the last bit
         for g, phi, tau in zip(gains, angles, delays):
             wireless = array_response(phi, freq, design)

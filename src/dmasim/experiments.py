@@ -103,7 +103,7 @@ def spectrum_rows(scenario_id: str, algorithm: str, frequencies, spectrum: GainS
 
 def _both_algorithms(cfg: ScenarioConfig, design: DmaDesign, r_res: int) -> dict[str, GainSpectrum]:
     channels = effective_channel(cfg, design)
-    grid = resonance_grid(design, channels.grid, r_res)
+    grid = resonance_grid(design, cfg, r_res)
     return {alg: run_beamformer(alg, channels, grid)[1] for alg in ALGORITHMS}
 
 
@@ -129,7 +129,7 @@ def validation_points(cfg: ScenarioConfig, designs: list, r_res: int) -> list[tu
     channels = effective_channel(cfg, designs[0])
     points = []
     for d in designs:
-        _, spectrum = run_beamformer("center-frequency", channels, resonance_grid(d, channels.grid, r_res))
+        _, spectrum = run_beamformer("center-frequency", channels, resonance_grid(d, cfg, r_res))
         breakdown = gain_breakdown(cfg, d)
         points.append((d, spectrum, breakdown, power_normalized_gain(breakdown, d)))
     return points
@@ -179,7 +179,7 @@ def _validate_approx(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesig
             ["k", "f_k", "sim_gain", "approx_gain", "squint_gain", "fill_penalty", "leakage_penalty", "b_tune"],
             [
                 [k, float(f_k), spectrum.gain[k], approx[k], breakdown.squint_gain[k], *flat]
-                for k, f_k in enumerate(sub_cfg.subcarriers.frequencies)
+                for k, f_k in enumerate(sub_cfg.frequencies)
             ],
         ),
     }
@@ -208,9 +208,8 @@ class _Sweep:
         header = [self.column] + [c for name in self.reported for c in _per_algorithm(_SPECTRUM_COLUMN[name])]
         tables = {self.file: (header, rows)}
         if self.spectra:
-            grid_freqs = cfg.subcarriers.frequencies
             for alg, spectrum in _both_algorithms(cfg, design, plan.r_res).items():
-                tables[f"spectrum_{alg}.csv"] = (SPECTRUM_HEADER, spectrum_rows("template", alg, grid_freqs, spectrum))
+                tables[f"spectrum_{alg}.csv"] = (SPECTRUM_HEADER, spectrum_rows("template", alg, cfg.frequencies, spectrum))
         return tables
 
 
@@ -244,7 +243,7 @@ def _max_rate(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign) -> _
 def _multipath_mc(plan: ExperimentPlan, cfg: ScenarioConfig, design: DmaDesign) -> _Tables:
     axis = plan.axis or (1.0, 2.0, 4.0)
     l_paths = [MultipathSpec(l_path=v).l_path for v in axis]  # each checked before any channel is built
-    grid = resonance_grid(design, cfg.subcarriers, plan.r_res)
+    grid = resonance_grid(design, cfg, plan.r_res)
     rows = []
     for l_idx, l_path in enumerate(l_paths):
         per_alg = {alg: [] for alg in ALGORITHMS}

@@ -35,7 +35,7 @@ class GainSpectrum:
 def snr_profile(cfg: ScenarioConfig) -> np.ndarray:
     """Per-subcarrier SNR path_loss * g_dma * p_in / noise_power, linear; shape (k,)."""
     with np.errstate(over="ignore", divide="ignore"):  # past the float range: inf, which the successive solve rejects
-        return path_loss(cfg.subcarriers.frequencies, cfg.r) * cfg.g_dma * cfg.p_in / noise_power(cfg)
+        return path_loss(cfg.frequencies, cfg.r) * cfg.g_dma * cfg.p_in / noise_power(cfg)
 
 
 def gain_profile(channels: ChannelSet, weights: np.ndarray, design: DmaDesign) -> np.ndarray:
@@ -66,7 +66,7 @@ def gain_spectrum(channels: ChannelSet, weights: np.ndarray, design: DmaDesign) 
 
 def resonance_spectrum(channels: ChannelSet, res: ResonanceConfiguration, design: DmaDesign) -> GainSpectrum:
     """gain_spectrum for the weights induced by a resonance configuration."""
-    weights = dma_weight_matrix(res, channels.grid.frequencies, design)
+    weights = dma_weight_matrix(res, channels.cfg.frequencies, design)
     return gain_spectrum(channels, weights, design)
 
 

@@ -88,8 +88,8 @@ class ScenarioConfig:
         return self.p_in_tot / self.k
 
     @cached_property
-    def subcarriers(self) -> SubcarrierGrid:
-        """The scenario's subcarrier grid: built on first use and kept, so every layer reads this one object."""
+    def frequencies(self) -> np.ndarray:
+        """The scenario's subcarrier frequencies: built on first use and kept, so every layer reads this one array."""
         return subcarrier_grid(self)
 
 
@@ -137,41 +137,20 @@ class DmaDesign:
         return 2 * math.pi * self.f_t / self.q
 
 
-@dataclass(frozen=True, eq=False)  # compared by identity: the array field has no truth value
-class SubcarrierGrid:
-    """Passband subcarrier frequencies; the center subcarrier is the one at index k//2."""
-
-    frequencies: np.ndarray  # strictly increasing, uniform spacing b/k [Hz]
-
-    def __post_init__(self):
-        _freeze(self, "frequencies")
-        f = self.frequencies  # NaN fails every comparison; an infinity in an increasing list sits at an end
-        if not (f.ndim == 1 and f.size and math.isfinite(f[0]) and math.isfinite(f[-1]) and (f[1:] > f[:-1]).all()):
-            raise ValueError("subcarrier frequencies must be a non-empty, finite, strictly increasing list")
-
-    @property
-    def k(self) -> int:
-        return self.frequencies.size
-
-    @property
-    def center_index(self) -> int:
-        """k//2, where subcarrier_grid puts the carrier exactly."""
-        return self.k // 2
-
-    @property
-    def f_center(self) -> float:
-        return float(self.frequencies[self.center_index])
-
-
-def subcarrier_grid(cfg: ScenarioConfig) -> SubcarrierGrid:
-    """Build the subcarrier grid f = f_t + (b/k)*(i - k/2) for i = 0..k-1.
+def subcarrier_grid(cfg: ScenarioConfig) -> np.ndarray:
+    """The read-only subcarrier frequencies f = f_t + (b/k)*(i - k/2) for i = 0..k-1 [Hz].
 
     The center subcarrier (index k//2) equals the carrier to full floating
-    precision by construction.
+    precision by construction. A carrier far above the bandwidth can round
+    neighbouring subcarriers together, and one near the float limit can
+    overflow the band: both are rejected.
     """
-    spacing = cfg.b / cfg.k
-    offsets = np.arange(cfg.k) - cfg.k // 2
-    return SubcarrierGrid(frequencies=cfg.f_t + spacing * offsets)
+    with np.errstate(over="ignore"):  # an overflowed band fails the check below, as one error
+        f = cfg.f_t + (cfg.b / cfg.k) * (np.arange(cfg.k) - cfg.k // 2)
+    if not (math.isfinite(f[-1]) and (f[1:] > f[:-1]).all()):  # only the top end can overflow
+        raise ValueError("subcarrier frequencies must be finite and strictly increasing")
+    f.flags.writeable = False
+    return f
 
 
 def waveguide_beta(f, design: DmaDesign):
@@ -293,7 +272,7 @@ def save_config(path, cfg: ScenarioConfig, design: DmaDesign) -> None:
     """Write a config in the flat key=value schema that load_config reads; its one f_t is both carriers."""
     if design.f_t != cfg.f_t:
         raise ValueError(f"design carrier {design.f_t!r} differs from scenario carrier {cfg.f_t!r}; a config holds one f_t")
-    values = {**asdict(cfg), **asdict(design)}  # fields only, not the kept subcarrier grid
+    values = {**asdict(cfg), **asdict(design)}  # fields only, not the kept frequencies
     lines = [f"{key} = {values[field]!r}" for key, (field, _) in _CONFIG_KEYS.items()]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")

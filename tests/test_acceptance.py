@@ -27,7 +27,6 @@ from dmasim import (
     run_beamformer,
     snr_profile,
     squint_gain_from_phase,
-    subcarrier_grid,
     successive_beamformer,
     wavelength,
 )
@@ -149,7 +148,7 @@ def test_criterion_07_wideband_spectral_efficiency_trends():
     for b in (2.5e8, 5e8, 7.5e8, 1e9, 1.25e9, 1.5e9, 1.75e9, 2e9):
         cfg = ScenarioConfig(b=b)
         channels = effective_channel(cfg, design)
-        grid = resonance_grid(design, channels.grid, 501)  # one grid per subcarrier set
+        grid = resonance_grid(design, channels.cfg, 501)  # one grid per subcarrier set
         _, s_cf = run_beamformer("center-frequency", channels, grid)
         _, s_succ = run_beamformer("successive", channels, grid)
         se_cf.append(s_cf.capacity)
@@ -172,7 +171,7 @@ def test_criterion_07_wideband_spectral_efficiency_trends():
 
 def test_criterion_08_steering_angle_flatness():
     design = DmaDesign()
-    grid = resonance_grid(design, subcarrier_grid(ScenarioConfig()), 501)  # the steering angle keeps the subcarriers
+    grid = resonance_grid(design, ScenarioConfig(), 501)  # the steering angle keeps the subcarriers
     variations = {}
     for algorithm in ("center-frequency", "successive"):
         values = []
@@ -201,7 +200,7 @@ def test_criterion_09_denser_spacing_wins_at_fixed_aperture():
         for d_x, n_slot in ((lam / 2, 16), (lam / 3, 24), (lam / 4, 32)):
             design = DmaDesign(n_slot=n_slot, d_x=d_x)
             channels = effective_channel(cfg, design)
-            _, spectrum = run_beamformer(algorithm, channels, resonance_grid(design, channels.grid, 501))
+            _, spectrum = run_beamformer(algorithm, channels, resonance_grid(design, channels.cfg, 501))
             ses.append(spectrum.capacity)
         results[algorithm] = ses
     # listed from lambda/2 down to lambda/4: SE must rise pairwise (1% slack)
@@ -220,13 +219,13 @@ def test_criterion_10_grid_scan_complexity_scales_linearly():
     def successive_solve(n_slot, r_res):
         design = DmaDesign(n_slot=n_slot)
         channels = effective_channel(cfg, design)
-        grid = resonance_grid(design, channels.grid, r_res)
+        grid = resonance_grid(design, channels.cfg, r_res)
         return lambda: successive_beamformer(channels, rho, grid)
 
     def center_solve(n_slot, r_res):
         design = DmaDesign(n_slot=n_slot)
         channels = effective_channel(cfg, design)
-        grid = resonance_grid(design, channels.grid, r_res)
+        grid = resonance_grid(design, channels.cfg, r_res)
         return lambda: center_frequency_beamformer(channels, grid)
 
     def ratio(small, large, solves):

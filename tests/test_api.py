@@ -31,7 +31,6 @@ EXPORTED = {
     "ResonanceConfiguration",
     "ResonanceGrid",
     "ScenarioConfig",
-    "SubcarrierGrid",
     "array_response",
     "center_frequency_beamformer",
     "dma_weight_matrix",
@@ -196,7 +195,7 @@ def test_config_fields_are_pinned():
     design_fields = [f.name for f in dataclasses.fields(dmasim.DmaDesign)]
     assert design_fields == ["n_slot", "d_x", "q", "f_t", "b_tune", "lambda_frac", "eps_r", "f_c10"]
     assert [f.name for f in dataclasses.fields(dmasim.MultipathSpec)] == ["l_path", "seed", "pin_first_to_los"]
-    assert [f.name for f in dataclasses.fields(dmasim.SubcarrierGrid)] == ["frequencies"]
+    assert [f.name for f in dataclasses.fields(dmasim.ResonanceGrid)] == ["values", "design", "cfg"]
     # h and the scenario it was built for; no phase table and no taper (the design's): the benchmark's patch tracer
     # still reads both attributes, always None
     assert [f.name for f in dataclasses.fields(dmasim.ChannelSet)] == ["h", "cfg"]
@@ -206,12 +205,9 @@ def test_config_fields_are_pinned():
 # The value types: each builder gets one writable base array and passes views
 # of it as every array field.
 RECORDS = {
-    "SubcarrierGrid": (float, lambda v: dmasim.SubcarrierGrid(frequencies=v)),
     "ResonanceGrid": (
         float,
-        lambda v: dmasim.ResonanceGrid(
-            values=v, design=dmasim.DmaDesign(), subcarriers=dmasim.subcarrier_grid(dmasim.ScenarioConfig(k=8))
-        ),
+        lambda v: dmasim.ResonanceGrid(values=v, design=dmasim.DmaDesign(), cfg=dmasim.ScenarioConfig(k=8)),
     ),
     "ResonanceConfiguration": (float, lambda v: dmasim.ResonanceConfiguration(f_r=v)),
     "GainSpectrum": (float, lambda v: dmasim.GainSpectrum(gain=v, rho=v[1:], se=v[::2], g_sum=1.0, capacity=1.0, rate=1.0)),
@@ -237,6 +233,16 @@ def test_records_hold_read_only_copies(name):
     assert arrays and view.flags.writeable and base.flags.writeable
     for field, array in arrays.items():
         assert np.array_equal(array, kept[field]) and not array.flags.writeable, field
+
+
+def test_scenario_frequencies_are_read_only():
+    # every channel and resonance grid of a scenario reads its one kept frequency array: a write would move them all
+    cfg = dmasim.ScenarioConfig(k=8)
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.frequencies[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.frequencies = np.zeros(8)
+    assert np.array_equal(cfg.frequencies, dmasim.subcarrier_grid(cfg))
 
 
 _DESIGN = dmasim.DmaDesign()

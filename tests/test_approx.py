@@ -15,7 +15,6 @@ from dmasim import (
     radiated_fraction,
     squint_gain_from_phase,
     squint_phase_profile,
-    subcarrier_grid,
     waveguide_beta,
 )
 from oracles import channel_phase_step, fill_penalty_mc_stderr, leakage_penalty_exact
@@ -34,15 +33,13 @@ class TestSquintPhase:
     def test_consistency_with_decomposed_channel_phase(self, cfg, design):
         # the squint offset equals minus the per-element advance difference
         # written with the wireless and guided terms sharing one sign
-        grid = subcarrier_grid(cfg)
-        f_c = grid.f_center
         profile = squint_phase_profile(cfg, design)
         for k in (0, 3, cfg.k - 1):
-            f_k = grid.frequencies[k]
+            f_k = cfg.frequencies[k]
             advance = lambda f: design.d_x * (
                 (2 * math.pi * f / C_LIGHT) * math.sin(cfg.phi_t) + waveguide_beta(f, design)
             )
-            expected = -(advance(f_k) - advance(f_c))
+            expected = -(advance(f_k) - advance(cfg.f_t))
             assert profile[k] == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.xfail(
@@ -53,7 +50,7 @@ class TestSquintPhase:
     @pytest.mark.parametrize("phi_deg", [-20.0, 20.0])
     def test_matches_simulated_channel_phase_offset(self, cfg, design, phi_deg):
         tilted = override_fields(cfg, phi_t=math.radians(phi_deg), b=2e9, k=16)
-        freqs = subcarrier_grid(tilted).frequencies
+        freqs = tilted.frequencies
         offset = channel_phase_step(freqs, tilted, design) - channel_phase_step(freqs[tilted.k // 2], tilted, design)
         profile = squint_phase_profile(tilted, design)
         assert any(np.allclose(profile, sign * offset, rtol=0, atol=1e-9) for sign in (1.0, -1.0))

@@ -22,7 +22,6 @@ from dmasim import (
     resonance_grid,
     run_beamformer,
     snr_profile,
-    subcarrier_grid,
     successive_beamformer,
     tuning_range,
 )
@@ -38,8 +37,8 @@ def make_channelset(h, cfg):
 
 def dense_center_frequency(channels, grid):
     """The distance table over every grid row: the oracle of the windowed search."""
-    kc = channels.grid.center_index
-    f_c = channels.grid.f_center
+    kc = channels.k // 2
+    f_c = channels.cfg.f_t
     targets = lorentzian_weight(np.angle(np.conj(channels.h[kc])))  # (n_slot,)
     achievable = normalized_polarizability(f_c, grid.values, grid.design)  # (r_res,)
     dist = np.abs(targets[None, :] - achievable[:, None])  # (r_res, n_slot)
@@ -51,7 +50,7 @@ def exhaustive_successive(channels, snr, grid):
     """The successive scan over every grid row: the oracle of the pruned scan."""
     design = grid.design
     snr = np.asarray(snr, dtype=float)
-    freq = channels.grid.frequencies
+    freq = channels.cfg.frequencies
     weights = normalized_polarizability(freq[None, :], grid.values[:, None], design)
     taper = leakage_vector(design)
     running = np.zeros(freq.size, dtype=complex)
@@ -70,23 +69,23 @@ TWO_POINT = ScenarioConfig(b=1e9, k=2)  # subcarriers 14.5 and 15 GHz, the cente
 
 class TestResonanceGrid:
     def test_endpoints_and_spacing(self, cfg, design):
-        grid = resonance_grid(design, subcarrier_grid(cfg), 101)
+        grid = resonance_grid(design, cfg, 101)
         assert grid.values[0] == design.f_t - design.b_tune / 2
         assert grid.values[-1] == design.f_t + design.b_tune / 2
         np.testing.assert_allclose(np.diff(grid.values), design.b_tune / 100, rtol=1e-12)
 
     def test_single_point_sits_at_center(self, cfg, design):
-        grid = resonance_grid(design, subcarrier_grid(cfg), 1)
+        grid = resonance_grid(design, cfg, 1)
         np.testing.assert_array_equal(grid.values, [design.f_t])
 
     def test_rejects_empty(self, cfg, design):
         for r_res in (0, 2.5):  # no rows, or not a whole number of them
             with pytest.raises(ValueError, match=f"^r_res must be an integer >= 1, got {r_res}$"):
-                resonance_grid(design, subcarrier_grid(cfg), r_res)
+                resonance_grid(design, cfg, r_res)
 
     def test_integral_float_resolution_kept_as_int(self, cfg, design):
         # as ExperimentPlan stores r_res=3.0; numpy's linspace rejects a float count
-        grid = resonance_grid(design, subcarrier_grid(cfg), np.float64(3.0))
+        grid = resonance_grid(design, cfg, np.float64(3.0))
         assert grid.values.shape == (3,)
 
     @pytest.mark.parametrize(
@@ -97,12 +96,12 @@ class TestResonanceGrid:
         # the center-frequency search places each element among ascending rows; unchecked, a 0-d or
         # multi-dimensional list ended in an IndexError or a TypeError
         with pytest.raises(ValueError, match="^resonance grid values must be a non-empty list, all finite and ascending$"):
-            ResonanceGrid(values=np.array(values), design=design, subcarriers=subcarrier_grid(cfg))
+            ResonanceGrid(values=np.array(values), design=design, cfg=cfg)
 
     def test_center_row_is_built_once_and_read_only(self, cfg, design, monkeypatch):
         # every center-frequency solve on a grid reads the one row of achievable weights the grid keeps
         channels = effective_channel(cfg, design)
-        grid = resonance_grid(design, channels.grid, 1001)
+        grid = resonance_grid(design, channels.cfg, 1001)
         calls = []
 
         def counted(*args):
@@ -113,7 +112,7 @@ class TestResonanceGrid:
         picks = [center_frequency_beamformer(channels, grid).f_r for _ in range(3)]
         assert len(calls) == 1 and all(np.array_equal(f_r, picks[0]) for f_r in picks)
         row = grid.center_row
-        expected = normalized_polarizability(channels.grid.f_center, grid.values, design)
+        expected = normalized_polarizability(channels.cfg.f_t, grid.values, design)
         assert row.dtype == expected.dtype and row.tobytes() == expected.tobytes()  # bit for bit
         with pytest.raises(ValueError, match="read-only"):
             row[:] = 0
@@ -121,7 +120,7 @@ class TestResonanceGrid:
 
     def test_compares_by_identity(self, cfg, design):
         # the value array has no truth value, so grids compare by identity and stay hashable
-        a, b = resonance_grid(design, subcarrier_grid(cfg), 11), resonance_grid(design, subcarrier_grid(cfg), 11)
+        a, b = resonance_grid(design, cfg, 11), resonance_grid(design, cfg, 11)
         assert a == a and a != b and len({a, a, b}) == 2
 
 
@@ -131,27 +130,27 @@ class TestCenterFrequencyBeamformer:
         # weight reaches at resonance; an odd grid contains f_t exactly
         h = np.tile(np.exp(1j * math.pi / 2), (2, design.n_slot))
         channels = make_channelset(h, TWO_POINT)
-        res = center_frequency_beamformer(channels, resonance_grid(design, channels.grid, 1001))
+        res = center_frequency_beamformer(channels, resonance_grid(design, channels.cfg, 1001))
         np.testing.assert_array_equal(res.f_r, np.full(design.n_slot, design.f_t))
 
     def test_zero_tuning_bandwidth_pins_to_carrier(self, cfg, design):
         d0 = override_fields(design, b_tune=0.0)
         channels = effective_channel(cfg, d0)
-        res = center_frequency_beamformer(channels, resonance_grid(d0, channels.grid, 51))
+        res = center_frequency_beamformer(channels, resonance_grid(d0, channels.cfg, 51))
         np.testing.assert_array_equal(res.f_r, np.full(design.n_slot, design.f_t))
 
     def test_matches_bruteforce_oracle(self, cfg, design):
         d2 = override_fields(design, n_slot=2)
         cfg2 = override_fields(cfg, k=2)
         channels = effective_channel(cfg2, d2)
-        grid = resonance_grid(d2, channels.grid, 101)
+        grid = resonance_grid(d2, channels.cfg, 101)
         res = center_frequency_beamformer(channels, grid)
-        kc = channels.grid.center_index
+        kc = channels.k // 2
         for n in range(2):
             target = lorentzian_weight(np.angle(np.conj(channels.h[kc, n])))
             best_idx, best_val = 0, float("inf")
             for i, f_r in enumerate(grid.values):
-                val = abs(target - normalized_polarizability(channels.grid.f_center, f_r, d2))
+                val = abs(target - normalized_polarizability(channels.cfg.f_t, f_r, d2))
                 if val < best_val:  # strict: keeps the first (lowest) grid point
                     best_idx, best_val = i, val
             assert res.f_r[n] == grid.values[best_idx]
@@ -161,7 +160,7 @@ class TestCenterFrequencyBeamformer:
         def tied_grid(n_slot):
             values = np.array([14.9e9, 14.9e9, 15.1e9])
             design_n = override_fields(design, n_slot=n_slot)
-            return ResonanceGrid(values=values, design=design_n, subcarriers=TWO_POINT.subcarriers)
+            return ResonanceGrid(values=values, design=design_n, cfg=TWO_POINT)
 
         channels = make_channelset(np.ones((2, 3)), TWO_POINT)
         res = center_frequency_beamformer(channels, tied_grid(3))
@@ -173,7 +172,7 @@ class TestCenterFrequencyBeamformer:
 
     def test_rejects_empty_grid(self, design):
         with pytest.raises(ValueError):
-            ResonanceGrid(values=np.array([]), design=design, subcarriers=TWO_POINT.subcarriers)
+            ResonanceGrid(values=np.array([]), design=design, cfg=TWO_POINT)
 
     @pytest.mark.exactness
     @settings(deadline=None)
@@ -208,19 +207,19 @@ class TestCenterFrequencyBeamformer:
             channels = multipath_channel(MultipathSpec(l_path=1 + seed % 6, seed=seed), cfg, design)
         else:
             channels = make_channelset(np.exp(1j * rng.uniform(-np.pi, np.pi, (cfg.k, n_slot))), cfg)
-        grid = resonance_grid(design, channels.grid, r_res)
+        grid = resonance_grid(design, channels.cfg, r_res)
         h = channels.h.copy()
-        kc = channels.grid.center_index
+        kc = channels.k // 2
         moved = rng.random(n_slot) < 0.5
         if placed == "on grid":  # the target e^(j zeta)/2 - j/2 lands on a grid weight a: zeta = angle(2a + j)
-            weights = normalized_polarizability(channels.grid.f_center, grid.values, design)
+            weights = normalized_polarizability(channels.cfg.f_t, grid.values, design)
             zeta = np.angle(2 * weights[rng.integers(0, r_res, n_slot)] + 1j)
             h[kc, moved] = np.exp(-1j * zeta[moved])
         elif placed == "special":  # -j (resonance), 0 (the circle's origin point) and the two sides
             zeta = rng.choice([-math.pi / 2, math.pi / 2, -math.pi, math.pi, 0.0], n_slot)
             h[kc, moved] = np.exp(-1j * zeta[moved])
         elif placed == "gap":  # opposite the middle of the weight arc, where rows 0 and r_res - 1 tie
-            psi = np.angle(2 * normalized_polarizability(channels.grid.f_center, grid.values, design) + 1j)
+            psi = np.angle(2 * normalized_polarizability(channels.cfg.f_t, grid.values, design) + 1j)
             arc = np.mod(psi[-1] - psi[0], 2 * math.pi)  # psi rises with the row over an arc shorter than 2 pi
             zeta = psi[-1] + (2 * math.pi - arc) / 2 + rng.normal(0.0, 1e-13, n_slot)
             h[kc, moved] = np.exp(-1j * zeta[moved])
@@ -246,9 +245,9 @@ class TestCenterFrequencyBeamformer:
             channels = effective_channel(cfg, design)
         else:
             channels = multipath_channel(MultipathSpec(l_path=l_path, seed=seed), cfg, design)
-        grid = resonance_grid(design, channels.grid, r_res)
-        zeta = np.angle(np.conj(channels.h[channels.grid.center_index]))
-        pos = np.searchsorted(grid.values, _resonance_at_angle(channels.grid.f_center, zeta, design))
+        grid = resonance_grid(design, channels.cfg, r_res)
+        zeta = np.angle(np.conj(channels.h[channels.k // 2]))
+        pos = np.searchsorted(grid.values, _resonance_at_angle(channels.cfg.f_t, zeta, design))
         bracket = grid.values[np.clip([pos - 1, pos], 0, r_res - 1)]
         ends = grid.values[[0, -1], None]
         picks = center_frequency_beamformer(channels, grid).f_r
@@ -261,7 +260,7 @@ class TestCenterFrequencyBeamformer:
         design = DmaDesign(n_slot=n_slot, b_tune=5e-3)
         zeta = math.pi / 2 + np.linspace(-1e-6, 1e-6, n_slot)
         channels = make_channelset(np.tile(np.exp(-1j * zeta), (2, 1)), TWO_POINT)  # center subcarrier: design.f_t
-        grid = resonance_grid(design, channels.grid, 4001)
+        grid = resonance_grid(design, channels.cfg, 4001)
         res = center_frequency_beamformer(channels, grid)
         assert np.array_equal(res.f_r, dense_center_frequency(channels, grid).f_r)
 
@@ -272,7 +271,7 @@ class TestCenterFrequencyBeamformer:
         # the full row (the far rows before the dense ones test the right end, those after them the left end)
         design = DmaDesign(n_slot=62, q=1000.0)
         values = np.sort(np.concatenate([start + np.arange(60) * np.spacing(start), start + np.array(far)]))
-        grid = ResonanceGrid(values=values, design=design, subcarriers=TWO_POINT.subcarriers)
+        grid = ResonanceGrid(values=values, design=design, cfg=TWO_POINT)
         zeta = np.angle(2 * normalized_polarizability(15e9, values, design) + 1j)  # each target on its own row
         channels = make_channelset(np.tile(np.exp(-1j * zeta), (2, 1)), TWO_POINT)
         assert np.array_equal(center_frequency_beamformer(channels, grid).f_r, dense_center_frequency(channels, grid).f_r)
@@ -288,14 +287,14 @@ class TestCenterFrequencyBeamformer:
                 channels = effective_channel(cfg, d)
             else:
                 channels = multipath_channel(MultipathSpec(l_path=l_path, seed=4), cfg, d)
-            grid = resonance_grid(d, channels.grid, 4001)
+            grid = resonance_grid(d, channels.cfg, 4001)
             assert np.array_equal(center_frequency_beamformer(channels, grid).f_r, dense_center_frequency(channels, grid).f_r)
 
     def test_solve_allocates_no_distance_table(self):
         # a complex (r_res, n_slot) distance table alone takes 16 MB here; the windowed search takes no table
         design = DmaDesign(n_slot=256)
         channels = effective_channel(ScenarioConfig(k=16), design)
-        grid = resonance_grid(design, channels.grid, 4001)
+        grid = resonance_grid(design, channels.cfg, 4001)
         center_frequency_beamformer(channels, grid)  # warm call
         tracemalloc.start()
         try:
@@ -309,7 +308,7 @@ class TestCenterFrequencyBeamformer:
         # a (n_slot, r_res) dot table takes 8 MB here; the search keeps 4 rows per element
         design = DmaDesign(n_slot=256)
         channels = effective_channel(ScenarioConfig(), design)
-        grid = resonance_grid(design, channels.grid, 4001)
+        grid = resonance_grid(design, channels.cfg, 4001)
         center_frequency_beamformer(channels, grid)  # warm call
         tracemalloc.start()
         try:
@@ -321,14 +320,14 @@ class TestCenterFrequencyBeamformer:
 
     def test_deterministic(self, cfg, design):
         channels = effective_channel(cfg, design)
-        grid = resonance_grid(design, channels.grid, 501)
+        grid = resonance_grid(design, channels.cfg, 501)
         a = center_frequency_beamformer(channels, grid)
         b = center_frequency_beamformer(channels, grid)
         np.testing.assert_array_equal(a.f_r, b.f_r)
 
     def test_stays_in_range(self, cfg, design):
         channels = effective_channel(cfg, design)
-        res = center_frequency_beamformer(channels, resonance_grid(design, channels.grid, 257))
+        res = center_frequency_beamformer(channels, resonance_grid(design, channels.cfg, 257))
         f_r_min, f_r_max = tuning_range(design)
         assert np.all((res.f_r >= f_r_min) & (res.f_r <= f_r_max))
 
@@ -341,8 +340,8 @@ def _scan_state(design, l_path, element, snr_scale=1.0):
     else:
         channels = multipath_channel(MultipathSpec(l_path=l_path, seed=l_path), cfg, design)
     snr = snr_profile(cfg) * snr_scale
-    grid = resonance_grid(design, channels.grid, 1001)  # 15 whole 64-row intervals and a short one of 41 rows
-    weights = normalized_polarizability(channels.grid.frequencies[None, :], grid.values[:, None], design)
+    grid = resonance_grid(design, channels.cfg, 1001)  # 15 whole 64-row intervals and a short one of 41 rows
+    weights = normalized_polarizability(channels.cfg.frequencies[None, :], grid.values[:, None], design)
     taps = leakage_vector(design) * channels.h
     picks = np.searchsorted(grid.values, exhaustive_successive(channels, snr, grid))
     running = np.sum(weights[picks[:element]] * taps[:, :element].T, axis=0)  # the earlier elements' selections
@@ -400,7 +399,7 @@ class TestSuccessiveBeamformer:
     def test_single_element_single_subcarrier_maximizes_gain(self, design):
         d1 = override_fields(design, n_slot=1)
         channels = make_channelset(np.exp(1j * 0.7) * np.ones((2, 1)), TWO_POINT)
-        grid = resonance_grid(d1, channels.grid, 201)
+        grid = resonance_grid(d1, channels.cfg, 201)
         res = successive_beamformer(channels, np.array([0.0, 5.0]), grid)  # only the 15 GHz subcarrier counts
         gains = np.abs(normalized_polarizability(15e9, grid.values, d1) * channels.h[1, 0])
         assert res.f_r[0] == grid.values[int(np.argmax(gains))]
@@ -410,10 +409,10 @@ class TestSuccessiveBeamformer:
         cfg2 = override_fields(cfg, k=2)
         channels = effective_channel(cfg2, d2)
         rho = snr_profile(cfg2)
-        grid = resonance_grid(d2, channels.grid, 51)
+        grid = resonance_grid(d2, channels.cfg, 51)
         res = successive_beamformer(channels, rho, grid)
 
-        freqs = channels.grid.frequencies
+        freqs = channels.cfg.frequencies
         taper = leakage_vector(d2)
         running = np.zeros(2, dtype=complex)
         for n in range(2):
@@ -439,7 +438,7 @@ class TestSuccessiveBeamformer:
 
     def test_degenerate_grid_pins_every_element(self, cfg, design):
         channels = effective_channel(cfg, design)
-        grid = resonance_grid(design, channels.grid, 1)
+        grid = resonance_grid(design, channels.cfg, 1)
         res = successive_beamformer(channels, snr_profile(cfg), grid)
         np.testing.assert_array_equal(res.f_r, np.full(design.n_slot, design.f_t))
 
@@ -449,9 +448,9 @@ class TestSuccessiveBeamformer:
         cfg4 = override_fields(cfg, k=4)
         channels = effective_channel(cfg4, d4)
         rho = snr_profile(cfg4)
-        grid = resonance_grid(d4, channels.grid, 31)
+        grid = resonance_grid(d4, channels.cfg, 31)
         res = successive_beamformer(channels, rho, grid)
-        freqs = channels.grid.frequencies
+        freqs = channels.cfg.frequencies
         taper = leakage_vector(d4)
         running = np.zeros(4, dtype=complex)
         for n in range(4):
@@ -465,7 +464,7 @@ class TestSuccessiveBeamformer:
 
     def test_deterministic_and_in_range(self, cfg, design):
         channels = effective_channel(cfg, design)
-        grid = resonance_grid(design, channels.grid, 101)
+        grid = resonance_grid(design, channels.cfg, 101)
         rho = snr_profile(cfg)
         a = successive_beamformer(channels, rho, grid)
         b = successive_beamformer(channels, rho, grid)
@@ -495,7 +494,7 @@ class TestSuccessiveBeamformer:
         else:
             channels = multipath_channel(MultipathSpec(l_path=l_path, seed=seed, pin_first_to_los=pin), cfg, design)
         snr = snr_profile(cfg) * 10.0**snr_exp
-        grid = resonance_grid(design, channels.grid, r_res)
+        grid = resonance_grid(design, channels.cfg, r_res)
         res = successive_beamformer(channels, snr, grid)
         assert np.array_equal(res.f_r, exhaustive_successive(channels, snr, grid))
 
@@ -536,7 +535,7 @@ class TestSuccessiveBeamformer:
         cfg = ScenarioConfig()
         channels = effective_channel(cfg, design)
         snr = snr_profile(cfg)
-        grid = resonance_grid(design, channels.grid, 4001)
+        grid = resonance_grid(design, channels.cfg, 4001)
         picks = exhaustive_successive(channels, snr, grid)
         split = []  # per split element: (its pick lies past its first run, before its last run)
         for row, live in _live_intervals(channels, snr, grid, picks):
@@ -553,7 +552,7 @@ class TestSuccessiveBeamformer:
         cfg = ScenarioConfig()
         channels = effective_channel(cfg, design)
         snr = snr_profile(cfg)
-        grid = resonance_grid(design, channels.grid, 4001)
+        grid = resonance_grid(design, channels.cfg, 4001)
         picks = successive_beamformer(channels, snr, grid).f_r
         assert np.mean([live[-1] + 1 - live[0] for _, live in _live_intervals(channels, snr, grid, picks)]) <= 8
 
@@ -562,10 +561,10 @@ class TestSuccessiveBeamformer:
         design = DmaDesign(n_slot=16)
         snr = snr_profile(cfg)
         trials = [multipath_channel(MultipathSpec(l_path=l, seed=s), cfg, design) for l, s in [(1, 7), (2, 8), (4, 9)]]
-        shared = resonance_grid(design, subcarrier_grid(cfg), 1001)
+        shared = resonance_grid(design, cfg, 1001)
         forward = [successive_beamformer(c, snr, shared).f_r for c in trials]
         backward = [successive_beamformer(c, snr, shared).f_r for c in reversed(trials)][::-1]
-        fresh = [successive_beamformer(c, snr, resonance_grid(design, c.grid, 1001)).f_r for c in trials]
+        fresh = [successive_beamformer(c, snr, resonance_grid(design, c.cfg, 1001)).f_r for c in trials]
         for c, f_r, back, alone in zip(trials, forward, backward, fresh):
             assert np.array_equal(f_r, back) and np.array_equal(f_r, alone)
             assert np.array_equal(f_r, exhaustive_successive(c, snr, shared))
@@ -575,7 +574,7 @@ class TestSuccessiveBeamformer:
         design = DmaDesign(n_slot=16)
         channels = effective_channel(cfg, design)
         snr = snr_profile(cfg)
-        grid = resonance_grid(design, channels.grid, 1001)
+        grid = resonance_grid(design, channels.cfg, 1001)
         for part in grid.successive_table:
             with pytest.raises(ValueError, match="read-only"):
                 part[:] = 0
@@ -584,8 +583,8 @@ class TestSuccessiveBeamformer:
 
     def test_table_builds_in_the_array_it_returns(self, cfg, design):
         # built from full-size temporaries, a fresh 1001 x 64 table peaked at 2.5 times its own size
-        resonance_grid(design, cfg.subcarriers, 1001).successive_table  # warm call
-        grid = resonance_grid(design, cfg.subcarriers, 1001)
+        resonance_grid(design, cfg, 1001).successive_table  # warm call
+        grid = resonance_grid(design, cfg, 1001)
         tracemalloc.start()
         try:
             weights = grid.successive_table[0]
@@ -598,7 +597,7 @@ class TestSuccessiveBeamformer:
     def test_rejects_grid_of_other_subcarriers(self, design, algorithm):
         # a grid's tables serve its own subcarriers only: equal k at another bandwidth is refused by both algorithms,
         # the center-frequency one although its center subcarrier is the same
-        grid = resonance_grid(design, subcarrier_grid(ScenarioConfig(k=8, b=5e8)), 51)
+        grid = resonance_grid(design, ScenarioConfig(k=8, b=5e8), 51)
         cfg = ScenarioConfig(k=8, b=2e9)
         channels = effective_channel(cfg, design)
         with pytest.raises(ValueError, match="^channel subcarriers differ from the resonance grid's$"):
@@ -606,6 +605,17 @@ class TestSuccessiveBeamformer:
                 center_frequency_beamformer(channels, grid)
             else:
                 successive_beamformer(channels, snr_profile(cfg), grid)
+
+    @pytest.mark.parametrize("algorithm", ["center-frequency", "successive"])
+    def test_accepts_grid_of_equal_subcarriers(self, cfg, design, algorithm):
+        # another link distance keeps the subcarriers: the grid serves the channel through the equal-frequencies
+        # check, not by identity, and picks bit for bit what the channel's own scenario's grid picks
+        channels = effective_channel(cfg, design)
+        grid = resonance_grid(design, override_fields(cfg, r=2 * cfg.r), 201)
+        assert grid.cfg.frequencies is not channels.cfg.frequencies
+        res, _ = run_beamformer(algorithm, channels, grid)
+        own, _ = run_beamformer(algorithm, channels, resonance_grid(design, cfg, 201))
+        assert res.f_r.tobytes() == own.f_r.tobytes()
 
     @pytest.mark.parametrize("r_res", [5, 201])  # 5: shorter than one interval of any bound level
     def test_silent_element_takes_lowest_resonance(self, cfg, design, rng, r_res):
@@ -616,7 +626,7 @@ class TestSuccessiveBeamformer:
         h[:, 2] = 0.0
         channels = make_channelset(h, cfg4)
         rho = snr_profile(cfg4)
-        grid = resonance_grid(d4, channels.grid, r_res)
+        grid = resonance_grid(d4, channels.cfg, r_res)
         res = successive_beamformer(channels, rho, grid)
         assert res.f_r[2] == grid.values[0]
         np.testing.assert_array_equal(res.f_r, exhaustive_successive(channels, rho, grid))
@@ -624,7 +634,7 @@ class TestSuccessiveBeamformer:
     def test_rejects_mismatched_snr(self, cfg, design):
         channels = effective_channel(cfg, design)
         with pytest.raises(ValueError):
-            successive_beamformer(channels, np.ones(3), resonance_grid(design, channels.grid, 11))
+            successive_beamformer(channels, np.ones(3), resonance_grid(design, channels.cfg, 11))
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     def test_rejects_negative_or_non_finite_snr(self, bad):
@@ -635,13 +645,13 @@ class TestSuccessiveBeamformer:
         snr = snr_profile(cfg)
         snr[3] = bad
         with pytest.raises(ValueError, match="snr list must be finite and non-negative"):
-            successive_beamformer(channels, snr, resonance_grid(DmaDesign(n_slot=8), channels.grid, 201))
+            successive_beamformer(channels, snr, resonance_grid(DmaDesign(n_slot=8), channels.cfg, 201))
 
     @pytest.mark.exactness
     def test_zero_snr_matches_exhaustive_scan(self):
         cfg = ScenarioConfig(k=8)
         channels = effective_channel(cfg, DmaDesign(n_slot=8))
-        grid = resonance_grid(DmaDesign(n_slot=8), channels.grid, 201)
+        grid = resonance_grid(DmaDesign(n_slot=8), channels.cfg, 201)
         for snr in (np.zeros(8), np.where(np.arange(8) % 2, snr_profile(cfg), 0.0)):
             res = successive_beamformer(channels, snr, grid)
             assert np.array_equal(res.f_r, exhaustive_successive(channels, snr, grid))
@@ -652,7 +662,7 @@ class TestSuccessiveBeamformer:
         cfg = ScenarioConfig()
         channels = effective_channel(cfg, design)
         snr = snr_profile(cfg)
-        grid = resonance_grid(design, channels.grid, 4001)
+        grid = resonance_grid(design, channels.cfg, 4001)
         successive_beamformer(channels, snr, grid)  # warm call: builds the grid's table
         tracemalloc.start()
         try:
@@ -671,6 +681,6 @@ def test_rejects_channel_of_other_element_count(algorithm, channel_slots, grid_s
     # configures only 4 of the 8 elements before the scoring fails, and the third raises IndexError
     cfg = ScenarioConfig(k=8)
     channels = effective_channel(cfg, DmaDesign(n_slot=channel_slots))
-    grid = resonance_grid(DmaDesign(n_slot=grid_slots), channels.grid, 51)
+    grid = resonance_grid(DmaDesign(n_slot=grid_slots), channels.cfg, 51)
     with pytest.raises(ValueError, match="element count"):
         run_beamformer(algorithm, channels, grid)

@@ -15,6 +15,7 @@ from dmasim import (
     leakage_vector,
     multipath_channel,
     override_fields,
+    resonance_grid,
     subcarrier_grid,
     waveguide_phase_vector,
 )
@@ -22,15 +23,15 @@ from dmasim.channel import ANGLE_MAX, DELAY_MAX, L_PATH_MAX
 from oracles import channel_phase_step
 
 
-def reference_effective_h(cfg, design, grid):
+def reference_effective_h(cfg, design, frequencies):
     """Slow oracle: the LOS channel built one subcarrier at a time."""
-    h = np.empty((grid.k, design.n_slot), dtype=complex)
-    for i, f_k in enumerate(grid.frequencies):
+    h = np.empty((frequencies.size, design.n_slot), dtype=complex)
+    for i, f_k in enumerate(frequencies):
         h[i] = array_response(cfg.phi_t, f_k, design) * waveguide_phase_vector(f_k, design)
     return h
 
 
-def reference_multipath_h(spec, cfg, design, grid):
+def reference_multipath_h(spec, cfg, design, frequencies):
     """Slow oracle: the ray-sum channel built per subcarrier and per ray, same RNG draw order."""
     rng = np.random.default_rng(spec.seed)
     l_path = spec.l_path
@@ -42,8 +43,8 @@ def reference_multipath_h(spec, cfg, design, grid):
         gains[0] = 1.0 / math.sqrt(l_path)
         angles[0] = cfg.phi_t
         delays[0] = 0.0
-    h = np.zeros((grid.k, design.n_slot), dtype=complex)
-    for i, f_k in enumerate(grid.frequencies):
+    h = np.zeros((frequencies.size, design.n_slot), dtype=complex)
+    for i, f_k in enumerate(frequencies):
         rays = np.zeros(design.n_slot, dtype=complex)
         for g, phi, tau in zip(gains, angles, delays):
             rays += g * array_response(phi, f_k, design) * np.exp(-2j * math.pi * f_k * tau)
@@ -64,7 +65,7 @@ class TestBroadcastOracle:
     @pytest.mark.parametrize("k, n_slot", ORACLE_SIZES)
     def test_vector_helpers_match_scalar_rows(self, cfg, design, k, n_slot):
         d = override_fields(design, n_slot=n_slot)
-        freq = subcarrier_grid(override_fields(cfg, k=k, b=2e9)).frequencies
+        freq = subcarrier_grid(override_fields(cfg, k=k, b=2e9))
         wireless = array_response(0.3, freq, d)
         guide = waveguide_phase_vector(freq, d)
         assert wireless.shape == guide.shape == (k, n_slot)
@@ -171,7 +172,7 @@ class TestEffectiveChannel:
 
     def test_wrapped_angle_matches_closed_form_phase(self, cfg, design):
         channels = effective_channel(cfg, design)
-        phases = channel_phase_step(channels.grid.frequencies, cfg, design)[:, None] * np.arange(design.n_slot)
+        phases = channel_phase_step(channels.cfg.frequencies, cfg, design)[:, None] * np.arange(design.n_slot)
         wrapped = np.mod(phases + math.pi, 2 * math.pi) - math.pi
         err = np.abs(np.angle(channels.h) - wrapped)
         err = np.minimum(err, 2 * math.pi - err)  # both representations of +-pi
@@ -213,9 +214,11 @@ class TestEffectiveChannel:
             channels.h[0, 0] = 0
 
     def test_channels_share_the_scenarios_grid(self, cfg, design):
+        # a channel and a resonance grid of one scenario read its one frequency array, so _check_grid passes by identity
+        grid = resonance_grid(design, cfg, 11)
         for channels in (effective_channel(cfg, design), multipath_channel(MultipathSpec(), cfg, design)):
             assert channels.cfg is cfg
-            assert channels.grid is cfg.subcarriers
+            assert channels.cfg.frequencies is grid.cfg.frequencies is cfg.frequencies
 
     def test_compares_by_identity(self, cfg, design):
         # the channel arrays have no truth value, so channel sets compare by identity and stay hashable

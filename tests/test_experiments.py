@@ -153,9 +153,9 @@ class TestDeterminism:
 class TestSpectrumSchema:
     def test_round_trip(self, tmp_path, small_cfg, small_design):
         channels = effective_channel(small_cfg, small_design)
-        grid = resonance_grid(small_design, channels.grid)
+        grid = resonance_grid(small_design, channels.cfg)
         _, spectrum = run_beamformer("center-frequency", channels, grid)
-        rows = spectrum_rows("s1", "center-frequency", channels.grid.frequencies, spectrum)
+        rows = spectrum_rows("s1", "center-frequency", channels.cfg.frequencies, spectrum)
         per_k, summary = parse_spectrum_csv(_write_csv(tmp_path / "spectrum.csv", SPECTRUM_HEADER, rows))
         assert len(per_k) == small_cfg.k
         assert per_k[3]["gain"] == spectrum.gain[3]
@@ -269,7 +269,7 @@ class TestMultipathMc:
         )
         written = run_plan(plan, small_cfg, small_design)
         channels = effective_channel(small_cfg, small_design)
-        grid = resonance_grid(small_design, channels.grid, 101)
+        grid = resonance_grid(small_design, channels.cfg, 101)
         for row in table(written[0]):
             _, spectrum = run_beamformer(row["algorithm"], channels, grid)
             assert float(row["mean_se"]) == pytest.approx(spectrum.capacity, rel=1e-12)
@@ -352,6 +352,8 @@ class TestCli:
             (["sweep-spacing", "--axis", "0.005,0.01", "--k", "8", "--d-x=1e308"], None),
             (["sweep-spacing", "--axis", "1e-310", "--k", "8"], None),
             (["sweep-spacing", "--axis", "0,0.01", "--k", "8"], None),
+            # a carrier so far above the bandwidth that neighbouring subcarriers round together
+            (["sweep-tuning", "--axis", "1e9", "--k", "8", "--f-t", "1e20", "--b", "1e3"], None),
         ],
     )
     def test_failed_run_writes_nothing(self, tmp_path, capsys, argv, config):

@@ -30,9 +30,8 @@ from dmasim.channel import ChannelSet
 
 class TestSnr:
     def test_composes_prior_quantities(self, cfg):
-        grid = subcarrier_grid(cfg)
         k = 5
-        expected = path_loss(grid.frequencies[k], cfg.r) * cfg.g_dma * cfg.p_in / noise_power(cfg)
+        expected = path_loss(subcarrier_grid(cfg)[k], cfg.r) * cfg.g_dma * cfg.p_in / noise_power(cfg)
         assert snr_profile(cfg)[k] == expected
 
     def test_subcarrier_count_cancels(self, cfg):
@@ -66,16 +65,16 @@ class TestNormalization:
 
     def test_weight_scaling_homogeneity(self, cfg, design):
         channels = effective_channel(cfg, design)
-        res = center_frequency_beamformer(channels, resonance_grid(design, channels.grid, 501))
-        weights = dma_weight_matrix(res, channels.grid.frequencies, design)
+        res = center_frequency_beamformer(channels, resonance_grid(design, channels.cfg, 501))
+        weights = dma_weight_matrix(res, channels.cfg.frequencies, design)
         scaled = gain_profile(channels, 3.0 * weights, design)
         np.testing.assert_allclose(scaled, loop_oracle_gain(channels, 3.0 * weights, design), rtol=1e-12)
         np.testing.assert_allclose(scaled, gain_profile(channels, weights, design), rtol=1e-12)
 
     def test_power_constraint_residual(self, cfg, design):
         channels = effective_channel(cfg, design)
-        res = center_frequency_beamformer(channels, resonance_grid(design, channels.grid, 501))
-        weights = dma_weight_matrix(res, channels.grid.frequencies, design)
+        res = center_frequency_beamformer(channels, resonance_grid(design, channels.cfg, 501))
+        weights = dma_weight_matrix(res, channels.cfg.frequencies, design)
         np.testing.assert_allclose(
             gain_profile(channels, weights, design), loop_oracle_gain(channels, weights, design), rtol=1e-12
         )
@@ -113,7 +112,7 @@ class TestBeamformingGain:
     def test_center_subcarrier_tracks_approximation(self, cfg, design):
         # cross-module: normalized simulated gain vs power-normalized product
         channels = effective_channel(cfg, design)
-        _, spectrum = run_beamformer("center-frequency", channels, resonance_grid(design, channels.grid))
+        _, spectrum = run_beamformer("center-frequency", channels, resonance_grid(design, channels.cfg))
         predicted = power_normalized_gain(gain_breakdown(cfg, design), design)
         kc = cfg.k // 2
         assert spectrum.gain[kc] == pytest.approx(predicted[kc], rel=0.10)
@@ -150,22 +149,22 @@ class TestSpectralEfficiency:
     def test_successive_beats_center_frequency_on_wideband(self, design):
         cfg = ScenarioConfig(b=1.5e9)
         channels = effective_channel(cfg, design)
-        grid = resonance_grid(design, channels.grid, 301)
+        grid = resonance_grid(design, channels.cfg, 301)
         _, s_cf = run_beamformer("center-frequency", channels, grid)
         _, s_succ = run_beamformer("successive", channels, grid)
         assert s_succ.capacity >= s_cf.capacity
 
     def test_global_phase_invariance(self, cfg, design):
         channels = effective_channel(cfg, design)
-        _, spectrum = run_beamformer("center-frequency", channels, resonance_grid(design, channels.grid, 101))
-        res, _ = run_beamformer("center-frequency", channels, resonance_grid(design, channels.grid, 101))
-        weights = dma_weight_matrix(res, channels.grid.frequencies, design)
+        _, spectrum = run_beamformer("center-frequency", channels, resonance_grid(design, channels.cfg, 101))
+        res, _ = run_beamformer("center-frequency", channels, resonance_grid(design, channels.cfg, 101))
+        weights = dma_weight_matrix(res, channels.cfg.frequencies, design)
         rotated = weights * np.exp(1j * 1.234)
         assert gain_spectrum(channels, rotated, design).capacity == pytest.approx(spectrum.capacity, rel=1e-12)
 
     def test_g_sum_is_exact_row_sum(self, cfg, design):
         channels = effective_channel(cfg, design)
-        res, spectrum = run_beamformer("center-frequency", channels, resonance_grid(design, channels.grid, 101))
+        res, spectrum = run_beamformer("center-frequency", channels, resonance_grid(design, channels.cfg, 101))
         assert spectrum.g_sum == float(np.sum(spectrum.gain))
         assert spectrum.rate == cfg.b * spectrum.capacity
         assert np.all(spectrum.gain >= 0) and np.all(spectrum.se >= 0)
@@ -178,7 +177,7 @@ class TestSpectralEfficiency:
 
     def test_resonance_spectrum_scores_like_run_beamformer(self, cfg, design):
         channels = effective_channel(cfg, design)
-        res, spectrum = run_beamformer("center-frequency", channels, resonance_grid(design, channels.grid, 101))
+        res, spectrum = run_beamformer("center-frequency", channels, resonance_grid(design, channels.cfg, 101))
         np.testing.assert_array_equal(resonance_spectrum(channels, res, design).gain, spectrum.gain)
 
     def test_scores_under_the_channels_own_link_budget(self, cfg, design):
@@ -197,7 +196,7 @@ class TestSpectralEfficiency:
         # 0.5 channel; mixing in the channel's own 0.9 taper read 8.771 and 9.636 bit/s/Hz for 8.895 and 9.814
         cfg = ScenarioConfig(k=16)
         design = DmaDesign(lambda_frac=0.5)
-        grid = resonance_grid(design, cfg.subcarriers, 1001)
+        grid = resonance_grid(design, cfg, 1001)
         _, mixed = run_beamformer(algorithm, effective_channel(cfg, override_fields(design, lambda_frac=0.9)), grid)
         _, own = run_beamformer(algorithm, effective_channel(cfg, design), grid)
         for name in ("gain", "rho", "se"):
@@ -208,7 +207,7 @@ class TestSpectralEfficiency:
     def test_unknown_algorithm_rejected(self, cfg, design):
         channels = effective_channel(cfg, design)
         with pytest.raises(ValueError):
-            run_beamformer("zero-forcing", channels, resonance_grid(design, channels.grid))
+            run_beamformer("zero-forcing", channels, resonance_grid(design, channels.cfg))
 
 
 class TestSumGainTrends:
@@ -219,7 +218,7 @@ class TestSumGainTrends:
         for scale in (0.25, 0.5, 1.0, 2.0, 4.0):
             d = override_fields(design, b_tune=design.gamma * scale)
             channels = effective_channel(cfg, d)
-            _, spectrum = run_beamformer("center-frequency", channels, resonance_grid(d, channels.grid, 501))
+            _, spectrum = run_beamformer("center-frequency", channels, resonance_grid(d, channels.cfg, 501))
             sums.append(spectrum.g_sum)
         assert all(b >= a * 0.995 for a, b in zip(sums, sums[1:]))
         assert sums[-1] > sums[0]
@@ -230,7 +229,7 @@ class TestSumGainTrends:
         for lam in (0.1, 0.3, 0.5, 0.7, 0.9):
             d = override_fields(design, lambda_frac=lam, b_tune=8e9)
             channels = effective_channel(cfg, d)
-            _, spectrum = run_beamformer("center-frequency", channels, resonance_grid(d, channels.grid, 501))
+            _, spectrum = run_beamformer("center-frequency", channels, resonance_grid(d, channels.cfg, 501))
             sums.append(spectrum.g_sum)
         assert all(b >= a for a, b in zip(sums, sums[1:]))
 
